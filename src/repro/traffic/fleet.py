@@ -40,8 +40,8 @@ Determinism rules (see DESIGN.md "Fleet chaos & recovery"):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -320,6 +320,8 @@ class Worker:
         domain: Fault domain (``wid % plan.fault_domains``).
         spawned_s: When the replica was started.
         ready_s: When it accepts work (``spawned_s + cold_start_s``).
+        rng: The replica's own fault stream
+            (:meth:`FleetFaultPlan.rng_for`).
         state: One of ``cold``/``idle``/``busy``/``dead``/``retired``.
         draining: Scale-down drain — finish the current job, then
             retire; never assigned new work.
@@ -339,6 +341,7 @@ class Worker:
     domain: int
     spawned_s: float
     ready_s: float
+    rng: np.random.Generator = field(repr=False)
     state: str = COLD
     draining: bool = False
     preempt_at_s: Optional[float] = None
@@ -346,28 +349,32 @@ class Worker:
     detected: bool = False
     growth_cold: bool = False
     attempt_id: Optional[int] = None
-    rng: Optional[np.random.Generator] = field(default=None, repr=False)
 
 
 class FleetState:
     """The worker fleet: spawn, assign, drain, kill, and account.
 
     Owns worker state and the availability/time-to-recover ledgers; the
-    simulator owns the event queue and calls in.  With ``plan=None``
-    the fleet is a pass-through capacity pool: spawns are instant, no
-    faults are drawn, and dispatch admits exactly when a pre-fleet
-    simulator would have (``busy < target``), so the no-chaos arms of
-    every committed baseline replay unchanged.
+    simulator owns the event queue and calls in.  Every run goes through
+    here: an ideal fleet is just a plan whose rates are all zero and
+    whose ``cold_start_s`` is 0 — spawns are instant and every
+    :meth:`draw_fault` comes back clean.
+
+    A job is dispatched to a specific idle replica
+    (:meth:`idle_worker`), and a scale-down **drains by identity**:
+    :meth:`reconcile` retires idle replicas and marks specific busy ones
+    draining, so a still-serving replica that finishes takes the next
+    job even while the drainers are running.
 
     Args:
-        plan: The environment's fault processes, or ``None`` for an
-            ideal fleet.
-        policy: The recovery policy (inert without a plan).
+        plan: The environment's fault processes.
+        policy: The recovery policy (defaults to
+            :data:`RECOVERY_POLICY`).
     """
 
     def __init__(
         self,
-        plan: Optional[FleetFaultPlan],
+        plan: FleetFaultPlan,
         policy: Optional[RecoveryPolicy] = None,
     ) -> None:
         self.plan = plan
@@ -393,10 +400,6 @@ class FleetState:
         self.intended_worker_s = 0.0
         self.unavailable_worker_s = 0.0
 
-    @property
-    def chaos(self) -> bool:
-        return self.plan is not None
-
     # -- census ---------------------------------------------------------------
 
     def _serving(self, worker: Worker) -> bool:
@@ -406,14 +409,6 @@ class FleetState:
             and not worker.draining
             and not worker.preempt_notified
         )
-
-    def busy_count(self) -> int:
-        """Workers running an attempt (drains included — they still work)."""
-        return sum(1 for w in self.workers.values() if w.state == BUSY)
-
-    def ready_count(self) -> int:
-        """Workers alive and past cold start (idle or busy)."""
-        return sum(1 for w in self.workers.values() if w.state in (IDLE, BUSY))
 
     def capacity_count(self) -> int:
         """What the autoscaler *believes* it has.
@@ -456,21 +451,16 @@ class FleetState:
         """
         wid = self._next_id
         self._next_id += 1
-        cold = (
-            self.plan.cold_start_s
-            if self.plan is not None and now > 0
-            else 0.0
-        )
-        domain = wid % self.plan.fault_domains if self.plan is not None else 0
+        cold = self.plan.cold_start_s if now > 0 else 0.0
         worker = Worker(
             wid=wid,
-            domain=domain,
+            domain=wid % self.plan.fault_domains,
             spawned_s=now,
             ready_s=now + cold,
+            rng=self.plan.rng_for(wid),
             state=COLD if cold > 0 else IDLE,
-            rng=self.plan.rng_for(wid) if self.plan is not None else None,
         )
-        if self.plan is not None and self.plan.preempt_mean_s > 0:
+        if self.plan.preempt_mean_s > 0:
             worker.preempt_at_s = worker.ready_s + float(
                 worker.rng.exponential(self.plan.preempt_mean_s)
             )
@@ -588,7 +578,7 @@ class FleetState:
         worker.attempt_id = None
         worker.state = DEAD
         self.lost += 1
-        if anticipated and self.plan is not None:
+        if anticipated:
             # The drain knew this was coming: the replacement went up at
             # the notice, so recovery time is only the part of its cold
             # start the notice window could not hide.
@@ -623,8 +613,6 @@ class FleetState:
 
     def draw_fault(self, worker: Worker, service_s: float) -> DispatchFault:
         """One uniform draw from the worker's stream decides the job's fate."""
-        if self.plan is None:
-            return DispatchFault()
         draw = float(worker.rng.random())
         if draw < self.plan.crash_rate:
             return DispatchFault(
@@ -686,15 +674,4 @@ def resolve_profile(name: str, seed: int) -> FleetFaultPlan:
         raise ValueError(
             f"unknown chaos profile {name!r}; known: {sorted(CHAOS_PROFILES)}"
         ) from None
-    return FleetFaultPlan(
-        seed=seed,
-        crash_rate=profile.crash_rate,
-        crash_fraction=profile.crash_fraction,
-        straggler_rate=profile.straggler_rate,
-        straggler_factor=profile.straggler_factor,
-        preempt_mean_s=profile.preempt_mean_s,
-        preempt_notice_s=profile.preempt_notice_s,
-        outage_spacing_s=profile.outage_spacing_s,
-        fault_domains=profile.fault_domains,
-        cold_start_s=profile.cold_start_s,
-    )
+    return replace(profile, seed=seed)

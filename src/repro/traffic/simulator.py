@@ -13,17 +13,19 @@ fleet.  Every request lifecycle —
 
 — lands in an :class:`~repro.traffic.slo.SLOReport`.
 
-With a :class:`~repro.traffic.fleet.FleetFaultPlan` configured, the
-replicas themselves become unreliable (:mod:`repro.traffic.fleet`):
-workers crash mid-job, straggle, get spot-preempted with notice, or die
-together in correlated-outage windows.  The simulator then runs the
-recovery machinery — lease-based failure detection (a crashed worker's
-job is only redelivered once its lease expires), bounded redelivery
-feeding the dead-letter queue, hedged dispatch for stragglers past a
-p99-based hedge delay (first completion wins, the loser's compute is
-booked as waste), graceful drain on preemption notice, and replacement
-of dead replicas with cold-start delay — and accounts it all in the
-report's :class:`~repro.traffic.slo.FleetStats`.
+Every job runs on a :class:`~repro.traffic.fleet.FleetState` replica
+(:mod:`repro.traffic.fleet`).  With a
+:class:`~repro.traffic.fleet.FleetFaultPlan` configured, the replicas
+themselves become unreliable: workers crash mid-job, straggle, get
+spot-preempted with notice, or die together in correlated-outage
+windows.  The simulator then runs the recovery machinery — lease-based
+failure detection (a crashed worker's job is only redelivered once its
+lease expires), bounded redelivery feeding the dead-letter queue, hedged
+dispatch for stragglers past a p99-based hedge delay (first completion
+wins, the loser's compute is booked as waste), graceful drain on
+preemption notice, and replacement of dead replicas with cold-start
+delay — and accounts it all in the report's
+:class:`~repro.traffic.slo.FleetStats`.
 
 Determinism is the design constraint everything else bends around.  The
 loop runs on two clocks: the **event clock** only moves forward
@@ -74,9 +76,11 @@ from repro.traffic.fleet import (
     BUSY,
     COLD,
     DEAD,
+    NAIVE_POLICY,
     RETIRED,
     FleetFaultPlan,
     FleetState,
+    OutageWindow,
     RecoveryPolicy,
     Worker,
     generate_outages,
@@ -106,6 +110,10 @@ _CONTENT_CYCLE = (
 
 #: EWMA weight for the service-time estimator feeding admission control.
 _EWMA_ALPHA = 0.3
+
+#: What ``TrafficConfig.fleet=None`` means: replicas that never fail and
+#: boot instantly.  Run under :data:`NAIVE_POLICY`, so hedging stays off.
+_IDEAL_PLAN = FleetFaultPlan(cold_start_s=0.0)
 
 # Event kinds, popped from the EventQueue.
 _ARRIVAL = "arrival"
@@ -146,10 +154,11 @@ class TrafficConfig:
             choose among (defaults to the delivery degradation ladder).
         upload_factor: Upload's throughput target as a multiple of
             realtime, used by the scheduler's Upload budget.
-        fleet: The fleet fault plan, or ``None`` for ideal workers.
-            With no plan, every chaos code path is dormant and the
-            simulation replays exactly as it did before the fleet layer
-            existed.
+        fleet: The fleet fault plan, or ``None`` for ideal workers: the
+            same :class:`~repro.traffic.fleet.FleetState` replicas under
+            an all-zero plan with instant spawns and
+            :data:`~repro.traffic.fleet.NAIVE_POLICY`, and no ``fleet``
+            block in the report.
         recovery: How failures are handled when ``fleet`` is set
             (:data:`~repro.traffic.fleet.NAIVE_POLICY` turns it all
             off for the naive comparison arm).
@@ -216,7 +225,7 @@ class _Attempt:
 
     aid: int
     job: _Job
-    wid: int  # -1 when the ideal (no-plan) fleet runs it
+    wid: int  # the replica it runs on (``FleetState.workers`` key)
     timing: JobTiming
     started_s: float
     delivery: int
@@ -261,12 +270,15 @@ class TrafficSimulator:
         ]
         self.admission = AdmissionController(self.config.admission)
         self.scaler = QueueDepthAutoscaler(self.config.autoscaler)
-        self.fleet = FleetState(self.config.fleet, self.config.recovery)
+        plan, policy = self.config.fleet, self.config.recovery
+        if plan is None:
+            plan, policy = _IDEAL_PLAN, NAIVE_POLICY
+        self.fleet = FleetState(plan, policy)
         self.policy = self.fleet.policy
         self.clock = SimClock()  # The global event clock; only moves forward.
         self.events = EventQueue()
         self.queue: Deque[_Job] = deque()
-        self.busy = 0  # in-flight attempts (== busy workers under chaos)
+        self.busy = 0  # in-flight attempts (== busy workers)
         self.stats: Dict[str, ScenarioStats] = {}
         self._wait_samples: Dict[str, List[float]] = {}
         self._e2e_samples: Dict[str, List[float]] = {}
@@ -430,11 +442,10 @@ class TrafficSimulator:
         for request in requests:
             self._stats_for(request.scenario).arrived += 1
             self.events.schedule(request.arrival_s, (_ARRIVAL, (request, 1)))
-        if self.fleet.chaos:
-            for window in generate_outages(
-                self.config.fleet, self.config.arrivals.duration_s
-            ):
-                self.events.schedule(window.at_s, (_OUTAGE, window))
+        for window in generate_outages(
+            self.fleet.plan, self.config.arrivals.duration_s
+        ):
+            self.events.schedule(window.at_s, (_OUTAGE, window))
         while self.events:
             when, (kind, payload) = self.events.pop()
             self._accrue(when)
@@ -468,8 +479,7 @@ class TrafficSimulator:
 
     def _accrue(self, until: float) -> None:
         """Integrate busy/capacity worker-seconds up to ``until``."""
-        if self.fleet.chaos:
-            self.fleet.accrue(until, self.scaler.active)
+        self.fleet.accrue(until, self.scaler.active)
         dt = until - self._accrued_to
         if dt <= 0:
             return
@@ -511,20 +521,19 @@ class TrafficSimulator:
 
     # -- dispatch -------------------------------------------------------------
 
-    def _worker_available(self) -> bool:
-        if self.fleet.chaos:
-            return self.fleet.idle_worker() is not None
-        return self.busy < self.scaler.active
-
     def _dispatch(self, now: float) -> None:
-        """Start queued jobs while free workers exist."""
-        while self.queue and self._worker_available():
+        """Start queued jobs while idle replicas exist."""
+        while self.queue:
+            worker = self.fleet.idle_worker()
+            if worker is None:
+                return
             job = self.queue.popleft()
             job.queued = False
-            self._start_delivery(now, job)
+            self._start_delivery(now, job, worker)
 
-    def _start_delivery(self, now: float, job: _Job) -> None:
-        """Dispatch the job's next delivery, or time it out as stale."""
+    def _start_delivery(self, now: float, job: _Job, worker: Worker) -> None:
+        """Dispatch the job's next delivery onto ``worker``, or time the
+        job out as stale (leaving the replica idle)."""
         request = job.request
         stats = self._stats_for(request.scenario)
         wait = now - job.enqueued_s
@@ -579,6 +588,7 @@ class TrafficSimulator:
         self._launch(
             now,
             job,
+            worker,
             delivery,
             spec=spec,
             budget_override=budget_override,
@@ -590,22 +600,16 @@ class TrafficSimulator:
         self,
         now: float,
         job: _Job,
+        worker: Worker,
         delivery: int,
         spec: Optional[str],
         budget_override: Optional[float],
         expected: float,
         is_hedge: bool,
     ) -> None:
-        """Run one attempt on a worker and schedule its outcome."""
+        """Run one attempt on the idle ``worker`` and schedule its outcome."""
         request = job.request
         video = self._video_for(request)
-        worker: Optional[Worker] = None
-        wid = -1
-        if self.fleet.chaos:
-            worker = self.fleet.idle_worker()
-            if worker is None:  # pragma: no cover - callers check first
-                raise RuntimeError("dispatched with no idle worker")
-            wid = worker.wid
         self.busy += 1
         timing = self.farm.execute_job(
             video,
@@ -621,7 +625,7 @@ class TrafficSimulator:
         attempt = _Attempt(
             aid=aid,
             job=job,
-            wid=wid,
+            wid=worker.wid,
             timing=timing,
             started_s=now,
             delivery=delivery,
@@ -633,26 +637,23 @@ class TrafficSimulator:
         self._attempts[aid] = attempt
         job.attempts.append(attempt)
         job.deliveries += 1
-        if worker is not None:
-            self.fleet.assign(worker, aid)
-            fault = self.fleet.draw_fault(worker, timing.service_s)
-        else:
-            fault = None
-        if fault is not None and fault.kind == "crash" and timing.completed:
+        self.fleet.assign(worker, aid)
+        fault = self.fleet.draw_fault(worker, timing.service_s)
+        if fault.kind == "crash" and timing.completed:
             # The worker dies partway through; nothing completes, nobody
             # notices until the lease expires.
             attempt.crashed = True
             self.events.schedule(
-                now + fault.crash_after_s, (_DEATH, (wid, aid))
+                now + fault.crash_after_s, (_DEATH, (worker.wid, aid))
             )
-        elif fault is not None and fault.kind == "straggle":
+        elif fault.kind == "straggle":
             attempt.stretched = True
             self.events.schedule(
                 now + timing.service_s * fault.factor, (_COMPLETE, aid)
             )
         else:
             self.events.schedule(timing.finished_s, (_COMPLETE, aid))
-        if self.fleet.chaos and not is_hedge:
+        if not is_hedge:
             delay = self._hedge_delay_s(request.scenario)
             if delay is not None:
                 self.events.schedule(now + delay, (_HEDGE, aid))
@@ -660,14 +661,8 @@ class TrafficSimulator:
     # -- attempt resolution ---------------------------------------------------
 
     def _release_worker(self, attempt: _Attempt) -> None:
-        if not self.fleet.chaos or attempt.wid < 0:
-            return
-        worker = self.fleet.workers.get(attempt.wid)
-        if (
-            worker is not None
-            and worker.state == BUSY
-            and worker.attempt_id == attempt.aid
-        ):
+        worker = self.fleet.workers[attempt.wid]
+        if worker.state == BUSY and worker.attempt_id == attempt.aid:
             self.fleet.release(worker)
 
     def _cancel_attempt(self, attempt: _Attempt, now: float) -> None:
@@ -784,8 +779,6 @@ class TrafficSimulator:
     def _reconcile(self, now: float) -> None:
         """Move the fleet toward the autoscaler target, never reclaiming
         a busy replica (the scale-down invariant; audited in CI)."""
-        if not self.fleet.chaos:
-            return
         for worker in self.fleet.reconcile(now, self.scaler.active):
             if worker.state == COLD:
                 self.events.schedule(worker.ready_s, (_READY, worker.wid))
@@ -845,7 +838,7 @@ class TrafficSimulator:
             # proactively so the cold start overlaps the notice window.
             self._reconcile(now)
         self.events.schedule(
-            now + self.config.fleet.preempt_notice_s, (_PREEMPT_KILL, wid)
+            now + self.fleet.plan.preempt_notice_s, (_PREEMPT_KILL, wid)
         )
 
     def _handle_preempt_kill(self, now: float, wid: int) -> None:
@@ -883,6 +876,7 @@ class TrafficSimulator:
         self._launch(
             now,
             job,
+            worker,
             job.deliveries + 1,
             spec=attempt.spec,
             budget_override=attempt.budget_override,
@@ -890,7 +884,7 @@ class TrafficSimulator:
             is_hedge=True,
         )
 
-    def _handle_outage(self, now: float, window) -> None:
+    def _handle_outage(self, now: float, window: OutageWindow) -> None:
         self._outage_count += 1
         for worker in self.fleet.domain_members(window.domain):
             aid = worker.attempt_id
@@ -935,31 +929,33 @@ class TrafficSimulator:
         utilization = (
             self._busy_worker_s / self._capacity_s if self._capacity_s > 0 else 0.0
         )
-        fleet_stats: Optional[FleetStats] = None
-        if self.fleet.chaos:
-            fleet_stats = FleetStats(
-                workers_spawned=self.fleet.spawned,
-                workers_lost=self.fleet.lost,
-                crashes=self.fleet.crashes,
-                preemptions=self.fleet.preemptions,
-                outage_kills=self.fleet.outage_kills,
-                outages=self._outage_count,
-                interruptions=self._interruptions,
-                redeliveries=self._redeliveries,
-                redelivery_dead_letters=self._redelivery_dead_letters,
-                hedges_launched=self._hedges_launched,
-                hedge_wins=self._hedge_wins,
-                hedge_cancelled=self._hedge_cancelled,
-                reclaimed_busy=self.fleet.reclaimed_busy,
-                availability=self.fleet.availability,
-                time_to_recover=LatencySummary.from_samples(
-                    self.fleet.ttr_samples
-                ),
-                wasted_compute_s=self.fleet.wasted_compute_s,
-                wasted_cost_usd=self.farm.costs.model.compute_dollars(
-                    self.fleet.wasted_compute_s
-                ),
-            )
+        fleet_stats: Optional[FleetStats] = FleetStats(
+            workers_spawned=self.fleet.spawned,
+            workers_lost=self.fleet.lost,
+            crashes=self.fleet.crashes,
+            preemptions=self.fleet.preemptions,
+            outage_kills=self.fleet.outage_kills,
+            outages=self._outage_count,
+            interruptions=self._interruptions,
+            redeliveries=self._redeliveries,
+            redelivery_dead_letters=self._redelivery_dead_letters,
+            hedges_launched=self._hedges_launched,
+            hedge_wins=self._hedge_wins,
+            hedge_cancelled=self._hedge_cancelled,
+            reclaimed_busy=self.fleet.reclaimed_busy,
+            availability=self.fleet.availability,
+            time_to_recover=LatencySummary.from_samples(
+                self.fleet.ttr_samples
+            ),
+            wasted_compute_s=self.fleet.wasted_compute_s,
+            wasted_cost_usd=self.farm.costs.model.compute_dollars(
+                self.fleet.wasted_compute_s
+            ),
+        )
+        if self.config.fleet is None:
+            # Schema v3: a run with no configured plan reports no fleet
+            # block, so every committed no-chaos digest stays put.
+            fleet_stats = None
         return SLOReport(
             seed=self.seed,
             duration_s=self.config.arrivals.duration_s,

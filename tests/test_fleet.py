@@ -1,5 +1,7 @@
 """Fleet chaos layer: fault plans, recovery policy, worker lifecycle."""
 
+import dataclasses
+
 import pytest
 
 from repro.traffic import (
@@ -57,6 +59,14 @@ class TestFleetFaultPlan:
         assert plan.crash_rate == CHAOS_PROFILES["full"].crash_rate
         with pytest.raises(ValueError):
             resolve_profile("nope", seed=0)
+
+    @pytest.mark.parametrize("name", sorted(CHAOS_PROFILES))
+    def test_resolving_a_profile_changes_only_the_seed(self, name):
+        resolved = dataclasses.asdict(resolve_profile(name, seed=99))
+        assert resolved.pop("seed") == 99
+        shape = dataclasses.asdict(CHAOS_PROFILES[name])
+        del shape["seed"]
+        assert resolved == shape
 
 
 class TestRecoveryPolicy:
@@ -271,10 +281,12 @@ class TestAvailabilityLedger:
         assert fleet.unavailable_worker_s == 0.0
         assert fleet.availability == 1.0
 
-    def test_no_chaos_fleet_is_a_pass_through(self):
-        fleet = FleetState(None)
-        assert not fleet.chaos
+    def test_ideal_plan_fleet_never_fails_or_boots(self):
+        fleet = FleetState(FleetFaultPlan(cold_start_s=0.0))
+        fleet.spawn(0.0)
+        late = fleet.spawn(40.0)  # a scale-up: instant, not cold
+        assert late.state == IDLE and late.ready_s == 40.0
+        assert late.preempt_at_s is None
+        assert fleet.draw_fault(late, 5.0) == DispatchFault()
+        fleet.accrue(100.0, target=2)
         assert fleet.availability == 1.0
-        worker = fleet.spawn(0.0)
-        assert worker.state == IDLE and worker.rng is None
-        assert fleet.draw_fault(worker, 5.0) == DispatchFault()

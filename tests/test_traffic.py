@@ -1,5 +1,7 @@
 """Traffic layer: arrivals, admission, autoscaling, SLO accounting, the loop."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.scenarios import Scenario
@@ -458,8 +460,6 @@ class TestChaosSimulator:
         # The committed chaos-smoke configuration (BENCH_chaos.json):
         # default load at the "full" profile.  Recovery must beat naive
         # on both headline SLOs; ci_smoke pins the exact numbers.
-        import dataclasses
-
         config = TrafficConfig(
             arrivals=ArrivalConfig(duration_s=300.0),
             fleet=resolve_profile("full", 7),
@@ -474,6 +474,106 @@ class TestChaosSimulator:
         assert recovery.fleet.availability > naive.fleet.availability
         assert recovery.fleet.redeliveries > 0
         assert naive.fleet.redeliveries == 0  # one delivery, then lost
+
+
+# ---------------------------------------------------------------------------
+# One worker model: fleet=None is a FleetState under the ideal plan
+# ---------------------------------------------------------------------------
+
+#: What ``fleet=None`` resolves to, spelled out.
+IDEAL = {"fleet": FleetFaultPlan(cold_start_s=0.0), "recovery": NAIVE_POLICY}
+
+#: Steady, overloaded and bursty load, short and on 3 titles so the
+#: whole class costs a few seconds.
+SHAPES = {
+    "steady": TrafficConfig(
+        arrivals=ArrivalConfig(duration_s=120.0), catalog_size=3
+    ),
+    "overload": TrafficConfig(
+        arrivals=ArrivalConfig(duration_s=120.0, rps=2.0),
+        autoscaler=AutoscalerConfig(max_workers=3),
+        catalog_size=3,
+    ),
+    "bursty": TrafficConfig(
+        arrivals=ArrivalConfig(
+            duration_s=120.0, rps=1.0, spike_spacing_s=120.0,
+            spike_duration_s=30.0,
+        ),
+        catalog_size=3,
+    ),
+}
+
+#: Long jobs and an instant cooldown: scale-downs land while more
+#: replicas are busy than the new target, the one regime where draining
+#: by count and draining by identity give different reports.
+DRAIN = TrafficConfig(
+    arrivals=ArrivalConfig(
+        duration_s=400.0, rps=0.5, spike_spacing_s=100.0,
+        spike_duration_s=20.0,
+    ),
+    autoscaler=AutoscalerConfig(
+        target_queue_per_worker=1, scale_down_cooldown_s=0.0
+    ),
+    catalog_size=6,
+    time_scale=3000.0,
+)
+
+
+def modulo_fleet(report):
+    """The report minus the two keys only a configured plan fills in."""
+    record = report.as_dict()
+    del record["fleet"], record["chaos_profile"]
+    return record
+
+
+class TestOneWorkerModel:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("config", [*SHAPES.values(), DRAIN],
+                             ids=[*SHAPES, "drain"])
+    def test_no_plan_equals_the_explicit_ideal_plan(self, config, seed):
+        implicit = TrafficSimulator(config, seed=seed).run()
+        explicit = TrafficSimulator(
+            dataclasses.replace(config, **IDEAL), seed=seed
+        ).run()
+        assert implicit.fleet is None and explicit.fleet is not None
+        assert modulo_fleet(implicit) == modulo_fleet(explicit)
+        assert explicit.fleet.hedges_launched == 0
+        assert explicit.fleet.availability == 1.0
+
+    def test_fault_domains_are_inert_without_outages(self):
+        reports = [
+            TrafficSimulator(
+                dataclasses.replace(
+                    SHAPES["bursty"],
+                    fleet=FleetFaultPlan(seed=3, fault_domains=domains),
+                ),
+                seed=1,
+            ).run().to_json()
+            for domains in (1, 4)
+        ]
+        assert reports[0] == reports[1]
+
+    def test_scale_down_below_busy_drains_by_identity(self):
+        sim = TrafficSimulator(DRAIN, seed=0)
+        evaluate = sim.scaler.evaluate
+        squeezed = []
+
+        def spy(now, depth, busy):
+            event = evaluate(now, depth=depth, busy=busy)
+            if event is not None and busy > event.to_workers:
+                squeezed.append(event)
+            return event
+
+        sim.scaler.evaluate = spy
+        report = sim.run()
+        assert squeezed, "no scale-down landed below the busy count"
+        assert sim.fleet.reclaimed_busy == 0
+        assert (
+            report.completed + report.shed + report.timed_out
+            + report.dead_lettered
+        ) == report.arrived
+        again = TrafficSimulator(DRAIN, seed=0).run()
+        assert again.digest() == report.digest()
 
 
 class TestEstimatorCleanliness:
