@@ -12,12 +12,12 @@ build instead.
 
 It runs in two phases.  Phase 1 walks files independently (and in
 parallel) running the per-file rules and extracting a
-:class:`~repro.analysis.summaries.ModuleSummary` per file, memoized
-through a content-addressed cache.  Phase 2 -- ``--whole-program`` --
-merges the summaries into a :class:`~repro.analysis.project.ProjectIndex`,
-solves interprocedural facts to a fixed point over the cross-module call
-graph, and runs the global rules; it is always serial and fully sorted,
-so serial and ``--jobs N`` reports stay byte-identical.
+:class:`~repro.analysis.summaries.ModuleSummary` per file.  Phase 2 --
+``--whole-program`` -- merges the summaries into a
+:class:`~repro.analysis.project.ProjectIndex`, solves interprocedural
+facts to a fixed point over the cross-module call graph, and runs the
+global rules; it is always serial and fully sorted, so serial and
+``--jobs N`` reports stay byte-identical.
 
 * :mod:`repro.analysis.registry` -- checker registry + ``ModuleInfo``.
 * :mod:`repro.analysis.engine` -- file discovery, parallel phase 1,
@@ -25,7 +25,6 @@ so serial and ``--jobs N`` reports stay byte-identical.
 * :mod:`repro.analysis.summaries` -- the per-module dataflow IR.
 * :mod:`repro.analysis.callgraph` -- cross-module call-graph resolution.
 * :mod:`repro.analysis.project` -- the merged index + fixed-point solve.
-* :mod:`repro.analysis.summary_cache` -- content-addressed phase-1 cache.
 * :mod:`repro.analysis.findings` -- structured findings.
 * :mod:`repro.analysis.baseline` -- the ``.vlint.toml`` allowlist.
 * :mod:`repro.analysis.reporters` -- text and stable-JSON rendering.
@@ -78,7 +77,6 @@ from repro.analysis.reporters import (
     render_json,
     render_text,
 )
-from repro.analysis.summary_cache import SummaryCache
 
 __all__ = [
     "Baseline",
@@ -97,7 +95,6 @@ __all__ = [
     "ModuleInfo",
     "ProjectIndex",
     "Severity",
-    "SummaryCache",
     "SymmetricPair",
     "SymmetryChecker",
     "all_checkers",

@@ -6,9 +6,7 @@ fans out across a fork-based process pool, results are collected in
 deterministic order (sorted paths, then per-file findings sorted by
 location), and the serial and parallel paths produce byte-identical
 reports.  Each worker returns the file's findings *and* its
-:class:`~repro.analysis.summaries.ModuleSummary`, optionally memoized
-through the content-addressed
-:class:`~repro.analysis.summary_cache.SummaryCache`.
+:class:`~repro.analysis.summaries.ModuleSummary`.
 
 **Phase 2** (``whole_program=True``) merges the summaries into a
 :class:`~repro.analysis.project.ProjectIndex`, runs the fixed-point
@@ -69,8 +67,6 @@ class LintReport:
     suppressed: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     stale_entries: List[BaselineEntry] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     call_graph: Optional[Dict[str, Any]] = None
 
     @property
@@ -135,6 +131,11 @@ def lint_file(
     """Lint one file; findings come back sorted by location."""
     path = str(path)
     info = ModuleInfo.from_path(path, module or module_name_for(path))
+    return _check(info, rules)
+
+
+def _check(info: ModuleInfo, rules: Optional[Sequence[str]]) -> List[Finding]:
+    """The per-file rules over one parsed module, sorted by location."""
     findings: List[Finding] = []
     for checker in all_checkers(rules):
         findings.extend(checker.check(info))
@@ -142,42 +143,17 @@ def lint_file(
 
 
 def _process_one(
-    task: Tuple[str, Optional[Tuple[str, ...]], bool, Optional[str]]
-) -> Tuple[List[Finding], Optional[ModuleSummary], bool]:
+    task: Tuple[str, Optional[Tuple[str, ...]], bool]
+) -> Tuple[List[Finding], Optional[ModuleSummary]]:
     """Pool worker: phase 1 for one file.
 
-    Returns ``(findings, summary, cache_hit)``; ``summary`` is ``None``
-    unless requested.  Pure function of its arguments -- no module
-    globals are read or written, so it is fork- and spawn-safe (the
-    summary cache on disk is shared, but every write is atomic and every
-    entry is a pure function of the key).
+    Returns ``(findings, summary)``; ``summary`` is ``None`` unless
+    requested.  Pure function of its arguments -- no module globals are
+    read or written, so it is fork- and spawn-safe.
     """
-    path, rules, want_summary, cache_root = task
-    module = module_name_for(path)
-    cache = key = None
-    if cache_root is not None:
-        from repro.analysis.summary_cache import SummaryCache
-
-        source = Path(path).read_bytes()
-        cache = SummaryCache(cache_root)
-        key = cache.key_for(source, module, rules)
-        cached = cache.load(key, path, module)
-        if cached is not None:
-            findings, summary = cached
-            return findings, (summary if want_summary else None), True
-    info = ModuleInfo.from_path(path, module)
-    findings = []
-    for checker in all_checkers(rules):
-        findings.extend(checker.check(info))
-    findings.sort(key=Finding.sort_key)
-    # The summary is extracted when phase 2 needs it or when a cache
-    # entry is being written (entries always carry both halves).
-    summary = (
-        extract_summary(info) if want_summary or cache is not None else None
-    )
-    if cache is not None and key is not None:
-        cache.store(key, findings, summary)
-    return findings, (summary if want_summary else None), False
+    path, rules, want_summary = task
+    info = ModuleInfo.from_path(path, module_name_for(path))
+    return _check(info, rules), (extract_summary(info) if want_summary else None)
 
 
 def _pool(jobs: int):
@@ -196,35 +172,28 @@ def _run_phase1(
     files: Sequence[Path],
     rules: Optional[Tuple[str, ...]],
     jobs: int,
-    cache_root: Optional[str],
     want_summaries: bool = True,
-) -> Tuple[List[Finding], List[ModuleSummary], int, int]:
+) -> Tuple[List[Finding], List[ModuleSummary]]:
     """Walk ``files`` (in parallel for ``jobs > 1``), in sorted order."""
-    tasks = [(str(path), rules, want_summaries, cache_root) for path in files]
-    per_file: Iterable[Tuple[List[Finding], Optional[ModuleSummary], bool]]
+    tasks = [(str(path), rules, want_summaries) for path in files]
+    per_file: Iterable[Tuple[List[Finding], Optional[ModuleSummary]]]
     findings: List[Finding] = []
     summaries: List[ModuleSummary] = []
-    hits = misses = 0
     with _pool(jobs) as executor:
         if executor is None:
             per_file = map(_process_one, tasks)
         else:
             per_file = executor.map(_process_one, tasks)
-        for file_findings, summary, hit in per_file:
+        for file_findings, summary in per_file:
             findings.extend(file_findings)
             if summary is not None:
                 summaries.append(summary)
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-    return findings, summaries, hits, misses
+    return findings, summaries
 
 
 def collect_summaries(
     paths: Sequence[Union[str, Path]],
     jobs: int = 1,
-    cache_root: Optional[str] = None,
 ) -> List[ModuleSummary]:
     """Extract :class:`ModuleSummary` objects for every file under
     ``paths`` without running any checker (``rules=()``), in sorted-path
@@ -233,7 +202,7 @@ def collect_summaries(
     rules, but they are never linted themselves.
     """
     files = iter_python_files(paths)
-    _, summaries, _, _ = _run_phase1(files, (), jobs, cache_root)
+    _, summaries = _run_phase1(files, (), jobs)
     return summaries
 
 
@@ -244,7 +213,6 @@ def lint_paths(
     jobs: int = 1,
     whole_program: bool = False,
     reference_paths: Sequence[Union[str, Path]] = (),
-    cache_root: Optional[Union[str, Path]] = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths``.
 
@@ -252,21 +220,15 @@ def lint_paths(
     byte-identical to a serial run because files are independent, results
     merge in sorted-path order, and phase 2 -- enabled with
     ``whole_program=True`` -- is always serial and fully sorted.
-    ``cache_root`` (a directory) memoizes phase 1 per file content; warm
-    runs return byte-identical reports because hits replay exactly what
-    the cold run stored.
     """
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
     files = iter_python_files(paths)
     rule_tuple = tuple(rules) if rules is not None else None
-    cache_dir = str(cache_root) if cache_root is not None else None
-    merged, summaries, hits, misses = _run_phase1(
-        files, rule_tuple, jobs, cache_dir, want_summaries=whole_program
+    merged, summaries = _run_phase1(
+        files, rule_tuple, jobs, want_summaries=whole_program
     )
-    report = LintReport(
-        files_checked=len(files), cache_hits=hits, cache_misses=misses
-    )
+    report = LintReport(files_checked=len(files))
 
     if whole_program:
         from repro.analysis.project import ProjectIndex
@@ -274,9 +236,7 @@ def lint_paths(
         lint_modules = {summary.module for summary in summaries}
         reference = [
             summary
-            for summary in collect_summaries(
-                reference_paths, jobs=jobs, cache_root=cache_dir
-            )
+            for summary in collect_summaries(reference_paths, jobs=jobs)
             if summary.module not in lint_modules
         ]
         index = ProjectIndex(

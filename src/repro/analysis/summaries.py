@@ -1,10 +1,10 @@
 """Per-module summaries: the facts phase 1 extracts for whole-program lint.
 
-The whole-program engine never ships ASTs between processes or runs.  Each
-file is distilled -- in parallel, or replayed from the summary cache --
-into a :class:`ModuleSummary`: imports, exported names, external
-references, and one :class:`FunctionSummary` per module-level function and
-method.  A function summary is a tiny serializable dataflow IR:
+The whole-program engine never ships ASTs between processes.  Each file
+is distilled, in parallel, into a :class:`ModuleSummary`: imports,
+exported names, external references, and one :class:`FunctionSummary` per
+module-level function and method.  A function summary is a tiny picklable
+dataflow IR:
 
 * **call sites** with best-effort *resolved* dotted targets (``helper`` ->
   ``repro.codec.decoder.helper``, ``self.read_qp`` ->
@@ -22,17 +22,14 @@ method.  A function summary is a tiny serializable dataflow IR:
 * **arithmetic uses** of bare names (the VL002 wraparound hazard).
 
 Everything is ordered by a ``seq`` counter in statement order so phase 2
-can replay forward dataflow without the source.  Summaries round-trip
-through :func:`ModuleSummary.to_dict`/:func:`ModuleSummary.from_dict` for
-the content-addressed summary cache; :data:`SUMMARY_VERSION` stamps the
-format and must be bumped whenever any field here changes meaning.
+can replay forward dataflow without the source.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.checkers.dtype_safety import (
     _is_narrowing_cast,
@@ -41,17 +38,12 @@ from repro.analysis.checkers.dtype_safety import (
 from repro.analysis.registry import ModuleInfo
 
 __all__ = [
-    "SUMMARY_VERSION",
     "ArgFact",
     "CallSite",
     "FunctionSummary",
     "ModuleSummary",
     "extract_summary",
 ]
-
-#: Summary format version.  Part of every cache key: bumping it makes all
-#: cached summaries cold, which is exactly what a format change requires.
-SUMMARY_VERSION = 1
 
 #: Name of the pseudo-function holding module-scope statements.
 MODULE_SCOPE = "<module>"
@@ -168,176 +160,6 @@ class ModuleSummary:
     refs: Tuple[str, ...] = ()  # external dotted names referenced
     reexports: Tuple[Tuple[str, str], ...] = ()  # (local name, source dotted)
     is_package_init: bool = False
-
-    # -- serialization (for the summary cache) -----------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": SUMMARY_VERSION,
-            "module": self.module,
-            "path": self.path,
-            "is_package_init": self.is_package_init,
-            "exports": [[e.name, e.line, e.col] for e in self.exports],
-            "refs": list(self.refs),
-            "reexports": [list(pair) for pair in self.reexports],
-            "functions": [_function_to_dict(f) for f in self.functions],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], path: str) -> "ModuleSummary":
-        if data.get("version") != SUMMARY_VERSION:
-            raise ValueError(
-                f"summary version {data.get('version')!r} != "
-                f"{SUMMARY_VERSION}"
-            )
-        return cls(
-            module=data["module"],
-            path=path,
-            is_package_init=bool(data["is_package_init"]),
-            exports=tuple(
-                ExportFact(name, line, col)
-                for name, line, col in data["exports"]
-            ),
-            refs=tuple(data["refs"]),
-            reexports=tuple(
-                (local, source) for local, source in data["reexports"]
-            ),
-            functions=tuple(
-                _function_from_dict(f) for f in data["functions"]
-            ),
-        )
-
-
-def _function_to_dict(fn: FunctionSummary) -> Dict[str, Any]:
-    return {
-        "name": fn.name,
-        "line": fn.line,
-        "col": fn.col,
-        "params": list(fn.params),
-        "is_method": fn.is_method,
-        "decode_path": fn.decode_path,
-        "calls": [
-            [
-                c.index,
-                c.target,
-                c.leaf,
-                c.line,
-                c.col,
-                c.seq,
-                [
-                    [
-                        list(a.names),
-                        list(a.calls),
-                        list(a.top_names),
-                        list(a.top_calls),
-                        a.uint8,
-                        a.param,
-                        a.kw,
-                    ]
-                    for a in c.args
-                ],
-                list(c.handled),
-            ]
-            for c in fn.calls
-        ],
-        "assigns": [
-            [
-                list(a.targets),
-                list(a.names),
-                list(a.calls),
-                list(a.top_names),
-                list(a.top_calls),
-                a.uint8,
-                a.seq,
-            ]
-            for a in fn.assigns
-        ],
-        "returns": [
-            [
-                list(r.names),
-                list(r.calls),
-                list(r.top_names),
-                list(r.top_calls),
-                r.uint8,
-                r.seq,
-            ]
-            for r in fn.returns
-        ],
-        "raises": [
-            [r.name, r.line, r.col, list(r.handled)] for r in fn.raises
-        ],
-        "ariths": [[a.name, a.line, a.col, a.seq] for a in fn.ariths],
-    }
-
-
-def _function_from_dict(data: Dict[str, Any]) -> FunctionSummary:
-    return FunctionSummary(
-        name=data["name"],
-        line=data["line"],
-        col=data["col"],
-        params=tuple(data["params"]),
-        is_method=bool(data["is_method"]),
-        decode_path=bool(data["decode_path"]),
-        calls=tuple(
-            CallSite(
-                index=index,
-                target=target,
-                leaf=leaf,
-                line=line,
-                col=col,
-                seq=seq,
-                args=tuple(
-                    ArgFact(
-                        names=tuple(names),
-                        calls=tuple(calls),
-                        top_names=tuple(top_names),
-                        top_calls=tuple(top_calls),
-                        uint8=bool(uint8),
-                        param=param,
-                        kw=kw,
-                    )
-                    for names, calls, top_names, top_calls, uint8, param, kw
-                    in args
-                ),
-                handled=tuple(handled),
-            )
-            for index, target, leaf, line, col, seq, args, handled
-            in data["calls"]
-        ),
-        assigns=tuple(
-            AssignFact(
-                targets=tuple(targets),
-                names=tuple(names),
-                calls=tuple(calls),
-                top_names=tuple(top_names),
-                top_calls=tuple(top_calls),
-                uint8=bool(uint8),
-                seq=seq,
-            )
-            for targets, names, calls, top_names, top_calls, uint8, seq
-            in data["assigns"]
-        ),
-        returns=tuple(
-            ReturnFact(
-                names=tuple(names),
-                calls=tuple(calls),
-                top_names=tuple(top_names),
-                top_calls=tuple(top_calls),
-                uint8=bool(uint8),
-                seq=seq,
-            )
-            for names, calls, top_names, top_calls, uint8, seq
-            in data["returns"]
-        ),
-        raises=tuple(
-            RaiseFact(name=name, line=line, col=col, handled=tuple(handled))
-            for name, line, col, handled in data["raises"]
-        ),
-        ariths=tuple(
-            ArithFact(name=name, line=line, col=col, seq=seq)
-            for name, line, col, seq in data["ariths"]
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

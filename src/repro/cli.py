@@ -347,17 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         "whole-program rules but is never linted itself (repeatable)",
     )
     lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-addressed summary cache",
-    )
-    lint.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=".vlint-cache",
-        help="summary cache directory (default: %(default)s)",
-    )
-    lint.add_argument(
         "--graph-out",
         metavar="FILE",
         help="with --whole-program: write the resolved call graph as JSON",
@@ -903,7 +892,6 @@ def _cmd_lint(args) -> int:
         jobs=args.jobs,
         whole_program=args.whole_program,
         reference_paths=args.reference,
-        cache_root=None if args.no_cache else args.cache_dir,
     )
     if args.graph_out:
         if report.call_graph is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.codec.instrumentation import Counters
@@ -67,9 +67,13 @@ class RateSpec:
         return cls(kind="abr", bitrate_bps=bitrate_bps, two_pass=two_pass)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TranscodeResult:
-    """One transcode's outputs and costs.
+    """One transcode's outputs and costs -- a value, never updated in place.
+
+    A wrapper that changes what a transcode cost or produced (time
+    scaling, fault injection) derives a new result with
+    ``dataclasses.replace``; whoever holds a result may share it.
 
     Attributes:
         source: The input video (kept for metric computation).
@@ -136,8 +140,10 @@ class ScaledTranscoder(Transcoder):
     they represent (``Video.nominal_resolution``), so their modeled
     transcode times are milliseconds even though the titles they stand for
     take seconds.  The traffic simulator scales modeled time back up so
-    queueing, deadlines, and autoscaling operate at the represented scale;
-    nothing about the produced bits changes, only the clock cost.
+    queueing, deadlines, and autoscaling operate at the represented scale.
+    Each call returns a result derived from the inner one with only
+    ``seconds`` changed; the inner result (which a memo below may be
+    sharing) is left as it was.
     """
 
     def __init__(self, inner: Transcoder, factor: float) -> None:
@@ -151,8 +157,7 @@ class ScaledTranscoder(Transcoder):
 
     def transcode(self, video: Video, rate: RateSpec) -> TranscodeResult:
         result = self.inner.transcode(video, rate)
-        result.seconds *= self.factor
-        return result
+        return replace(result, seconds=result.seconds * self.factor)
 
     def __repr__(self) -> str:
         return f"ScaledTranscoder(inner={self.inner!r}, factor={self.factor})"

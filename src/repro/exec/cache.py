@@ -436,34 +436,22 @@ class MemoizingTranscoder(Transcoder):
     original modeled ``seconds`` — reports are byte-identical with or
     without the memo.
 
-    Each hit returns a **fresh shallow copy** of the stored result.
-    Wrappers above this one mutate results in place
-    (:class:`~repro.encoders.base.ScaledTranscoder` scales ``seconds``,
-    :class:`~repro.robust.faults.FaultyTranscoder` rebinds ``output`` and
-    multiplies straggler ``seconds``), and handing out the stored object
-    itself would compound those mutations across hits.
+    Results are values (:class:`~repro.encoders.base.TranscodeResult` is
+    frozen), so the stored object itself is returned, on the miss that
+    fills the entry and on every hit after it.
     """
 
     def __init__(self, inner: Transcoder) -> None:
         self.inner = inner
         self.name = inner.name
-        self.hits = 0
-        self.misses = 0
         self._memo: Dict[str, TranscodeResult] = {}
 
     def transcode(self, video: Video, rate: RateSpec) -> TranscodeResult:
         key = cache_key(video, self.inner, rate)
-        stored = self._memo.get(key)
-        if stored is None:
-            self.misses += 1
-            stored = self.inner.transcode(video, rate)
-            self._memo[key] = dataclasses.replace(stored)
-            return stored
-        self.hits += 1
-        return dataclasses.replace(stored)
+        result = self._memo.get(key)
+        if result is None:
+            result = self._memo[key] = self.inner.transcode(video, rate)
+        return result
 
     def __repr__(self) -> str:
-        return (
-            f"MemoizingTranscoder(inner={self.inner!r}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+        return f"MemoizingTranscoder(inner={self.inner!r})"

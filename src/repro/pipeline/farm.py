@@ -91,6 +91,8 @@ class FarmConfig:
             backend's circuit.
         breaker_cooldown_s: Simulated seconds an open circuit waits
             before admitting probes.
+        breaker_half_open_probes: Probe calls a half-open circuit admits
+            before it decides to close or reopen.
         quality_floor_db: Outputs below this PSNR are treated as
             corrupted (failed) attempts.
         outage_detect_s: Simulated cost of discovering a dead backend
@@ -126,13 +128,20 @@ class FarmConfig:
             raise ValueError(
                 f"time scale must be positive and finite, got {self.time_scale}"
             )
-        if self.quality_floor_db < 0:
+        if not math.isfinite(self.breaker_cooldown_s) or self.breaker_cooldown_s <= 0:
             raise ValueError(
-                f"quality floor must be non-negative, got {self.quality_floor_db}"
+                "breaker cooldown must be positive and finite, got "
+                f"{self.breaker_cooldown_s}"
             )
-        if self.outage_detect_s < 0:
+        if not math.isfinite(self.quality_floor_db) or self.quality_floor_db < 0:
             raise ValueError(
-                f"outage detection cost must be >= 0, got {self.outage_detect_s}"
+                "quality floor must be non-negative and finite, got "
+                f"{self.quality_floor_db}"
+            )
+        if not math.isfinite(self.outage_detect_s) or self.outage_detect_s < 0:
+            raise ValueError(
+                "outage detection cost must be >= 0 and finite, got "
+                f"{self.outage_detect_s}"
             )
 
 
@@ -301,8 +310,7 @@ class ResilientTranscoder(Transcoder):
         retry: Backoff policy.
         report: The farm's report (mutated in place).
         config: Farm policy (quality floor, outage cost).
-        costs: Cost report for wasted compute; assigned by the farm after
-            the service exists.
+        costs: The ledger wasted compute is booked into.
     """
 
     def __init__(
@@ -314,7 +322,7 @@ class ResilientTranscoder(Transcoder):
         retry: RetryPolicy,
         report: RobustnessReport,
         config: FarmConfig,
-        costs: Optional[CostReport] = None,
+        costs: CostReport,
     ) -> None:
         if not ladder:
             raise ValueError("a resilient transcoder needs at least one rung")
@@ -337,8 +345,7 @@ class ResilientTranscoder(Transcoder):
 
     def _book_waste(self, seconds: float) -> None:
         self.report.wasted_compute_s += seconds
-        if self.costs is not None:
-            self.costs.add_compute(seconds)
+        self.costs.add_compute(seconds)
 
     def _adapt_rate(self, spec: str, rate: RateSpec) -> RateSpec:
         """Hardware rungs have no two-pass mode; fall back to single pass."""
@@ -434,6 +441,9 @@ class _FarmService(SharingService):
     def __init__(self, farm: "TranscodeFarm", **kwargs) -> None:
         super().__init__(**kwargs)
         self._farm = farm
+        # One ledger: the farm made it first, so that its adapters could
+        # be built holding it, and the service books into the same one.
+        self.costs = farm.costs
 
     def _promote(self, record: VideoRecord) -> None:
         farm = self._farm
@@ -443,9 +453,7 @@ class _FarmService(SharingService):
         try:
             super()._promote(record)
         except FarmJobError as error:
-            farm.report.dead_letters.append(
-                DeadLetter(job=record.name, stage="promote", reason=error.reason)
-            )
+            farm.dead_letter(record.name, "promote", error.reason)
 
     def serve_views(self, views_by_name: Dict[str, int]) -> List[str]:
         promoted = super().serve_views(views_by_name)
@@ -497,43 +505,33 @@ class TranscodeFarm:
         )
         self.clock = SimClock()
         self.report = RobustnessReport()
-        ladders = {
-            "delivery": degradation_ladder(
-                delivery_backend,
-                self.config.preset_fallbacks,
-                self.config.hardware_fallback,
-            ),
-            "popular": degradation_ladder(
-                popular_backend,
-                self.config.preset_fallbacks,
-                self.config.hardware_fallback,
-            ),
-        }
+        self.costs = CostReport(model=cost_model or CostModel())
         self._memoize = memoize
         self.pool: Dict[str, Transcoder] = {}
         self.breakers: Dict[str, CircuitBreaker] = {}
-        for spec in sorted(set(ladders["delivery"]) | set(ladders["popular"])):
-            self._ensure_spec(spec)
-        self._delivery = self._adapter(ladders["delivery"])
-        self._popular = self._adapter(ladders["popular"])
+        # Every resilient adapter, keyed by its ladder's starting rung.
+        self._adapters: Dict[str, ResilientTranscoder] = {}
+        self._delivery = self._job_adapter(delivery_backend)
+        self._popular = self._job_adapter(popular_backend)
         self.service = _FarmService(
             farm=self,
             delivery_backend=self._delivery,
             popular_backend=self._popular,
             config=service_config,
-            cost_model=cost_model,
         )
-        # The service owns the cost report; wire it back so the adapters
-        # can book wasted compute into the same ledger.
-        self._delivery.costs = self.service.costs
-        self._popular.costs = self.service.costs
         self._workers = [0.0] * self.config.workers
-        # Per-spec adapters for scheduler-chosen operating points, built
-        # lazily so the common static-spec path allocates nothing extra.
-        self._spec_adapters: Dict[str, ResilientTranscoder] = {}
 
     def _make_backend(self, spec: str) -> Transcoder:
-        """One backend wrapped in the cache/memo/scale/fault stack."""
+        """One backend under the farm's wrapper stack -- assembled here only.
+
+        Innermost first: **cache** (disk) and **memo** (in-process) replay
+        the clean encode, so they must sit below everything that differs
+        per call; **scale** then stretches ``seconds`` to the represented
+        resolution; **fault** is outermost, so chaos fires on every call,
+        hit or miss, and a straggler multiplies the already-scaled time.
+        Results are values: scale and fault derive new ones, which is what
+        lets the memo hand one stored object to every caller.
+        """
         backend = get_transcoder(spec)
         if self.cache is not None:
             backend = self.cache.wrap(backend)
@@ -558,25 +556,15 @@ class TranscodeFarm:
             half_open_probes=self.config.breaker_half_open_probes,
         )
 
-    def _adapter(self, ladder: Sequence[str]) -> ResilientTranscoder:
-        return ResilientTranscoder(
-            ladder=ladder,
-            pool=self.pool,
-            breakers=self.breakers,
-            clock=self.clock,
-            retry=self.config.retry,
-            report=self.report,
-            config=self.config,
-        )
-
     def _job_adapter(self, spec: str) -> ResilientTranscoder:
         """The resilient adapter whose ladder starts at ``spec``.
 
-        Shares the farm-wide pool and breakers, so a scheduler-chosen
-        rung sees the same circuit state and fault plan as the static
-        paths; only the ladder's starting rung differs.
+        Every adapter shares the farm-wide pool, breakers and ledger, so
+        a scheduler-chosen rung sees the same circuit state and fault
+        plan as the configured delivery and Popular backends; only the
+        ladder's starting rung differs.
         """
-        adapter = self._spec_adapters.get(spec)
+        adapter = self._adapters.get(spec)
         if adapter is None:
             ladder = degradation_ladder(
                 spec,
@@ -585,14 +573,17 @@ class TranscodeFarm:
             )
             for rung in ladder:
                 self._ensure_spec(rung)
-            adapter = self._adapter(ladder)
-            adapter.costs = self.service.costs
-            self._spec_adapters[spec] = adapter
+            adapter = self._adapters[spec] = ResilientTranscoder(
+                ladder=ladder,
+                pool=self.pool,
+                breakers=self.breakers,
+                clock=self.clock,
+                retry=self.config.retry,
+                report=self.report,
+                config=self.config,
+                costs=self.costs,
+            )
         return adapter
-
-    @property
-    def costs(self) -> CostReport:
-        return self.service.costs
 
     @property
     def catalog(self) -> Dict[str, VideoRecord]:
@@ -616,9 +607,7 @@ class TranscodeFarm:
             self.report.jobs_completed += 1
             return record
         except FarmJobError as error:
-            self.report.dead_letters.append(
-                DeadLetter(job=video.name, stage="upload", reason=error.reason)
-            )
+            self.dead_letter(video.name, "upload", error.reason)
             return None
         finally:
             self._workers[worker] = self.clock.now
@@ -702,39 +691,32 @@ class TranscodeFarm:
         try:
             result = adapter.transcode(video, rate_spec)
         except FarmJobError as error:
-            self.report.dead_letters.append(
-                DeadLetter(job=label, stage="job", reason=error.reason)
-            )
-            return JobTiming(
-                job=label,
-                scenario=scenario,
-                started_s=at_s,
-                finished_s=self.clock.now,
-                completed=False,
-                reason=error.reason,
-                spec=adapter.ladder[0],
-                predicted_s=predicted_s,
-            )
-        self.service.costs.add_compute(result.seconds)
-        self.report.jobs_completed += 1
+            completed, reason = False, error.reason
+            self.dead_letter(label, "job", reason)
+        else:
+            completed, reason = True, ""
+            self.costs.add_compute(result.seconds)
+            self.report.jobs_completed += 1
         return JobTiming(
             job=label,
             scenario=scenario,
             started_s=at_s,
             finished_s=self.clock.now,
-            completed=True,
+            completed=completed,
+            reason=reason,
             spec=adapter.ladder[0],
             predicted_s=predicted_s,
         )
 
     def dead_letter(self, job: str, stage: str, reason: str) -> None:
-        """File a dead letter for a job the layer *above* gave up on.
+        """File a dead letter in the one queue replayable failures live in.
 
-        The fleet layer uses this when a request exhausts its redelivery
-        budget: the farm never saw the final attempt fail (the worker
-        died silently), but the dead-letter queue is the single place
-        replayable failures live, so the give-up is recorded here with
-        ``stage="fleet"`` and the attempt metadata in ``reason``.
+        The farm files its own here (a job that exhausted its ladder).
+        The fleet layer above files the jobs *it* gave up on, when a
+        request exhausts its redelivery budget: the farm never saw the
+        final attempt fail (the worker died silently), so the give-up is
+        recorded with ``stage="fleet"`` and the attempt metadata in
+        ``reason``.
         """
         self.report.dead_letters.append(
             DeadLetter(job=job, stage=stage, reason=reason)
@@ -769,7 +751,7 @@ class TranscodeFarm:
             if isinstance(backend, FaultyTranscoder)
         }
         if self.cache is not None:
-            self.service.costs.cache = self.cache.stats.since(
+            self.costs.cache = self.cache.stats.since(
                 self._cache_stats_before
             )
         return report

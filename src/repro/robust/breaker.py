@@ -20,6 +20,7 @@ breaker is as deterministic as everything else in :mod:`repro.robust`.
 from __future__ import annotations
 
 import enum
+import math
 
 __all__ = ["BreakerOpen", "BreakerState", "CircuitBreaker"]
 
@@ -54,8 +55,10 @@ class CircuitBreaker:
             raise ValueError(
                 f"failure threshold must be >= 1, got {failure_threshold}"
             )
-        if cooldown_s <= 0:
-            raise ValueError(f"cooldown must be positive, got {cooldown_s}")
+        if not math.isfinite(cooldown_s) or cooldown_s <= 0:
+            raise ValueError(
+                f"cooldown must be positive and finite, got {cooldown_s}"
+            )
         if half_open_probes < 1:
             raise ValueError(
                 f"need at least one half-open probe, got {half_open_probes}"

@@ -33,7 +33,7 @@ simulator — same seeded-substream idiom, one level up the stack.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import FrozenSet, Optional
 
 import numpy as np
@@ -239,6 +239,11 @@ class FaultCounts:
 class FaultyTranscoder(Transcoder):
     """Inject the plan's faults around ``inner``.
 
+    A straggler or corrupted call returns a result *derived* from the
+    inner one (``dataclasses.replace`` with the stretched ``seconds`` or
+    the damaged ``output``); the inner result is never touched, so a memo
+    further down the stack can hand the same object to every caller.
+
     Args:
         inner: The real backend.
         plan: The fault plan.
@@ -277,14 +282,14 @@ class FaultyTranscoder(Transcoder):
             )
         if draw < self.plan.crash_rate + self.plan.straggler_rate:
             self.injected.stragglers += 1
-            result.seconds *= self.plan.straggler_factor
-            return result
+            return replace(
+                result, seconds=result.seconds * self.plan.straggler_factor
+            )
         if draw < (
             self.plan.crash_rate + self.plan.straggler_rate + self.plan.corrupt_rate
         ):
             self.injected.corruptions += 1
-            result.output = _corrupt(result.output)
-            return result
+            return replace(result, output=_corrupt(result.output))
         if draw < (
             self.plan.crash_rate
             + self.plan.straggler_rate
@@ -292,12 +297,10 @@ class FaultyTranscoder(Transcoder):
             + self.plan.corrupt_stream_rate
         ):
             self.injected.stream_corruptions += 1
-            result.output, concealed, seen = _corrupt_stream(
-                result.output, self._rng
-            )
+            damaged, concealed, seen = _corrupt_stream(result.output, self._rng)
             self.injected.stream_corrupted_frames += concealed
             self.injected.stream_frames_seen += seen
-            return result
+            return replace(result, output=damaged)
         return result
 
     def __repr__(self) -> str:

@@ -64,7 +64,6 @@ from repro.pipeline.scheduler import (
 )
 from repro.predict.features import JobFeatures, extract_features
 from repro.robust.clock import EventQueue, SimClock
-from repro.robust.faults import FaultPlan
 from repro.traffic.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -242,27 +241,29 @@ class _Attempt:
 class TrafficSimulator:
     """Drive a farm with generated traffic and account every request.
 
+    There is one fault model here: whole workers fail, as configured by
+    :attr:`TrafficConfig.fleet`.  The farm underneath runs fault-free,
+    with its retry/breaker/degradation stack still in the path of every
+    job; faults injected per transcode *call* are a
+    :class:`~repro.pipeline.farm.TranscodeFarm` experiment
+    (``repro chaos``), not a traffic one.
+
     Args:
         config: The experiment parameters.
         seed: Root seed; arrivals, spikes, ranks, catalog content, and
             (under chaos) every worker's fault stream are all derived
             from substreams of it.
-        fault_plan: Optional per-call chaos to inject under the traffic
-            (the robustness stack runs either way).  Fleet-level chaos
-            is configured via :attr:`TrafficConfig.fleet` instead.
     """
 
     def __init__(
         self,
         config: Optional[TrafficConfig] = None,
         seed: int = 0,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.config = config or TrafficConfig()
         self.seed = int(seed)
         self.farm = TranscodeFarm(
             config=FarmConfig(time_scale=self.config.time_scale),
-            fault_plan=fault_plan,
             memoize=True,
         )
         self.catalog: List[Video] = [
@@ -979,7 +980,6 @@ class TrafficSimulator:
 def run_traffic(
     config: Optional[TrafficConfig] = None,
     seed: int = 0,
-    fault_plan: Optional[FaultPlan] = None,
 ) -> SLOReport:
     """Convenience wrapper: build a simulator, run it, return the report."""
-    return TrafficSimulator(config=config, seed=seed, fault_plan=fault_plan).run()
+    return TrafficSimulator(config=config, seed=seed).run()

@@ -1,5 +1,7 @@
 """Transcoder backends: interface contract and the paper's orderings."""
 
+import dataclasses
+
 import pytest
 
 from repro.encoders import (
@@ -95,6 +97,12 @@ class TestTranscodeResult:
         assert result.compressed_bytes == len(result.output) and True or True
         assert result.output.resolution == clip.resolution
         assert result.backend == "x264-veryfast"
+
+    def test_results_are_values(self, clip):
+        result = X264Transcoder("ultrafast").transcode(clip, RateSpec.for_crf(30))
+        for f in dataclasses.fields(result):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, f.name, getattr(result, f.name))
 
 
 class TestSoftwareOrderings:

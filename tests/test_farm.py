@@ -322,13 +322,48 @@ class TestJobStream:
     def test_memoized_repeats_cost_the_same_simulated_time(self):
         from repro.core.scenarios import Scenario
 
-        farm = TranscodeFarm(config=FarmConfig(workers=1), memoize=True)
+        from repro.exec import MemoizingTranscoder
+
         clip = make_clips()[0]
-        first = farm.execute_job(clip, Scenario.VOD, at_s=0.0)
-        second = farm.execute_job(clip, Scenario.VOD, at_s=50.0)
-        # The memo replays the encode, but simulated time is unchanged:
-        # a repeat costs what the original cost.
-        assert second.service_s == pytest.approx(first.service_s)
+        for time_scale, plan in (
+            (1.0, None),
+            # Every wrapper above the memo changes the result it is given:
+            # the scaler on each call, the injector on each straggler.
+            (100.0, FaultPlan(straggler_rate=1.0)),
+        ):
+            farm = TranscodeFarm(
+                config=FarmConfig(workers=1, time_scale=time_scale),
+                fault_plan=plan,
+                memoize=True,
+            )
+            timings = [
+                farm.execute_job(clip, Scenario.VOD, at_s=1e4 * i)
+                for i in range(4)
+            ]
+            # The memo replays the encode, but simulated time is
+            # unchanged: hit N costs what the original cost, so nothing
+            # the wrappers did to one result carried over to the next.
+            for repeat in timings[1:]:
+                assert repeat.service_s == pytest.approx(timings[0].service_s)
+            # Results are values, so the memo shares the one it stored.
+            memo = farm.pool["x264:medium"]
+            while not isinstance(memo, MemoizingTranscoder):
+                memo = memo.inner
+            rate = farm.job_rate(clip, Scenario.VOD)
+            assert memo.transcode(clip, rate) is memo.transcode(clip, rate)
+
+    def test_configured_and_scheduled_specs_share_one_adapter(self):
+        from repro.core.scenarios import Scenario
+
+        farm = TranscodeFarm(
+            delivery_backend="x264:medium", popular_backend="x264:slow"
+        )
+        assert farm._job_adapter("x264:medium") is farm.service.delivery
+        assert farm._job_adapter("x264:slow") is farm.service.popular
+        clip = make_clips()[0]
+        static = farm.execute_job(clip, Scenario.VOD, at_s=0.0)
+        chosen = farm.execute_job(clip, Scenario.VOD, at_s=0.0, spec="x264:medium")
+        assert (chosen.spec, chosen.service_s) == (static.spec, static.service_s)
 
     def test_exhausted_ladder_dead_letters_not_raises(self):
         from repro.core.scenarios import Scenario
@@ -368,3 +403,12 @@ class TestFarmConfig:
             FarmConfig(time_scale=0.0)
         with pytest.raises(ValueError):
             FarmConfig(time_scale=float("nan"))
+        # A NaN floor compares false against every PSNR, which would
+        # switch corrupt-output detection off without a word.
+        with pytest.raises(ValueError):
+            FarmConfig(quality_floor_db=float("nan"))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                FarmConfig(outage_detect_s=bad)
+            with pytest.raises(ValueError):
+                FarmConfig(breaker_cooldown_s=bad)

@@ -355,6 +355,11 @@ class TestCircuitBreaker:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker(cooldown_s=0)
+        # A NaN cooldown would re-admit the instant the breaker opened
+        # (``now - opened_at < nan`` is never true); inf never re-admits.
+        for cooldown in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                CircuitBreaker(cooldown_s=cooldown)
         with pytest.raises(ValueError):
             CircuitBreaker(half_open_probes=0)
 

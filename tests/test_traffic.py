@@ -1,6 +1,7 @@
 """Traffic layer: arrivals, admission, autoscaling, SLO accounting, the loop."""
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.traffic import (
     percentile,
     rate_at,
     resolve_profile,
+    run_traffic,
 )
 
 # ---------------------------------------------------------------------------
@@ -539,6 +541,13 @@ class TestOneWorkerModel:
         assert modulo_fleet(implicit) == modulo_fleet(explicit)
         assert explicit.fleet.hedges_launched == 0
         assert explicit.fleet.availability == 1.0
+
+    def test_the_fleet_plan_is_the_only_fault_model(self):
+        for entry_point in (TrafficSimulator, run_traffic):
+            assert list(inspect.signature(entry_point).parameters) == [
+                "config",
+                "seed",
+            ]
 
     def test_fault_domains_are_inert_without_outages(self):
         reports = [

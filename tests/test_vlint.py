@@ -12,15 +12,13 @@ The big contracts under test:
   byte-identical reports (including the whole-program phase), and the
   JSON form is stable and parseable.
 * **Whole-program closure** -- the cross-module fixtures are quiet
-  per-file and light up exactly once each under ``--whole-program``,
-  and the summary cache replays cold results byte-for-byte.
+  per-file and light up exactly once each under ``--whole-program``.
 * **Static symmetry is backed by behaviour** -- the write/read pairs
   VL004 discovers in ``entropy_coding`` round-trip seeded random values.
 """
 
 import ast
 import json
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +37,10 @@ from repro.analysis import (
     ForkSafetyChecker,
     JSON_REPORT_VERSION,
     Severity,
-    SummaryCache,
     SymmetricPair,
     SymmetryChecker,
     build_project_index,
     checker_for,
-    collect_summaries,
     discover_pairs,
     known_rules,
     lint_file,
@@ -57,7 +53,6 @@ from repro.analysis import (
     render_text,
 )
 from repro.analysis.engine import STALE_BASELINE_RULE
-from repro.analysis.summary_cache import CACHE_FORMAT_VERSION, cache_key_for
 from repro.cli import build_parser, main
 from repro.codec.entropy_coding.bitio import BitReader, BitWriter
 
@@ -527,74 +522,6 @@ class TestWholeProgram:
 
 
 # ---------------------------------------------------------------------------
-# Summary cache: content-addressed, versioned, atomic
-# ---------------------------------------------------------------------------
-
-
-class TestSummaryCache:
-    def test_cold_then_warm_byte_identical(self, tmp_path):
-        cache = tmp_path / "cache"
-        cold = lint_paths([WHOLE_PROGRAM], whole_program=True, cache_root=cache)
-        assert (cold.cache_hits, cold.cache_misses) == (0, 10)
-        warm = lint_paths([WHOLE_PROGRAM], whole_program=True, cache_root=cache)
-        assert (warm.cache_hits, warm.cache_misses) == (10, 0)
-        assert render_json(cold) == render_json(warm)
-        assert render_text(cold) == render_text(warm)
-
-    def test_source_change_invalidates_only_that_file(self, tmp_path):
-        tree = tmp_path / "tree"
-        shutil.copytree(WHOLE_PROGRAM, tree)
-        cache = tmp_path / "cache"
-        lint_paths([tree], cache_root=cache)
-        touched = tree / "src" / "repro" / "timeutil.py"
-        touched.write_text(touched.read_text() + "\n# touched\n")
-        rerun = lint_paths([tree], cache_root=cache)
-        assert (rerun.cache_hits, rerun.cache_misses) == (9, 1)
-
-    def test_key_covers_source_module_and_rules(self):
-        source = b"x = 1\n"
-        base = cache_key_for(source, "repro.m", None)
-        assert base == cache_key_for(source, "repro.m", None)
-        assert base != cache_key_for(b"x = 2\n", "repro.m", None)
-        assert base != cache_key_for(source, "repro.other", None)
-        assert base != cache_key_for(source, "repro.m", ("VL001",))
-        assert base != cache_key_for(source, "repro.m", ())
-
-    def test_store_load_roundtrip_and_corruption_eviction(self, tmp_path):
-        cache = SummaryCache(root=str(tmp_path / "c"))
-        path = WHOLE_PROGRAM / "src" / "repro" / "timeutil.py"
-        [summary] = collect_summaries([path])
-        key = cache.key_for(path.read_bytes(), summary.module, ())
-        assert cache.load(key, str(path), summary.module) is None
-        cache.store(key, [], summary)
-        loaded = cache.load(key, str(path), summary.module)
-        assert loaded is not None
-        findings, replayed = loaded
-        assert findings == []
-        assert replayed.module == summary.module
-        assert replayed.to_dict() == summary.to_dict()
-        # A corrupt entry is evicted and read as a miss, never trusted.
-        entry = tmp_path / "c" / key[:2] / f"{key}.json"
-        entry.write_text("{ not json", encoding="utf-8")
-        assert cache.load(key, str(path), summary.module) is None
-        assert cache.evictions == 1
-        assert not entry.exists()
-
-    def test_format_version_mismatch_is_a_miss(self, tmp_path):
-        cache = SummaryCache(root=str(tmp_path / "c"))
-        path = WHOLE_PROGRAM / "src" / "repro" / "timeutil.py"
-        [summary] = collect_summaries([path])
-        key = cache.key_for(path.read_bytes(), summary.module, ())
-        cache.store(key, [], summary)
-        entry = tmp_path / "c" / key[:2] / f"{key}.json"
-        payload = json.loads(entry.read_text())
-        assert payload["format"] == CACHE_FORMAT_VERSION
-        payload["format"] = CACHE_FORMAT_VERSION + 1
-        entry.write_text(json.dumps(payload), encoding="utf-8")
-        assert cache.load(key, str(path), summary.module) is None
-
-
-# ---------------------------------------------------------------------------
 # Baseline hygiene: stale entries surface, --prune-baseline removes them
 # ---------------------------------------------------------------------------
 
@@ -681,7 +608,6 @@ class TestBaselineHygiene:
             [
                 "lint",
                 "--whole-program",
-                "--no-cache",
                 "--baseline",
                 str(baseline_file),
                 "--prune-baseline",
@@ -793,7 +719,6 @@ class TestLintCli:
             [
                 "lint",
                 "--whole-program",
-                "--no-cache",
                 "--reference",
                 "tests",
                 "--jobs",
@@ -802,16 +727,14 @@ class TestLintCli:
             ]
         )
         assert args.whole_program is True
-        assert args.no_cache is True
         assert args.reference == ["tests"]
         assert args.jobs == 4
-        assert args.cache_dir == ".vlint-cache"
 
     def test_whole_program_cli_fires_and_is_parallel_stable(
         self, capsys
     ):
         base = [
-            "lint", "--json", "--no-cache", "--no-baseline",
+            "lint", "--json", "--no-baseline",
             "--whole-program", str(WHOLE_PROGRAM),
         ]
         assert main(base) == 1
@@ -822,16 +745,6 @@ class TestLintCli:
         assert sorted(f["rule"] for f in payload["findings"]) == [
             "VL001", "VL002", "VL002", "VL006", "VL007", "VL008",
         ]
-
-    def test_cache_dir_warm_run_identical(self, tmp_path, capsys):
-        base = [
-            "lint", "--json", "--no-baseline", "--whole-program",
-            "--cache-dir", str(tmp_path / "cache"), str(WHOLE_PROGRAM),
-        ]
-        main(base)
-        cold = capsys.readouterr().out
-        main(base)
-        assert capsys.readouterr().out == cold
 
     def test_graph_out_requires_whole_program(self, tmp_path, capsys):
         graph_file = tmp_path / "graph.json"
@@ -846,7 +759,7 @@ class TestLintCli:
         graph_file = tmp_path / "graph.json"
         main(
             [
-                "lint", "--whole-program", "--no-cache", "--no-baseline",
+                "lint", "--whole-program", "--no-baseline",
                 "--graph-out", str(graph_file), str(WHOLE_PROGRAM),
             ]
         )
