@@ -27,7 +27,7 @@ Quickstart::
     from repro import vbench_suite, Scenario, run_scenario
 
     suite = vbench_suite(profile="tiny")
-    report = run_scenario(suite, Scenario.VOD, backend="x264", preset="fast")
+    report = run_scenario(suite, Scenario.VOD, backend="x264:fast")
     print(report.to_table())
 """
 

@@ -28,7 +28,6 @@ Two rules keep the harness honest:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from statistics import median
 from typing import Dict, Optional
@@ -37,6 +36,7 @@ from repro.codec.decoder import Decoder
 from repro.codec.encoder import encode
 from repro.metrics.psnr import psnr
 from repro.metrics.speed import megapixels_per_second
+from repro.record import sha256_hex, stable_json
 from repro.video.synthesis import synthesize
 
 __all__ = [
@@ -104,8 +104,7 @@ class BenchmarkResult:
 
     def digest(self) -> str:
         """SHA-256 over the deterministic subset -- the trajectory key."""
-        payload = json.dumps(self.deterministic_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256_hex(stable_json(self.deterministic_dict(), indent=None))
 
     def bench_dict(self, deterministic: bool = False) -> Dict[str, object]:
         """The compact benchmark record (``BENCH_codec.json`` shape).
@@ -123,11 +122,7 @@ class BenchmarkResult:
         return record
 
     def to_json(self, deterministic: bool = False) -> str:
-        return json.dumps(
-            self.bench_dict(deterministic=deterministic),
-            sort_keys=True,
-            indent=2,
-        )
+        return stable_json(self.bench_dict(deterministic=deterministic))
 
     def to_text(self) -> str:
         """Human-readable rows for the terminal."""

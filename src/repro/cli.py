@@ -183,21 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         "traffic",
         help="simulate a request stream against the farm and report SLOs",
     )
-    traffic.add_argument("--seed", type=int, default=0)
-    traffic.add_argument(
-        "--duration", type=float, default=3600.0, help="arrival window, seconds"
-    )
-    traffic.add_argument(
-        "--rps", type=float, default=0.4, help="aggregate steady-state arrivals/s"
-    )
-    traffic.add_argument(
-        "--workers", type=int, default=8, help="autoscaler fleet ceiling"
-    )
-    traffic.add_argument(
-        "--min-workers", type=int, default=0, help="fleet floor (0 = scale-to-zero)"
-    )
-    traffic.add_argument(
-        "--catalog", type=int, default=12, help="synthesized catalog titles"
+    _traffic_args(
+        traffic, seed=0, duration=3600.0, rps=0.4, workers=8, catalog=12
     )
     traffic.add_argument(
         "--predictor",
@@ -212,37 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
             "outage, full) and compare no-chaos vs naive vs recovery arms"
         ),
     )
-    traffic.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-stable JSON report instead of text",
-    )
-    traffic.add_argument(
-        "--bench-out",
-        metavar="FILE",
-        help="also write the compact benchmark record (BENCH_traffic.json)",
-    )
 
     sched = sub.add_parser(
         "sched",
         help="run both scheduling arms (EWMA, predictor) and compare them",
     )
-    sched.add_argument("--seed", type=int, default=7)
-    sched.add_argument(
-        "--duration", type=float, default=300.0, help="arrival window, seconds"
-    )
-    sched.add_argument(
-        "--rps", type=float, default=0.8, help="aggregate steady-state arrivals/s"
-    )
-    sched.add_argument(
-        "--workers", type=int, default=5, help="autoscaler fleet ceiling"
-    )
-    sched.add_argument(
-        "--min-workers", type=int, default=0, help="fleet floor (0 = scale-to-zero)"
-    )
-    sched.add_argument(
-        "--catalog", type=int, default=48, help="synthesized catalog titles"
-    )
+    _traffic_args(sched, seed=7, duration=300.0, rps=0.8, workers=5, catalog=48)
     sched.add_argument(
         "--spike-spacing",
         type=float,
@@ -256,16 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retrain",
         action="store_true",
         help="regenerate the committed predictor coefficients first",
-    )
-    sched.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the comparison record as JSON instead of text",
-    )
-    sched.add_argument(
-        "--bench-out",
-        metavar="FILE",
-        help="also write the comparison record (BENCH_sched.json)",
     )
 
     fuzz = sub.add_parser(
@@ -381,6 +333,90 @@ def _exec_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _traffic_args(parser, *, seed, duration, rps, workers, catalog) -> None:
+    """The flags ``traffic`` and ``sched`` share; only their defaults differ."""
+    parser.add_argument("--seed", type=int, default=seed)
+    parser.add_argument(
+        "--duration", type=float, default=duration, help="arrival window, seconds"
+    )
+    parser.add_argument(
+        "--rps", type=float, default=rps, help="aggregate steady-state arrivals/s"
+    )
+    parser.add_argument(
+        "--workers", type=int, default=workers, help="autoscaler fleet ceiling"
+    )
+    parser.add_argument(
+        "--min-workers", type=int, default=0, help="fleet floor (0 = scale-to-zero)"
+    )
+    parser.add_argument(
+        "--catalog", type=int, default=catalog, help="synthesized catalog titles"
+    )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help="emit the machine-stable JSON record instead of text",
+    )
+    parser.add_argument(
+        "--bench-out",
+        metavar="FILE",
+        help="also write the compact benchmark record (BENCH_*.json)",
+    )
+
+
+def _traffic_config(args, use_predictor=False, **arrivals):
+    """The ``TrafficConfig`` the ``_traffic_args`` flags describe.
+
+    ``arrivals`` are further ``ArrivalConfig`` fields a command has flags for.
+    """
+    from repro.traffic import ArrivalConfig, AutoscalerConfig, TrafficConfig
+
+    return TrafficConfig(
+        arrivals=ArrivalConfig(duration_s=args.duration, rps=args.rps, **arrivals),
+        autoscaler=AutoscalerConfig(
+            min_workers=args.min_workers, max_workers=args.workers
+        ),
+        catalog_size=args.catalog,
+        use_predictor=use_predictor,
+    )
+
+
+def _parse_size(size: str):
+    """``WxH`` -> ``(width, height)``."""
+    try:
+        width, height = (int(v) for v in size.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"--size must be WxH, got {size!r}") from None
+    return width, height
+
+
+def _emit(command):
+    """Make ``command(args) -> (text, shown_record, bench_record)`` a handler.
+
+    This is the one owner of ``--json`` and ``--bench-out``: it prints the
+    shown record or the text, and writes the bench record.  A target
+    directory that does not exist is refused before the command starts,
+    not after minutes of simulation.
+    """
+
+    def handler(args) -> int:
+        from pathlib import Path
+
+        from repro.record import stable_json, write_record
+
+        if args.bench_out and not Path(args.bench_out).resolve().parent.is_dir():
+            raise FileNotFoundError(
+                f"--bench-out: no directory {Path(args.bench_out).parent}"
+            )
+        text, shown_record, bench_record = command(args)
+        print(stable_json(shown_record) if args.json else text)
+        if args.bench_out:
+            write_record(args.bench_out, bench_record)
+            print(f"wrote {args.bench_out}", file=sys.stderr)
+        return 0
+
+    return handler
+
+
 def _open_cache(args):
     """Build the TranscodeCache named by ``--cache``, if any."""
     if not getattr(args, "cache", None):
@@ -458,11 +494,7 @@ def _cmd_synth(args) -> int:
     from repro.video.io import save_video
     from repro.video.synthesis import synthesize
 
-    try:
-        width, height = (int(v) for v in args.size.lower().split("x"))
-    except ValueError:
-        print(f"error: --size must be WxH, got {args.size!r}", file=sys.stderr)
-        return 2
+    width, height = _parse_size(args.size)
     video = synthesize(
         args.content, width, height, args.frames, args.fps, seed=args.seed
     )
@@ -558,16 +590,11 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
+@_emit
+def _cmd_bench(args):
     from repro.bench import run_codec_bench
 
-    try:
-        width, height = (int(v) for v in args.size.lower().split("x"))
-    except ValueError:
-        print(f"error: --size must be WxH, got {args.size!r}", file=sys.stderr)
-        return 2
+    width, height = _parse_size(args.size)
     result = run_codec_bench(
         preset=args.preset,
         content=args.content,
@@ -579,16 +606,11 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         repeats=args.repeats,
     )
-    if args.json:
-        print(result.to_json(deterministic=args.deterministic))
-    else:
-        print(result.to_text())
-    if args.bench_out:
-        Path(args.bench_out).write_text(
-            result.to_json(deterministic=True) + "\n"
-        )
-        print(f"wrote {args.bench_out}", file=sys.stderr)
-    return 0
+    return (
+        result.to_text(),
+        result.bench_dict(deterministic=args.deterministic),
+        result.bench_dict(deterministic=True),
+    )
 
 
 def _cmd_chaos(args) -> int:
@@ -637,47 +659,34 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _cmd_traffic(args) -> int:
-    import json as json_module
+@_emit
+def _cmd_traffic(args):
+    from repro.traffic import run_traffic
 
-    from repro.traffic import (
-        ArrivalConfig,
-        AutoscalerConfig,
-        TrafficConfig,
-        run_traffic,
-    )
-
-    config = TrafficConfig(
-        arrivals=ArrivalConfig(duration_s=args.duration, rps=args.rps),
-        autoscaler=AutoscalerConfig(
-            min_workers=args.min_workers, max_workers=args.workers
-        ),
-        catalog_size=args.catalog,
-        use_predictor=args.predictor,
-    )
+    config = _traffic_config(args, use_predictor=args.predictor)
     if args.chaos:
         return _run_chaos_compare(args, config)
     report = run_traffic(config=config, seed=args.seed)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.to_text())
-    if args.bench_out:
-        from pathlib import Path
-
-        Path(args.bench_out).write_text(
-            json_module.dumps(report.bench_dict(), sort_keys=True, indent=2)
-            + "\n"
-        )
-        print(f"wrote {args.bench_out}", file=sys.stderr)
-    return 0
+    return report.to_text(), report.as_dict(), report.bench_dict()
 
 
-def _run_chaos_compare(args, config) -> int:
+def _compare_text(title: str, record, arm_lines, deltas: str) -> str:
+    """A compare record as text: header, ``arm_lines(arm)`` per arm, deltas."""
+    params = record["parameters"]
+    lines = [
+        title,
+        f"  seed={params['seed']} duration={params['duration_s']}s "
+        f"catalog={params['catalog_size']}",
+    ]
+    for name, arm in record["arms"].items():
+        lines.append(f"  {name}:")
+        lines.extend(arm_lines(arm))
+    return "\n".join(lines + [f"  deltas: {deltas}"])
+
+
+def _run_chaos_compare(args, config):
     """Three-arm chaos comparison: no-chaos, naive recovery, full recovery."""
     import dataclasses
-    import json as json_module
-    from pathlib import Path
 
     from repro.traffic import (
         NAIVE_POLICY,
@@ -688,83 +697,48 @@ def _run_chaos_compare(args, config) -> int:
     )
 
     plan = resolve_profile(args.chaos, args.seed)
-    baseline = run_traffic(config=config, seed=args.seed)
-    naive = run_traffic(
-        config=dataclasses.replace(
-            config,
-            fleet=plan,
-            recovery=NAIVE_POLICY,
-            chaos_profile=args.chaos,
-        ),
-        seed=args.seed,
-    )
-    recovery = run_traffic(
-        config=dataclasses.replace(
-            config,
-            fleet=plan,
-            recovery=RECOVERY_POLICY,
-            chaos_profile=args.chaos,
-        ),
-        seed=args.seed,
+    chaos = {"fleet": plan, "chaos_profile": args.chaos}
+    baseline, naive, recovery = (
+        run_traffic(config=dataclasses.replace(config, **arm), seed=args.seed)
+        for arm in (
+            {},
+            {**chaos, "recovery": NAIVE_POLICY},
+            {**chaos, "recovery": RECOVERY_POLICY},
+        )
     )
     record = chaos_bench_dict(args.chaos, baseline, naive, recovery)
-    if args.json:
-        print(json_module.dumps(record, sort_keys=True, indent=2))
-    else:
-        params = record["parameters"]
-        print(f"chaos comparison (profile={args.chaos})")
-        print(
-            f"  seed={params['seed']} duration={params['duration_s']}s "
-            f"catalog={params['catalog_size']}"
-        )
-        for name in ("baseline", "naive", "recovery"):
-            arm = record["arms"][name]
-            print(f"  {name}:")
-            print(
-                f"    deadline hit rate:  {arm['deadline_hit_rate']:.6f} "
-                f"({arm['completed']}/{arm['arrived']} completed, "
-                f"{arm['dead_lettered']} dead-lettered)"
-            )
-            print(
-                f"    availability:       {arm['availability']:.6f} "
-                f"(workers lost {arm['workers_lost']}, "
-                f"ttr p99 {arm['ttr_p99_s']:.3f}s)"
-            )
-            print(
-                f"    recovery activity:  interruptions={arm['interruptions']} "
-                f"redeliveries={arm['redeliveries']} "
-                f"hedge_wins={arm['hedge_wins']}"
-            )
-            print(
-                f"    cost:               total=${arm['total_cost_usd']:.9f} "
-                f"wasted=${arm['wasted_cost_usd']:.9f}"
-            )
-        deltas = record["deltas"]
-        print(
-            "  deltas: "
-            f"hit_rate_recovery_vs_naive={deltas['hit_rate_recovery_vs_naive']:+.9f} "
-            f"availability={deltas['availability_recovery_vs_naive']:+.9f} "
-            f"cost=${deltas['cost_recovery_vs_naive_usd']:+.9f}"
-        )
-    if args.bench_out:
-        Path(args.bench_out).write_text(
-            json_module.dumps(record, sort_keys=True, indent=2) + "\n"
-        )
-        print(f"wrote {args.bench_out}", file=sys.stderr)
-    return 0
 
+    def arm_lines(arm) -> List[str]:
+        return [
+            f"    deadline hit rate:  {arm['deadline_hit_rate']:.6f} "
+            f"({arm['completed']}/{arm['arrived']} completed, "
+            f"{arm['dead_lettered']} dead-lettered)",
+            f"    availability:       {arm['availability']:.6f} "
+            f"(workers lost {arm['workers_lost']}, "
+            f"ttr p99 {arm['ttr_p99_s']:.3f}s)",
+            f"    recovery activity:  interruptions={arm['interruptions']} "
+            f"redeliveries={arm['redeliveries']} "
+            f"hedge_wins={arm['hedge_wins']}",
+            f"    cost:               total=${arm['total_cost_usd']:.9f} "
+            f"wasted=${arm['wasted_cost_usd']:.9f}",
+        ]
 
-def _cmd_sched(args) -> int:
-    import json as json_module
-    from pathlib import Path
-
-    from repro.traffic import (
-        ArrivalConfig,
-        AutoscalerConfig,
-        TrafficConfig,
-        run_traffic,
-        sched_bench_dict,
+    deltas = record["deltas"]
+    text = _compare_text(
+        f"chaos comparison (profile={args.chaos})",
+        record,
+        arm_lines,
+        f"hit_rate_recovery_vs_naive={deltas['hit_rate_recovery_vs_naive']:+.9f} "
+        f"availability={deltas['availability_recovery_vs_naive']:+.9f} "
+        f"cost=${deltas['cost_recovery_vs_naive_usd']:+.9f}",
     )
+    return text, record, record
+
+
+@_emit
+def _cmd_sched(args):
+    from repro.record import write_record
+    from repro.traffic import run_traffic, sched_bench_dict
 
     if args.retrain:
         from repro.predict import train_predictor
@@ -772,70 +746,48 @@ def _cmd_sched(args) -> int:
 
         predictor = train_predictor()
         path = coefficients_path()
-        path.write_text(predictor.to_json(), encoding="utf-8")
+        write_record(path, predictor.as_dict())
         print(
             f"wrote {path} (digest {predictor.digest()[:16]})", file=sys.stderr
         )
 
-    def build(use_predictor: bool) -> TrafficConfig:
-        return TrafficConfig(
-            arrivals=ArrivalConfig(
-                duration_s=args.duration,
-                rps=args.rps,
+    ewma, pred = (
+        run_traffic(
+            config=_traffic_config(
+                args,
+                use_predictor=flag,
                 spike_spacing_s=args.spike_spacing,
                 spike_duration_s=args.spike_duration,
             ),
-            autoscaler=AutoscalerConfig(
-                min_workers=args.min_workers, max_workers=args.workers
-            ),
-            catalog_size=args.catalog,
-            use_predictor=use_predictor,
+            seed=args.seed,
         )
-
-    ewma = run_traffic(config=build(False), seed=args.seed)
-    pred = run_traffic(config=build(True), seed=args.seed)
+        for flag in (False, True)
+    )
     record = sched_bench_dict(ewma, pred)
-    if args.json:
-        print(json_module.dumps(record, sort_keys=True, indent=2))
-    else:
-        print("sched comparison (ewma vs predictor)")
-        params = record["parameters"]
-        print(
-            f"  seed={params['seed']} duration={params['duration_s']}s "
-            f"catalog={params['catalog_size']}"
-        )
-        for name in ("ewma", "predictor"):
-            arm = record["arms"][name]
-            print(f"  {name}:")
-            print(
-                f"    live deadline hits: {arm['live_deadline_hits']}"
-                f"/{arm['live_arrived']} "
-                f"(rate {arm['live_deadline_hit_rate']:.6f})"
-            )
-            print(
-                f"    live p99 e2e:       {arm['live_p99_e2e_s']:.6f}s "
-                f"mape={arm['live_prediction_mape']:.6f}"
-            )
-            print(
-                f"    slo violations:     {arm['slo_violations']} "
-                f"shed_fraction={arm['shed_fraction']:.6f}"
-            )
-            print(
-                f"    cost:               "
-                f"compute={arm['compute_hours']:.9f}h "
-                f"total=${arm['total_cost_usd']:.9f}"
-            )
-        deltas = record["deltas"]
-        print(
-            f"  deltas: hit_rate={deltas['live_hit_rate_improvement']:+.9f} "
-            f"cost=${deltas['cost_delta_usd']:+.9f}"
-        )
-    if args.bench_out:
-        Path(args.bench_out).write_text(
-            json_module.dumps(record, sort_keys=True, indent=2) + "\n"
-        )
-        print(f"wrote {args.bench_out}", file=sys.stderr)
-    return 0
+
+    def arm_lines(arm) -> List[str]:
+        return [
+            f"    live deadline hits: {arm['live_deadline_hits']}"
+            f"/{arm['live_arrived']} "
+            f"(rate {arm['live_deadline_hit_rate']:.6f})",
+            f"    live p99 e2e:       {arm['live_p99_e2e_s']:.6f}s "
+            f"mape={arm['live_prediction_mape']:.6f}",
+            f"    slo violations:     {arm['slo_violations']} "
+            f"shed_fraction={arm['shed_fraction']:.6f}",
+            f"    cost:               "
+            f"compute={arm['compute_hours']:.9f}h "
+            f"total=${arm['total_cost_usd']:.9f}",
+        ]
+
+    deltas = record["deltas"]
+    text = _compare_text(
+        "sched comparison (ewma vs predictor)",
+        record,
+        arm_lines,
+        f"hit_rate={deltas['live_hit_rate_improvement']:+.9f} "
+        f"cost=${deltas['cost_delta_usd']:+.9f}",
+    )
+    return text, record, record
 
 
 def _cmd_fuzz(args) -> int:
@@ -859,21 +811,20 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    import json
     from pathlib import Path
 
     import repro
     from repro.analysis.baseline import load_baseline, render_baseline
     from repro.analysis.engine import lint_paths
     from repro.analysis.reporters import render_json, render_text
+    from repro.record import write_record
 
     paths = args.paths or [str(Path(repro.__file__).parent)]
     if args.prune_baseline and (args.rules or not args.whole_program):
-        print(
+        raise ValueError(
             "--prune-baseline requires --whole-program and no --rules "
             "(staleness is only decidable on a complete run)"
         )
-        return 2
     baseline = None
     baseline_path = args.baseline or ".vlint.toml"
     if not args.no_baseline and (
@@ -895,16 +846,11 @@ def _cmd_lint(args) -> int:
     )
     if args.graph_out:
         if report.call_graph is None:
-            print("--graph-out requires --whole-program")
-            return 2
-        Path(args.graph_out).write_text(
-            json.dumps(report.call_graph, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+            raise ValueError("--graph-out requires --whole-program")
+        write_record(args.graph_out, report.call_graph)
     if args.prune_baseline:
         if baseline is None:
-            print("--prune-baseline: no baseline file to prune")
-            return 2
+            raise ValueError("--prune-baseline: no baseline file to prune")
         stale = set(report.stale_entries)
         kept = [e for e in baseline.entries if e not in stale]
         Path(baseline_path).write_text(

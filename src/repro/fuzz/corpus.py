@@ -9,9 +9,10 @@ be committed, diffed, and replayed across machines.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 from typing import Dict, List, Tuple
+
+from repro.record import write_record
 
 __all__ = ["save_case", "load_corpus"]
 
@@ -26,9 +27,7 @@ def save_case(
     stem = directory / f"case-{digest}"
     bin_path = stem.with_suffix(".bin")
     bin_path.write_bytes(data)
-    stem.with_suffix(".json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    )
+    write_record(stem.with_suffix(".json"), meta)
     return bin_path
 
 

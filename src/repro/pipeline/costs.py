@@ -12,6 +12,7 @@ compute while inflating storage and egress, Section 5.3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -37,8 +38,11 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for name in ("storage_per_gb_month", "egress_per_gb", "compute_per_hour"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            price = getattr(self, name)
+            if not math.isfinite(price) or price < 0:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {price}"
+                )
 
     def compute_dollars(self, seconds: float) -> float:
         """Price of ``seconds`` of transcoder compute.

@@ -21,6 +21,7 @@ just read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -59,8 +60,10 @@ class ServiceConfig:
             raise ValueError("vod_bitrate_scale must be in (0, 1]")
         if self.popular_threshold_views < 1:
             raise ValueError("popularity threshold must be >= 1")
-        if self.retention_months <= 0:
-            raise ValueError("retention must be positive")
+        if not math.isfinite(self.retention_months) or self.retention_months <= 0:
+            raise ValueError(
+                f"retention must be finite and positive, got {self.retention_months}"
+            )
 
 
 @dataclass

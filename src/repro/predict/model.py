@@ -19,7 +19,6 @@ asserts exactly that).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +27,7 @@ from typing import Dict, Optional, Tuple
 from repro.encoders.base import RateSpec
 from repro.encoders.registry import HARDWARE_BACKENDS
 from repro.predict.features import FEATURE_NAMES, JobFeatures
+from repro.record import sha256_hex, stable_json
 
 __all__ = [
     "LinearModel",
@@ -134,10 +134,10 @@ class TranscodeTimePredictor:
 
     def to_json(self) -> str:
         """Byte-stable JSON (sorted keys, repr-round-trip floats)."""
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return stable_json(self.as_dict()) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return sha256_hex(self.to_json())
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TranscodeTimePredictor":

@@ -32,6 +32,7 @@ simulator — same seeded-substream idiom, one level up the stack.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, replace
 from typing import FrozenSet, Optional
@@ -135,9 +136,10 @@ class FaultPlan:
         )
         if total > 1.0:
             raise ValueError(f"fault rates must sum to <= 1, got {total}")
-        if self.straggler_factor < 1.0:
+        if not math.isfinite(self.straggler_factor) or self.straggler_factor < 1.0:
             raise ValueError(
-                f"straggler factor must be >= 1, got {self.straggler_factor}"
+                "straggler factor must be finite and >= 1, got "
+                f"{self.straggler_factor}"
             )
         if not 0.0 <= self.crash_waste <= 1.0:
             raise ValueError(f"crash_waste must be in [0, 1], got {self.crash_waste}")

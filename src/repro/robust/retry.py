@@ -53,10 +53,15 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"need at least one attempt, got {self.max_attempts}")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
+        for delay in (self.base_delay_s, self.max_delay_s):
+            if not math.isfinite(delay) or delay < 0:
+                raise ValueError(
+                    f"backoff delays must be finite and non-negative, got {delay}"
+                )
+        if not math.isfinite(self.multiplier) or self.multiplier < 1.0:
+            raise ValueError(
+                f"multiplier must be finite and >= 1, got {self.multiplier}"
+            )
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
 
@@ -96,10 +101,15 @@ class DeadlinePolicy:
     floor_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.live_factor <= 0 or self.batch_factor <= 0:
-            raise ValueError("deadline factors must be positive")
-        if self.floor_s < 0:
-            raise ValueError(f"floor must be non-negative, got {self.floor_s}")
+        for factor in (self.live_factor, self.batch_factor):
+            if not math.isfinite(factor) or factor <= 0:
+                raise ValueError(
+                    f"deadline factors must be finite and positive, got {factor}"
+                )
+        if not math.isfinite(self.floor_s) or self.floor_s < 0:
+            raise ValueError(
+                f"floor must be finite and non-negative, got {self.floor_s}"
+            )
 
     def budget_s(self, video: Video, scenario: Scenario) -> float:
         """The deadline budget for transcoding ``video`` under ``scenario``."""

@@ -74,9 +74,10 @@ class ScenarioPolicy:
             raise ValueError(
                 f"retry_base_s must be finite and >= 0, got {self.retry_base_s}"
             )
-        if self.retry_multiplier < 1.0:
+        if not math.isfinite(self.retry_multiplier) or self.retry_multiplier < 1.0:
             raise ValueError(
-                f"retry_multiplier must be >= 1, got {self.retry_multiplier}"
+                "retry_multiplier must be finite and >= 1, got "
+                f"{self.retry_multiplier}"
             )
 
     def retry_delay_s(self, attempt: int) -> float:

@@ -125,9 +125,10 @@ class FleetFaultPlan:
             raise ValueError(
                 f"crash_fraction must be in (0, 1], got {self.crash_fraction}"
             )
-        if self.straggler_factor < 1.0:
+        if not math.isfinite(self.straggler_factor) or self.straggler_factor < 1.0:
             raise ValueError(
-                f"straggler_factor must be >= 1, got {self.straggler_factor}"
+                "straggler_factor must be finite and >= 1, got "
+                f"{self.straggler_factor}"
             )
         for name in (
             "preempt_mean_s",

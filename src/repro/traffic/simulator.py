@@ -194,6 +194,11 @@ class TrafficConfig:
             raise ValueError(f"clips need >= 1 frame, got {self.clip_frames}")
         if not math.isfinite(self.clip_fps) or self.clip_fps <= 0:
             raise ValueError(f"clip fps must be positive, got {self.clip_fps}")
+        if not math.isfinite(self.upload_factor) or self.upload_factor <= 0:
+            raise ValueError(
+                "upload factor must be positive and finite, got "
+                f"{self.upload_factor}"
+            )
 
 
 @dataclass

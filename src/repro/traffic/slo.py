@@ -11,18 +11,18 @@ utilization.
 Like :class:`~repro.pipeline.farm.RobustnessReport`, the text rendering
 uses fixed precision and fixed ordering, so two runs under the same seed
 produce byte-identical reports; ``to_json()`` is the machine-stable twin
-(sorted keys, fixed float rounding) whose SHA-256 ``digest()`` is what
-CI pins.
+(the :mod:`repro.record` format: a ledger's JSON is its dataclass
+fields) whose SHA-256 ``digest()`` is what CI pins.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
+from repro.record import jsonable, sha256_hex, stable_json
 from repro.traffic.autoscaler import ScaleEvent
 
 __all__ = [
@@ -38,11 +38,6 @@ __all__ = [
 
 #: Fixed scenario ordering for all renderings.
 SCENARIO_ORDER = ("upload", "live", "vod")
-
-#: Decimal places used when serializing floats to JSON.  Rounding makes
-#: the JSON immune to representation noise without losing anything a
-#: latency SLO cares about (1e-9 s).
-_JSON_DECIMALS = 9
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -91,16 +86,6 @@ class LatencySummary:
             f"p50={self.p50_s:.6f}s p95={self.p95_s:.6f}s "
             f"p99={self.p99_s:.6f}s max={self.max_s:.6f}s"
         )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "count": self.count,
-            "p50_s": round(self.p50_s, _JSON_DECIMALS),
-            "p95_s": round(self.p95_s, _JSON_DECIMALS),
-            "p99_s": round(self.p99_s, _JSON_DECIMALS),
-            "mean_s": round(self.mean_s, _JSON_DECIMALS),
-            "max_s": round(self.max_s, _JSON_DECIMALS),
-        }
 
 
 @dataclass(frozen=True)
@@ -153,14 +138,6 @@ class PredictionStats:
             f"p99_underrun={self.p99_underrun_s:.6f}s"
         )
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "count": self.count,
-            "mape": round(self.mape, _JSON_DECIMALS),
-            "p99_overrun_s": round(self.p99_overrun_s, _JSON_DECIMALS),
-            "p99_underrun_s": round(self.p99_underrun_s, _JSON_DECIMALS),
-        }
-
 
 @dataclass(frozen=True)
 class FleetStats:
@@ -210,27 +187,6 @@ class FleetStats:
             f"cost=${self.wasted_cost_usd:.9f}",
         ]
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "workers_spawned": self.workers_spawned,
-            "workers_lost": self.workers_lost,
-            "crashes": self.crashes,
-            "preemptions": self.preemptions,
-            "outage_kills": self.outage_kills,
-            "outages": self.outages,
-            "interruptions": self.interruptions,
-            "redeliveries": self.redeliveries,
-            "redelivery_dead_letters": self.redelivery_dead_letters,
-            "hedges_launched": self.hedges_launched,
-            "hedge_wins": self.hedge_wins,
-            "hedge_cancelled": self.hedge_cancelled,
-            "reclaimed_busy": self.reclaimed_busy,
-            "availability": round(self.availability, _JSON_DECIMALS),
-            "time_to_recover": self.time_to_recover.as_dict(),
-            "wasted_compute_s": round(self.wasted_compute_s, _JSON_DECIMALS),
-            "wasted_cost_usd": round(self.wasted_cost_usd, _JSON_DECIMALS),
-        }
-
 
 @dataclass
 class ScenarioStats:
@@ -279,30 +235,11 @@ class ScenarioStats:
         return self.deadline_hits / self.arrived
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "arrived": self.arrived,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "shed_deadline": self.shed_deadline,
-            "shed_queue_full": self.shed_queue_full,
-            "timed_out": self.timed_out,
-            "dead_lettered": self.dead_lettered,
-            "backpressure_retries": self.backpressure_retries,
-            "slo_violations": self.slo_violations,
-            "deadline_hits": self.deadline_hits,
-            "deadline_hit_rate": round(self.deadline_hit_rate, _JSON_DECIMALS),
-            "redelivered": self.redelivered,
-            "hedge_cancelled": self.hedge_cancelled,
-            "preempted_drained": self.preempted_drained,
-            "queue_wait": self.queue_wait.as_dict(),
-            "e2e": self.e2e.as_dict(),
-            "prediction": self.prediction.as_dict(),
-            "scheduled_specs": {
-                spec: self.scheduled_specs[spec]
-                for spec in sorted(self.scheduled_specs)
-            },
-        }
+        """The fields, keyed by scenario one level up, plus the hit rate."""
+        record = jsonable(self)
+        del record["scenario"]
+        record["deadline_hit_rate"] = jsonable(self.deadline_hit_rate)
+        return record
 
 
 @dataclass
@@ -467,55 +404,58 @@ class SLOReport:
         return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": 3,
-            "seed": self.seed,
-            "chaos_profile": self.chaos_profile,
-            "deadline_hit_rate": round(self.deadline_hit_rate, _JSON_DECIMALS),
-            "fleet": self.fleet.as_dict() if self.fleet is not None else None,
-            "predictor_enabled": self.predictor_enabled,
-            "compute_hours": round(self.compute_hours, _JSON_DECIMALS),
-            "total_cost_usd": round(self.total_cost_usd, _JSON_DECIMALS),
-            "duration_s": round(self.duration_s, _JSON_DECIMALS),
-            "makespan_s": round(self.makespan_s, _JSON_DECIMALS),
-            "arrived": self.arrived,
-            "completed": self.completed,
-            "shed": self.shed,
-            "timed_out": self.timed_out,
-            "dead_lettered": self.dead_lettered,
-            "slo_violations": self.slo_violations,
-            "offered_rps": round(self.offered_rps, _JSON_DECIMALS),
-            "completed_rps": round(self.completed_rps, _JSON_DECIMALS),
-            "shed_fraction": round(self.shed_fraction, _JSON_DECIMALS),
-            "workers": {
-                "min": self.min_workers,
-                "max": self.max_workers,
-                "peak": self.peak_workers,
-                "utilization": round(self.utilization, _JSON_DECIMALS),
-                "busy_s": round(self.busy_worker_s, _JSON_DECIMALS),
-            },
-            "catalog_size": self.catalog_size,
-            "scenarios": {
-                stats.scenario: stats.as_dict() for stats in self._ordered()
-            },
-            "scale_events": [
-                {
-                    "at_s": round(event.at_s, _JSON_DECIMALS),
-                    "from_workers": event.from_workers,
-                    "to_workers": event.to_workers,
-                    "reason": event.reason,
-                    "queue_depth": event.queue_depth,
-                }
-                for event in self.scale_events
-            ],
-        }
+        return jsonable(
+            {
+                "version": 3,
+                "seed": self.seed,
+                "chaos_profile": self.chaos_profile,
+                "deadline_hit_rate": self.deadline_hit_rate,
+                "fleet": self.fleet,
+                "predictor_enabled": self.predictor_enabled,
+                "compute_hours": self.compute_hours,
+                "total_cost_usd": self.total_cost_usd,
+                "duration_s": self.duration_s,
+                "makespan_s": self.makespan_s,
+                "arrived": self.arrived,
+                "completed": self.completed,
+                "shed": self.shed,
+                "timed_out": self.timed_out,
+                "dead_lettered": self.dead_lettered,
+                "slo_violations": self.slo_violations,
+                "offered_rps": self.offered_rps,
+                "completed_rps": self.completed_rps,
+                "shed_fraction": self.shed_fraction,
+                "workers": {
+                    "min": self.min_workers,
+                    "max": self.max_workers,
+                    "peak": self.peak_workers,
+                    "utilization": self.utilization,
+                    "busy_s": self.busy_worker_s,
+                },
+                "catalog_size": self.catalog_size,
+                "scenarios": {
+                    stats.scenario: stats.as_dict() for stats in self._ordered()
+                },
+                "scale_events": self.scale_events,
+            }
+        )
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
+        return stable_json(self.as_dict())
 
     def digest(self) -> str:
         """SHA-256 of the JSON rendering — the byte-stability fingerprint."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return sha256_hex(self.to_json())
+
+    @property
+    def _live(self) -> ScenarioStats:
+        """The Live ledger, all-zero when the run had no Live class."""
+        return self.scenarios.get("live") or ScenarioStats("live")
+
+    @property
+    def _fleet(self) -> FleetStats:
+        """The fleet ledger, all-zero (availability 1.0) without a plan."""
+        return self.fleet or FleetStats()
 
     def bench_dict(self) -> Dict[str, object]:
         """The compact benchmark record CI appends to the perf trajectory.
@@ -524,41 +464,111 @@ class SLOReport:
         Snippet 1): a name, the parameters that produced the number, and
         the metrics worth tracking across PRs.
         """
-        live = self.scenarios.get("live")
-        return {
-            "name": "traffic-slo",
-            "version": 3,
+        live = self._live
+        return jsonable(
+            {
+                "name": "traffic-slo",
+                "version": 3,
+                "parameters": {
+                    "seed": self.seed,
+                    "duration_s": self.duration_s,
+                    "catalog_size": self.catalog_size,
+                    "max_workers": self.max_workers,
+                    "min_workers": self.min_workers,
+                    "predictor": self.predictor_enabled,
+                },
+                "metrics": {
+                    "throughput_rps": self.completed_rps,
+                    "offered_rps": self.offered_rps,
+                    "shed_fraction": self.shed_fraction,
+                    "utilization": self.utilization,
+                    "live_p99_e2e_s": live.e2e.p99_s,
+                    "live_deadline_hit_rate": live.deadline_hit_rate,
+                    "live_prediction_mape": live.prediction.mape,
+                    "slo_violations": self.slo_violations,
+                    "total_cost_usd": self.total_cost_usd,
+                    "availability": self._fleet.availability,
+                },
+                "digest": self.digest(),
+            }
+        )
+
+
+#: Per-arm metrics of ``BENCH_sched.json``: key -> attribute path on a report.
+_SCHED_ARM = {
+    "live_deadline_hit_rate": "_live.deadline_hit_rate",
+    "live_deadline_hits": "_live.deadline_hits",
+    "live_arrived": "_live.arrived",
+    "live_p99_e2e_s": "_live.e2e.p99_s",
+    "live_prediction_mape": "_live.prediction.mape",
+    "shed_fraction": "shed_fraction",
+    "slo_violations": "slo_violations",
+    "compute_hours": "compute_hours",
+    "total_cost_usd": "total_cost_usd",
+}
+
+#: Per-arm metrics of ``BENCH_chaos.json``.
+_CHAOS_ARM = {
+    "deadline_hit_rate": "deadline_hit_rate",
+    "arrived": "arrived",
+    "completed": "completed",
+    "dead_lettered": "dead_lettered",
+    "availability": "_fleet.availability",
+    "interruptions": "_fleet.interruptions",
+    "redeliveries": "_fleet.redeliveries",
+    "hedge_wins": "_fleet.hedge_wins",
+    "hedge_cancelled": "_fleet.hedge_cancelled",
+    "workers_lost": "_fleet.workers_lost",
+    "reclaimed_busy": "_fleet.reclaimed_busy",
+    "ttr_p99_s": "_fleet.time_to_recover.p99_s",
+    "wasted_cost_usd": "_fleet.wasted_cost_usd",
+    "total_cost_usd": "total_cost_usd",
+}
+
+
+def _compare_record(
+    name: str,
+    arms: Dict[str, SLOReport],
+    arm_metrics: Dict[str, str],
+    deltas: Dict[str, float],
+    **parameters: object,
+) -> Dict[str, object]:
+    """A multi-arm comparison record: the same metrics read off every arm.
+
+    All arms must come from one seed and one arrival window, or their
+    difference measures the inputs rather than the policy under test.
+    """
+    first = next(iter(arms.values()))
+    if any(
+        (report.seed, report.duration_s) != (first.seed, first.duration_s)
+        for report in arms.values()
+    ):
+        raise ValueError(
+            f"{name} needs every arm at the same seed and duration"
+        )
+    return jsonable(
+        {
+            "name": name,
+            "version": 1,
             "parameters": {
-                "seed": self.seed,
-                "duration_s": round(self.duration_s, _JSON_DECIMALS),
-                "catalog_size": self.catalog_size,
-                "max_workers": self.max_workers,
-                "min_workers": self.min_workers,
-                "predictor": self.predictor_enabled,
+                **parameters,
+                "seed": first.seed,
+                "duration_s": first.duration_s,
+                "catalog_size": first.catalog_size,
             },
-            "metrics": {
-                "throughput_rps": round(self.completed_rps, _JSON_DECIMALS),
-                "offered_rps": round(self.offered_rps, _JSON_DECIMALS),
-                "shed_fraction": round(self.shed_fraction, _JSON_DECIMALS),
-                "utilization": round(self.utilization, _JSON_DECIMALS),
-                "live_p99_e2e_s": round(
-                    live.e2e.p99_s if live else 0.0, _JSON_DECIMALS
-                ),
-                "live_deadline_hit_rate": round(
-                    live.deadline_hit_rate if live else 0.0, _JSON_DECIMALS
-                ),
-                "live_prediction_mape": round(
-                    live.prediction.mape if live else 0.0, _JSON_DECIMALS
-                ),
-                "slo_violations": self.slo_violations,
-                "total_cost_usd": round(self.total_cost_usd, _JSON_DECIMALS),
-                "availability": round(
-                    self.fleet.availability if self.fleet else 1.0,
-                    _JSON_DECIMALS,
-                ),
+            "arms": {
+                arm: {
+                    **{
+                        key: attrgetter(path)(report)
+                        for key, path in arm_metrics.items()
+                    },
+                    "digest": report.digest(),
+                }
+                for arm, report in arms.items()
             },
-            "digest": self.digest(),
+            "deltas": deltas,
         }
+    )
 
 
 def sched_bench_dict(ewma: SLOReport, predictor: SLOReport) -> Dict[str, object]:
@@ -569,53 +579,16 @@ def sched_bench_dict(ewma: SLOReport, predictor: SLOReport) -> Dict[str, object]
     EWMA arm at equal or lower total cost (the acceptance criterion of
     the deadline-aware-scheduling work).
     """
-    if ewma.seed != predictor.seed or ewma.duration_s != predictor.duration_s:
-        raise ValueError(
-            "sched comparison needs both arms at the same seed and duration"
-        )
-
-    def arm(report: SLOReport) -> Dict[str, object]:
-        live = report.scenarios.get("live")
-        return {
-            "live_deadline_hit_rate": round(
-                live.deadline_hit_rate if live else 0.0, _JSON_DECIMALS
-            ),
-            "live_deadline_hits": live.deadline_hits if live else 0,
-            "live_arrived": live.arrived if live else 0,
-            "live_p99_e2e_s": round(
-                live.e2e.p99_s if live else 0.0, _JSON_DECIMALS
-            ),
-            "live_prediction_mape": round(
-                live.prediction.mape if live else 0.0, _JSON_DECIMALS
-            ),
-            "shed_fraction": round(report.shed_fraction, _JSON_DECIMALS),
-            "slo_violations": report.slo_violations,
-            "compute_hours": round(report.compute_hours, _JSON_DECIMALS),
-            "total_cost_usd": round(report.total_cost_usd, _JSON_DECIMALS),
-            "digest": report.digest(),
-        }
-
-    ewma_live = ewma.scenarios.get("live")
-    pred_live = predictor.scenarios.get("live")
-    hit_delta = (pred_live.deadline_hit_rate if pred_live else 0.0) - (
-        ewma_live.deadline_hit_rate if ewma_live else 0.0
+    return _compare_record(
+        "sched-compare",
+        {"ewma": ewma, "predictor": predictor},
+        _SCHED_ARM,
+        {
+            "live_hit_rate_improvement": predictor._live.deadline_hit_rate
+            - ewma._live.deadline_hit_rate,
+            "cost_delta_usd": predictor.total_cost_usd - ewma.total_cost_usd,
+        },
     )
-    return {
-        "name": "sched-compare",
-        "version": 1,
-        "parameters": {
-            "seed": ewma.seed,
-            "duration_s": round(ewma.duration_s, _JSON_DECIMALS),
-            "catalog_size": ewma.catalog_size,
-        },
-        "arms": {"ewma": arm(ewma), "predictor": arm(predictor)},
-        "deltas": {
-            "live_hit_rate_improvement": round(hit_delta, _JSON_DECIMALS),
-            "cost_delta_usd": round(
-                predictor.total_cost_usd - ewma.total_cost_usd, _JSON_DECIMALS
-            ),
-        },
-    }
 
 
 def chaos_bench_dict(
@@ -633,70 +606,19 @@ def chaos_bench_dict(
     recovery arm must beat the naive arm on deadline-hit rate *and*
     availability, at a bounded extra compute cost.
     """
-    arms = {"baseline": baseline, "naive": naive, "recovery": recovery}
-    seeds = {report.seed for report in arms.values()}
-    durations = {report.duration_s for report in arms.values()}
-    if len(seeds) != 1 or len(durations) != 1:
-        raise ValueError(
-            "chaos comparison needs all arms at the same seed and duration"
-        )
-
-    def arm(report: SLOReport) -> Dict[str, object]:
-        fleet = report.fleet or FleetStats()
-        return {
-            "deadline_hit_rate": round(
-                report.deadline_hit_rate, _JSON_DECIMALS
-            ),
-            "arrived": report.arrived,
-            "completed": report.completed,
-            "dead_lettered": report.dead_lettered,
-            "availability": round(fleet.availability, _JSON_DECIMALS),
-            "interruptions": fleet.interruptions,
-            "redeliveries": fleet.redeliveries,
-            "hedge_wins": fleet.hedge_wins,
-            "hedge_cancelled": fleet.hedge_cancelled,
-            "workers_lost": fleet.workers_lost,
-            "reclaimed_busy": fleet.reclaimed_busy,
-            "ttr_p99_s": round(
-                fleet.time_to_recover.p99_s, _JSON_DECIMALS
-            ),
-            "wasted_cost_usd": round(fleet.wasted_cost_usd, _JSON_DECIMALS),
-            "total_cost_usd": round(report.total_cost_usd, _JSON_DECIMALS),
-            "digest": report.digest(),
-        }
-
-    naive_fleet = naive.fleet or FleetStats()
-    recovery_fleet = recovery.fleet or FleetStats()
-    return {
-        "name": "chaos-compare",
-        "version": 1,
-        "parameters": {
-            "profile": profile,
-            "seed": baseline.seed,
-            "duration_s": round(baseline.duration_s, _JSON_DECIMALS),
-            "catalog_size": baseline.catalog_size,
+    return _compare_record(
+        "chaos-compare",
+        {"baseline": baseline, "naive": naive, "recovery": recovery},
+        _CHAOS_ARM,
+        {
+            "hit_rate_recovery_vs_naive": recovery.deadline_hit_rate
+            - naive.deadline_hit_rate,
+            "availability_recovery_vs_naive": recovery._fleet.availability
+            - naive._fleet.availability,
+            "cost_recovery_vs_naive_usd": recovery.total_cost_usd
+            - naive.total_cost_usd,
+            "hit_rate_chaos_cost": baseline.deadline_hit_rate
+            - recovery.deadline_hit_rate,
         },
-        "arms": {
-            "baseline": arm(baseline),
-            "naive": arm(naive),
-            "recovery": arm(recovery),
-        },
-        "deltas": {
-            "hit_rate_recovery_vs_naive": round(
-                recovery.deadline_hit_rate - naive.deadline_hit_rate,
-                _JSON_DECIMALS,
-            ),
-            "availability_recovery_vs_naive": round(
-                recovery_fleet.availability - naive_fleet.availability,
-                _JSON_DECIMALS,
-            ),
-            "cost_recovery_vs_naive_usd": round(
-                recovery.total_cost_usd - naive.total_cost_usd,
-                _JSON_DECIMALS,
-            ),
-            "hit_rate_chaos_cost": round(
-                baseline.deadline_hit_rate - recovery.deadline_hit_rate,
-                _JSON_DECIMALS,
-            ),
-        },
-    }
+        profile=profile,
+    )

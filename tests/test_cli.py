@@ -1,5 +1,7 @@
 """CLI: every subcommand end to end through temp files."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -258,3 +260,74 @@ class TestSched:
         assert record["name"] == "sched-compare"
         assert set(record["arms"]) == {"ewma", "predictor"}
         assert record["parameters"]["seed"] == 7
+
+
+class TestRecordEmitter:
+    # Text renderings of the three record-printing commands, hashed at the
+    # commit before the one-emitter refactor: no byte may move.
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ["sched", "--duration", "60"],
+                "cee799950331eda4e1f7563f9002658bc544109d940c0f0efd08f3fa56e5ee13",
+            ),
+            (
+                ["traffic", "--seed", "7", "--duration", "60"],
+                "ea64b5f9908d0892fb8a3d182fb504b5324a1095cefcd5e460b0bd7807d4068e",
+            ),
+            (
+                ["traffic", "--chaos", "crashes", "--seed", "7", "--duration", "60"],
+                "84875e358bcc30e528057bf5dedc9bd649eff6d8d0d32b54cff05a45d80de918",
+            ),
+        ],
+    )
+    def test_text_stdout_is_pinned(self, argv, sha256, capsys):
+        import hashlib
+
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "argv", [TestTraffic.ARGS, TestChaosTraffic.ARGS, TestSched.ARGS]
+    )
+    def test_bench_out_into_a_missing_directory_fails_before_any_arm_runs(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        def run_traffic(**kwargs):
+            raise AssertionError("an arm ran before --bench-out was checked")
+
+        monkeypatch.setattr("repro.traffic.run_traffic", run_traffic)
+        target = tmp_path / "missing" / "BENCH.json"
+        assert main(argv + ["--bench-out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --bench-out")
+
+
+class TestLintUsageErrors:
+    FIXTURE = str(
+        Path(__file__).parent / "fixtures" / "vlint" / "whole_program"
+    )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--graph-out", "graph.json"], "--graph-out requires --whole-program"),
+            (["--prune-baseline"], "--prune-baseline requires --whole-program"),
+            (
+                ["--whole-program", "--no-baseline", "--prune-baseline"],
+                "--prune-baseline: no baseline file to prune",
+            ),
+        ],
+    )
+    def test_usage_errors_leave_stdout_empty(
+        self, flags, message, tmp_path, capsys, monkeypatch
+    ):
+        # `repro lint --json ... > report.json` must not capture the error.
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "--json", *flags, self.FIXTURE]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")

@@ -233,6 +233,25 @@ class TestRunScenario:
         report = run_scenario(suite, Scenario.LIVE, "qsv")
         assert all(s.ratios.new_speed_mpixels > 0 for s in report.scores)
 
+    def test_the_package_quickstart_call_binds(self):
+        import ast
+        import inspect
+        import textwrap
+
+        import repro
+
+        snippet = repro.__doc__.split("Quickstart::")[1]
+        calls = [
+            node
+            for node in ast.walk(ast.parse(textwrap.dedent(snippet)))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", "") == "run_scenario"
+        ]
+        assert len(calls) == 1
+        inspect.signature(run_scenario).bind(
+            *calls[0].args, **{kw.arg: kw.value for kw in calls[0].keywords}
+        )
+
     def test_platform_requires_dedicated_entry(self, suite):
         with pytest.raises(ValueError, match="run_platform"):
             run_scenario(suite, Scenario.PLATFORM, "x264")

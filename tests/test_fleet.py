@@ -38,6 +38,8 @@ class TestFleetFaultPlan:
             {"outage_spacing_s": -5.0},
             {"cold_start_s": float("nan")},
             {"fault_domains": 0},
+            {"straggler_factor": float("nan")},
+            {"straggler_factor": float("inf")},
         ],
     )
     def test_validation(self, kwargs):

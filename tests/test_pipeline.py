@@ -35,6 +35,10 @@ class TestCostModel:
             report.add_compute(-1)
         with pytest.raises(ValueError):
             CostModel(egress_per_gb=-0.1)
+        for name in ("storage_per_gb_month", "egress_per_gb", "compute_per_hour"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    CostModel(**{name: bad})
 
 
 class TestServiceConfig:
@@ -43,8 +47,9 @@ class TestServiceConfig:
             ServiceConfig(vod_bitrate_scale=0)
         with pytest.raises(ValueError):
             ServiceConfig(popular_threshold_views=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(retention_months=0)
+        for months in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ServiceConfig(retention_months=months)
 
 
 @pytest.fixture(scope="module")

@@ -119,8 +119,9 @@ class TestFaultPlan:
             FaultPlan(crash_rate=-0.1)
         with pytest.raises(ValueError):
             FaultPlan(crash_rate=0.6, straggler_rate=0.3, corrupt_rate=0.2)
-        with pytest.raises(ValueError):
-            FaultPlan(straggler_factor=0.5)
+        for factor in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                FaultPlan(straggler_factor=factor)
         with pytest.raises(ValueError):
             FaultPlan(crash_waste=1.5)
         with pytest.raises(ValueError):
@@ -244,6 +245,10 @@ class TestRetryPolicy:
             RetryPolicy(multiplier=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.0)
+        for name in ("base_delay_s", "multiplier", "max_delay_s"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    RetryPolicy(**{name: bad})
         with pytest.raises(ValueError):
             RetryPolicy().backoff_s(0)
 
@@ -281,6 +286,10 @@ class TestDeadlines:
             DeadlineBudget(SimClock(), float("nan"))
         with pytest.raises(ValueError):
             DeadlinePolicy(live_factor=0)
+        for name in ("live_factor", "batch_factor", "floor_s"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    DeadlinePolicy(**{name: bad})
 
 
 class TestCircuitBreaker:

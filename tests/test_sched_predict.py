@@ -43,6 +43,7 @@ from repro.traffic import (
     PredictionStats,
     ServiceTimeEstimator,
     TrafficConfig,
+    chaos_bench_dict,
     run_traffic,
     sched_bench_dict,
 )
@@ -391,6 +392,8 @@ class TestPredictorTraffic:
         other = run_traffic(config=_stress_config(True), seed=8)
         with pytest.raises(ValueError, match="same seed"):
             sched_bench_dict(ewma, other)
+        with pytest.raises(ValueError, match="same seed"):
+            chaos_bench_dict("full", ewma, ewma, other)
 
     def test_prediction_stats_reduction(self):
         stats = PredictionStats.from_samples(

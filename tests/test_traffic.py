@@ -13,11 +13,15 @@ from repro.traffic import (
     Decision,
     AutoscalerConfig,
     FleetFaultPlan,
+    FleetStats,
     LatencySummary,
     NAIVE_POLICY,
+    PredictionStats,
     QueueDepthAutoscaler,
     RECOVERY_POLICY,
+    ScaleEvent,
     ScenarioPolicy,
+    ScenarioStats,
     SpikeWindow,
     TrafficConfig,
     TrafficSimulator,
@@ -181,8 +185,9 @@ class TestAdmission:
             ScenarioPolicy(max_depth=0)
         with pytest.raises(ValueError):
             ScenarioPolicy(retry_base_s=float("inf"))
-        with pytest.raises(ValueError):
-            ScenarioPolicy(retry_multiplier=0.9)
+        for multiplier in (0.9, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ScenarioPolicy(retry_multiplier=multiplier)
         with pytest.raises(ValueError):
             self.make().decide(Scenario.LIVE, -1, 0.0, 0.0)
 
@@ -371,6 +376,9 @@ class TestSimulator:
             TrafficConfig(time_scale=0.0)
         with pytest.raises(ValueError):
             TrafficConfig(clip_fps=float("inf"))
+        for factor in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError):
+                TrafficConfig(upload_factor=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +414,22 @@ class TestChaosSimulator:
         again = TrafficSimulator(CHAOTIC, seed=7).run()
         assert again.to_json() == chaotic_report.to_json()
         assert again.digest() == chaotic_report.digest()
+
+    def test_the_json_of_a_report_is_its_fields(self, chaotic_report):
+        def names(cls, *omit):
+            return {f.name for f in dataclasses.fields(cls)} - set(omit)
+
+        record = chaotic_report.as_dict()
+        assert names(FleetStats) <= set(record["fleet"])
+        assert names(LatencySummary) <= set(record["fleet"]["time_to_recover"])
+        for stats in record["scenarios"].values():
+            assert names(ScenarioStats, "scenario") <= set(stats)
+            assert names(LatencySummary) <= set(stats["queue_wait"])
+            assert names(LatencySummary) <= set(stats["e2e"])
+            assert names(PredictionStats) <= set(stats["prediction"])
+        assert record["scale_events"]
+        for event in record["scale_events"]:
+            assert set(event) == names(ScaleEvent)
 
     def test_faults_actually_fired(self, chaotic_report):
         fleet = chaotic_report.fleet

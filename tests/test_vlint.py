@@ -626,7 +626,7 @@ class TestBaselineHygiene:
         assert main(
             ["lint", "--prune-baseline", str(WHOLE_PROGRAM)]
         ) == 2
-        assert "requires --whole-program" in capsys.readouterr().out
+        assert "requires --whole-program" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +752,7 @@ class TestLintCli:
             ["lint", "--graph-out", str(graph_file), str(WHOLE_PROGRAM)]
         )
         assert code == 2
-        assert "requires --whole-program" in capsys.readouterr().out
+        assert "requires --whole-program" in capsys.readouterr().err
         assert not graph_file.exists()
 
     def test_graph_out_writes_the_resolved_graph(self, tmp_path, capsys):
