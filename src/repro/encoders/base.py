@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.codec.instrumentation import Counters
@@ -67,6 +67,17 @@ class RateSpec:
         return cls(kind="abr", bitrate_bps=bitrate_bps, two_pass=two_pass)
 
 
+class _Quality:
+    """The measured PSNR of one ``(source, output)`` pair, filled on first use."""
+
+    __slots__ = ("source", "output", "db")
+
+    def __init__(self, source: Video, output: Video) -> None:
+        self.source = source
+        self.output = output
+        self.db: Optional[float] = None
+
+
 @dataclass(frozen=True)
 class TranscodeResult:
     """One transcode's outputs and costs -- a value, never updated in place.
@@ -74,6 +85,9 @@ class TranscodeResult:
     A wrapper that changes what a transcode cost or produced (time
     scaling, fault injection) derives a new result with
     ``dataclasses.replace``; whoever holds a result may share it.
+    ``quality_db`` is measured once per ``(source, output)`` pair: a
+    derivation that keeps both carries the measurement along, one that
+    swaps either (a corrupted output) starts an unmeasured one of its own.
 
     Attributes:
         source: The input video (kept for metric computation).
@@ -93,11 +107,24 @@ class TranscodeResult:
     wall_seconds: float
     counters: Counters
     backend: str
+    _quality: Optional[_Quality] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        carried = self._quality
+        if (
+            carried is None
+            or carried.source is not self.source
+            or carried.output is not self.output
+        ):
+            object.__setattr__(self, "_quality", _Quality(self.source, self.output))
 
     @property
     def quality_db(self) -> float:
         """Average YCbCr PSNR of the output against the source."""
-        return psnr(self.source, self.output)
+        quality = self._quality
+        if quality.db is None:
+            quality.db = psnr(self.source, self.output)
+        return quality.db
 
     @property
     def bitrate(self) -> float:

@@ -38,7 +38,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -141,13 +141,24 @@ class CacheStats:
         )
 
 
-def video_digest(video: Video) -> str:
-    """SHA-256 of a video's pixels and identity metadata."""
-    digest = hashlib.sha256()
-    digest.update(
-        f"{video.width}x{video.height}@{video.fps!r}x{len(video)}"
-        f"|{video.name}|{video.nominal_resolution}".encode("utf-8")
-    )
+def _remembered(
+    owner: object, slot: str, state: object, compute: Callable[[], str]
+) -> str:
+    """``compute()``, kept on ``owner`` for as long as ``state`` compares equal.
+
+    Key material is expensive to derive and cheap to identify: ``state``
+    is everything ``compute`` reads that a caller could still change
+    (a video's label, a transcoder's attributes), re-read on every call,
+    so a relabelled video or a re-configured transcoder recomputes.
+    """
+    kept = owner.__dict__.get(slot)
+    if kept is None or kept[0] != state:
+        kept = owner.__dict__[slot] = (state, compute())
+    return kept[1]
+
+
+def _hash_video(header: str, video: Video) -> str:
+    digest = hashlib.sha256(header.encode("utf-8"))
     for frame in video:
         digest.update(frame.y.tobytes())
         digest.update(frame.u.tobytes())
@@ -155,29 +166,56 @@ def video_digest(video: Video) -> str:
     return digest.hexdigest()
 
 
-def _transcoder_knobs(transcoder: Transcoder) -> Dict[str, object]:
-    """The effort/preset knobs that determine a backend's output.
+def video_digest(video: Video) -> str:
+    """SHA-256 of a video's pixels and identity metadata.
 
-    Collects every attribute that changes what (or how fast) the backend
-    encodes: the full :class:`EncoderConfig` for software backends, the
-    ISA level of the speed model, and the pipeline-model parameters of
-    hardware backends.  The backend name alone is not enough -- two
+    Hashed once per :class:`Video` and identity header: frames cannot be
+    swapped and their planes are write-locked, so only ``name`` can change
+    under a remembered digest, and it is part of the header.
+    """
+    header = (
+        f"{video.width}x{video.height}@{video.fps!r}x{len(video)}"
+        f"|{video.name}|{video.nominal_resolution}"
+    )
+    return _remembered(
+        video, "_video_digest", header, lambda: _hash_video(header, video)
+    )
+
+
+def _transcoder_state(transcoder: Transcoder) -> Tuple[object, ...]:
+    """Every attribute that changes what (or how fast) a backend encodes.
+
+    The backend name, the full :class:`EncoderConfig` of software
+    backends, the ISA level of the speed model, and the pipeline-model
+    parameters of hardware backends.  The name alone is not enough -- two
     transcoders can share a name while carrying derived configs.
     """
+    return (
+        transcoder.name,
+        getattr(transcoder, "config", None),
+        getattr(transcoder, "isa", None),
+        getattr(transcoder, "frame_overhead_s", None),
+        getattr(transcoder, "pixel_throughput", None),
+    )
+
+
+def _transcoder_knobs(transcoder: Transcoder) -> Dict[str, object]:
+    """The key material for :func:`_transcoder_state`, as plain values."""
+    name, config, isa, frame_overhead_s, pixel_throughput = _transcoder_state(
+        transcoder
+    )
     knobs: Dict[str, object] = {
-        "backend": transcoder.name,
+        "backend": name,
         "type": type(transcoder).__name__,
     }
-    config = getattr(transcoder, "config", None)
     if isinstance(config, EncoderConfig):
         knobs["config"] = dataclasses.asdict(config)
-    isa = getattr(transcoder, "isa", None)
     if isa is not None:
         knobs["isa"] = getattr(isa, "name", str(isa))
-    for attr in ("frame_overhead_s", "pixel_throughput"):
-        value = getattr(transcoder, attr, None)
-        if value is not None:
-            knobs[attr] = repr(float(value))
+    if frame_overhead_s is not None:
+        knobs["frame_overhead_s"] = repr(float(frame_overhead_s))
+    if pixel_throughput is not None:
+        knobs["pixel_throughput"] = repr(float(pixel_throughput))
     return knobs
 
 
@@ -190,15 +228,27 @@ def _rate_material(rate: RateSpec) -> Dict[str, object]:
     }
 
 
+def _key_json(material: object) -> str:
+    return json.dumps(material, sort_keys=True, separators=(",", ":"))
+
+
 def cache_key(video: Video, transcoder: Transcoder, rate: RateSpec) -> str:
-    """The content address of one transcode request."""
-    material = {
-        "version": CACHE_VERSION,
-        "video": video_digest(video),
-        "knobs": _transcoder_knobs(transcoder),
-        "rate": _rate_material(rate),
-    }
-    blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
+    """The content address of one transcode request.
+
+    SHA-256 over ``_key_json`` of ``{"knobs", "rate", "version",
+    "video"}``; the blob is assembled from its (sorted) members so the
+    knobs are rendered once per transcoder state, not once per request.
+    """
+    knobs = _remembered(
+        transcoder,
+        "_key_knobs",
+        _transcoder_state(transcoder),
+        lambda: _key_json(_transcoder_knobs(transcoder)),
+    )
+    blob = (
+        f'{{"knobs":{knobs},"rate":{_key_json(_rate_material(rate))},'
+        f'"version":{CACHE_VERSION},"video":"{video_digest(video)}"}}'
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -219,7 +269,9 @@ def _serialize(result: TranscodeResult) -> bytes:
         "backend": result.backend,
         "compressed_bytes": result.compressed_bytes,
         "seconds": result.seconds,
-        "wall_seconds": result.wall_seconds,
+        # A replayed result spent no wall time, and the encode's own reading
+        # would make two stores of one request differ byte for byte.
+        "wall_seconds": 0.0,
         "counters": result.counters.as_dict(),
         "width": output.width,
         "height": output.height,

@@ -105,6 +105,29 @@ class TestTranscodeResult:
                 setattr(result, f.name, getattr(result, f.name))
 
 
+    def test_measured_quality_follows_the_pair_not_the_result(self, clip):
+        import pickle
+
+        result = X264Transcoder("ultrafast").transcode(clip, RateSpec.for_crf(30))
+        slower = dataclasses.replace(result, seconds=result.seconds * 3.0)
+        measured = slower.quality_db
+        # Same (source, output): one measurement, whichever result asked.
+        assert slower._quality is result._quality
+        assert result.quality_db == measured
+        # A swapped output is a new pair with its own measurement.
+        swapped = dataclasses.replace(result, output=clip)
+        assert swapped._quality is not result._quality
+        assert swapped.quality_db > measured
+        assert result.quality_db == measured
+        # The carrier never shows: equal by value, out of the repr, and a
+        # result crosses a process boundary with its measurement attached.
+        assert dataclasses.replace(result) == result
+        assert "_quality" not in repr(result)
+        shipped = pickle.loads(pickle.dumps(slower))
+        assert shipped._quality.db == measured
+        assert shipped._quality.output is shipped.output
+
+
 class TestSoftwareOrderings:
     """Figure 2's qualitative content, as assertions."""
 

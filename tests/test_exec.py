@@ -73,6 +73,53 @@ class TestCacheKey:
         )
 
 
+    def test_key_bytes_are_pinned(self):
+        # Captured before key material was remembered per video and per
+        # transcoder state: CACHE_VERSION stays 1 only while these hold,
+        # i.e. while entries already on disk still hit.
+        from repro.encoders import get_transcoder
+        from repro.video.synthesis import synthesize
+
+        clip = synthesize("sports", 64, 48, 4, 24.0, seed=3)
+        assert cache_key(
+            clip,
+            X264Transcoder("medium"),
+            RateSpec.for_bitrate(250000.0, two_pass=True),
+        ) == "2550b6777dfc2eb14bae826c907cecefe2aa58c7d3f0ec44cf00633424bbade1"
+        assert cache_key(
+            clip, get_transcoder("qsv"), RateSpec.for_bitrate(250000.0)
+        ) == "597f1876898eba61d4506f8371955007eaf776f33036bd1e575ac9cb02232d28"
+
+    def test_remembered_key_material_cannot_go_stale(self, natural_video):
+        # Key the originals first, so a digest or knob fragment remembered
+        # on the wrong object (or kept past a change) would be reused.
+        backend = X264Transcoder("medium")
+        rate = RateSpec.for_crf(23)
+        original = cache_key(natural_video, backend, rate)
+        assert cache_key(natural_video, backend, rate) == original
+
+        relabelled = natural_video.with_name("another-title")
+        assert cache_key(relabelled, backend, rate) != original
+        renominal = natural_video.with_nominal_resolution(1920, 1080)
+        assert cache_key(renominal, backend, rate) != original
+        assert cache_key(natural_video, backend, rate) == original
+
+        derived = X264Transcoder("medium")
+        derived.config = derived.config.derived(keyint=1)
+        assert derived.name == backend.name
+        assert cache_key(natural_video, derived, rate) != original
+        # ... and a transcoder re-configured in place after it was keyed.
+        backend.config = backend.config.derived(keyint=1)
+        assert cache_key(natural_video, backend, rate) == cache_key(
+            natural_video, derived, rate
+        )
+        # ... and a video relabelled in place (``name`` is a plain attribute).
+        clip = natural_video.with_name(natural_video.name)
+        assert cache_key(clip, X264Transcoder("medium"), rate) == original
+        clip.name = "renamed-in-place"
+        assert cache_key(clip, X264Transcoder("medium"), rate) != original
+
+
 class TestTranscodeCache:
     def test_roundtrip_equality(self, tmp_path, natural_video):
         cache = TranscodeCache(tmp_path)
@@ -85,6 +132,22 @@ class TestTranscodeCache:
         assert replayed is not None
         assert _results_equal(original, replayed)
         assert replayed.source is natural_video
+
+    def test_cold_stores_are_byte_identical(self, tmp_path, natural_video):
+        # Two cold runs of one request: the encodes take different wall
+        # time, the entries they leave behind must not show it.
+        rate = RateSpec.for_crf(28)
+        blobs = []
+        for root in (tmp_path / "a", tmp_path / "b"):
+            cache = TranscodeCache(root)
+            cached = cache.wrap(X264Transcoder("veryfast"))
+            cached.transcode(natural_video, rate)
+            (entry,) = root.glob("*/*.vbt")
+            blobs.append((entry.name, entry.read_bytes()))
+            assert cache.stats.bytes_written == len(blobs[-1][1])
+            replayed = cached.transcode(natural_video, rate)
+            assert replayed.wall_seconds == 0.0
+        assert blobs[0] == blobs[1]
 
     def test_persists_across_instances(self, tmp_path, natural_video):
         backend = X264Transcoder("veryfast")

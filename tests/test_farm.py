@@ -352,6 +352,63 @@ class TestJobStream:
             rate = farm.job_rate(clip, Scenario.VOD)
             assert memo.transcode(clip, rate) is memo.transcode(clip, rate)
 
+    def test_quality_is_measured_once_per_source_output_pair(self, monkeypatch):
+        from repro.core.scenarios import Scenario
+        from repro.encoders import base
+        from repro.metrics.psnr import psnr
+
+        measured = []  # (source, output, dB); the references pin the ids
+
+        def counting_psnr(source, output):
+            measured.append((source, output, psnr(source, output)))
+            return measured[-1][2]
+
+        monkeypatch.setattr(base, "psnr", counting_psnr)
+        # memo -> scale -> fault, and most attempts deliver a damaged
+        # output: every one of those is a new (source, output) pair.
+        farm = TranscodeFarm(
+            config=FarmConfig(workers=1, time_scale=100.0),
+            fault_plan=FaultPlan(seed=5, corrupt_rate=0.5, corrupt_stream_rate=0.2),
+            memoize=True,
+        )
+        clip = make_clips()[0]
+        timings = [
+            farm.execute_job(clip, Scenario.VOD, at_s=1e4 * i) for i in range(60)
+        ]
+        report = farm.finalize()
+        floor = farm.config.quality_floor_db
+
+        # The floor check ran on every delivery, each pair was measured once.
+        pairs = {(id(source), id(output)) for source, output, _ in measured}
+        assert len(measured) == len(pairs)
+        injected = list(report.injected.values())
+        corruptions = sum(c.corruptions for c in injected)
+        damaged = corruptions + sum(c.stream_corruptions for c in injected)
+        assert corruptions >= 20
+        # Every wrecked output was caught, each counted on its own; under
+        # this seed concealment keeps every stream-damaged one above the
+        # floor, so detected == injected.
+        assert report.corrupt_detected == corruptions
+        assert report.corrupt_detected == sum(
+            1 for _, _, db in measured if db < floor
+        )
+        # Clean deliveries shared their memo entry's measurement: one per
+        # real encode at most, however many of the 60 jobs it served.
+        clean = {
+            id(result.output)
+            for backend in farm.pool.values()
+            for result in backend.inner.inner._memo.values()
+        }
+        clean_measured = [db for _, output, db in measured if id(output) in clean]
+        assert 1 <= len(clean_measured) <= len(clean)
+        assert len(measured) == len(clean_measured) + damaged
+        assert all(db >= floor for db in clean_measured)
+        # ... and no damaged output's verdict stuck to the title: every job
+        # ended in a delivery that passed the floor, right after the
+        # corrupted attempts that were its only failures.
+        assert all(timing.completed for timing in timings)
+        assert report.attempts == len(timings) + report.corrupt_detected
+
     def test_configured_and_scheduled_specs_share_one_adapter(self):
         from repro.core.scenarios import Scenario
 

@@ -1,6 +1,7 @@
 """Traffic layer: arrivals, admission, autoscaling, SLO accounting, the loop."""
 
 import dataclasses
+import hashlib
 import inspect
 
 import pytest
@@ -131,6 +132,77 @@ class TestGenerateArrivals:
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError):
             generate_arrivals(self.CONFIG, 0, seed=0)
+
+    # Captured from the thinning loop that called ``rate_at`` (a linear,
+    # first-active scan of the spike list) per candidate: the bisection
+    # that replaced it must draw, accept and rank exactly the same.
+    @pytest.mark.parametrize(
+        "config, count, digest",
+        [
+            (
+                ArrivalConfig(),
+                2222,
+                "4a59818bc54d076cee380d925cc7e997070cc64124adaf12adb32665c28e9295",
+            ),
+            (
+                ArrivalConfig(spike_spacing_s=0.0),
+                1492,
+                "47c4e7cabe75b6eef0e76c4bf3fab9a89b5c5ef0c92dcc16996527e1ae9057e4",
+            ),
+            (  # every window overlaps the next two
+                ArrivalConfig(spike_spacing_s=120.0, spike_duration_s=300.0),
+                8787,
+                "64f43462d0ac5fed07e8dac62c1ad7db37ec513226b0b1da6307b57ed1e7600a",
+            ),
+            (
+                ArrivalConfig(diurnal_amplitude=0.0),
+                2149,
+                "24286015954221e02c5f92ce8dc40a707507cd25f6b5d8a04e62397387b1b5b3",
+            ),
+        ],
+        ids=["default", "no-spikes", "overlapping-spikes", "flat-diurnal"],
+    )
+    def test_schedule_is_pinned(self, config, count, digest):
+        requests = generate_arrivals(config, 12, seed=7)
+        assert len(requests) == count
+        pinned = hashlib.sha256()
+        for r in requests:
+            pinned.update(
+                repr((r.rid, r.scenario.value, r.arrival_s.hex(), r.rank)).encode()
+            )
+        assert pinned.hexdigest() == digest
+
+    def test_thinning_accepts_what_the_linear_rate_scan_accepts(self):
+        # Windows of unequal length and multiplier, still ordered by start
+        # and by end as ``generate_spikes`` orders them: the first window
+        # open at ``t`` must be the one ``rate_at`` finds.
+        import numpy as np
+
+        from repro.traffic.arrivals import _thin_arrivals
+
+        config = ArrivalConfig(duration_s=900.0, rps=4.0, spike_multiplier=9.0)
+        spikes = [
+            SpikeWindow(50.0, 200.0, 9.0),
+            SpikeWindow(120.0, 260.0, 3.0),
+            SpikeWindow(250.0, 260.0, 5.0),
+            SpikeWindow(600.0, 900.0, 2.0),
+        ]
+        rate_max = config.base_rate(Scenario.LIVE) * (1.0 + config.diurnal_amplitude)
+        rate_max *= config.spike_multiplier
+        rng = np.random.default_rng(21)
+        expected, t = [], 0.0
+        while True:
+            t += float(rng.exponential(1.0 / rate_max))
+            if t >= config.duration_s:
+                break
+            if float(rng.random()) * rate_max < rate_at(
+                config, Scenario.LIVE, t, spikes
+            ):
+                expected.append(t)
+        assert len(expected) > 500
+        assert _thin_arrivals(
+            config, Scenario.LIVE, spikes, np.random.default_rng(21)
+        ) == expected
 
 
 # ---------------------------------------------------------------------------
