@@ -1,11 +1,13 @@
-"""The video decoder: bit-exact inverse of the encoder's reconstruction.
+"""The video decoder: bitstream readers around the shared reconstruction.
 
 Decoding simply follows the interpretation rules of the bitstream
 (Section 2 of the paper: "the decoding step ... is deterministic and
-relatively fast").  Every arithmetic operation here mirrors the encoder's
-reconstruction path exactly -- the round-trip test asserts the decoded
-pixels equal :attr:`EncodeResult.recon` bit for bit, which is the central
-codec invariant.
+relatively fast").  The pixels are rebuilt by
+:mod:`repro.codec.reconstruct`, the same code the encoder reconstructs
+with, so decoded pixels equal :attr:`EncodeResult.recon` bit for bit (the
+central codec invariant, pinned by the round-trip tests).  This module
+owns what only a decoder does: parsing, every validation of untrusted
+input, and concealment.
 """
 
 from __future__ import annotations
@@ -22,24 +24,22 @@ from repro.codec.bitstream import (
     read_frame_packet,
     seek_resync,
 )
-from repro.codec.blocks import from_blocks, merge_blocks
-from repro.codec.encoder import reconstruct_luma_residual
-from repro.codec.deblock import deblock_plane
+from repro.codec.blocks import merge_blocks
 from repro.codec.entropy_coding.bitio import BitReader
 from repro.codec.entropy_coding.cabac import CabacDecoder
 from repro.codec.entropy_coding.cavlc import decode_levels_cavlc
 from repro.codec.entropy_coding.expgolomb import read_ses, read_ues
 from repro.codec.errors import BitstreamError, CorruptPayload, HeaderError
 from repro.codec.instrumentation import Counters
-from repro.codec.motion import (
-    block_positions,
-    motion_compensate,
-    motion_compensate_chroma,
-    pad_reference,
+from repro.codec.quant import QP_MAX, clamp_qp
+from repro.codec.reconstruct import (
+    FrameReconstructor,
+    PFramePlan,
+    Planes,
+    coded_size,
+    pad_planes,
+    residual_pixels,
 )
-from repro.codec.predict import FLAT_PREDICTOR, dc_predict_batch, wavefronts
-from repro.codec.quant import QP_MAX, QP_MIN, dequantize
-from repro.codec.transform import inverse_dct
 from repro.codec.types import MB_SIZE, BlockMode, FrameType
 from repro.video.frame import Frame
 from repro.video.video import Video
@@ -73,10 +73,6 @@ class DecodeResult:
         if not self.concealed:
             return 1.0
         return 1.0 - self.frames_concealed / len(self.concealed)
-
-
-def _clamp_qp(qp: int) -> int:
-    return int(max(QP_MIN, min(QP_MAX, qp)))
 
 
 class Decoder:
@@ -114,19 +110,15 @@ class Decoder:
         reader = BitReader(bitstream)
         header, version = read_container_header(reader)
 
-        coded_w = -(-header.width // MB_SIZE) * MB_SIZE
-        coded_h = -(-header.height // MB_SIZE) * MB_SIZE
-        n_mb = (coded_w // MB_SIZE) * (coded_h // MB_SIZE)
+        coded_w, coded_h = coded_size(header.width, header.height)
         if max_pixels is not None and coded_w * coded_h * header.n_frames > max_pixels:
             raise HeaderError(
                 f"stream geometry {coded_w}x{coded_h}x{header.n_frames} exceeds "
                 f"the {max_pixels}-pixel decode budget"
             )
-        ys, xs = block_positions(coded_h, coded_w, MB_SIZE)
-        cys, cxs = ys // 2, xs // 2
-        geometry = (coded_h, coded_w, n_mb, ys, xs, cys, cxs)
+        recon = FrameReconstructor(header.width, header.height, header)
 
-        refs: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        refs: List[Planes] = []
         frames: List[Frame] = []
         concealed: List[bool] = []
         dead = False  # no more usable data: conceal every remaining frame
@@ -147,7 +139,7 @@ class Decoder:
                 if payload is not None:
                     try:
                         planes = self._decode_frame_payload(
-                            BitReader(payload), header, geometry, refs, counters
+                            BitReader(payload), header, recon, refs, counters
                         )
                     except BitstreamError:
                         if strict:
@@ -155,7 +147,7 @@ class Decoder:
             elif not dead:
                 try:
                     planes = self._decode_frame_payload(
-                        reader, header, geometry, refs, counters
+                        reader, header, recon, refs, counters
                     )
                 except BitstreamError:
                     if strict:
@@ -163,12 +155,9 @@ class Decoder:
                     # v1 has no framing to recover: the rest is lost.
                     dead = True
 
+            concealed.append(planes is None)
             if planes is None:
                 planes = self._conceal_frame(refs, coded_h, coded_w)
-                concealed.append(True)
-            else:
-                counters.add("recon", n_mb)
-                concealed.append(False)
             recon_y, recon_u, recon_v = planes
             refs.insert(0, planes)
             del refs[2:]
@@ -195,10 +184,10 @@ class Decoder:
         self,
         reader: BitReader,
         header: StreamHeader,
-        geometry,
-        refs,
+        recon: FrameReconstructor,
+        refs: List[Planes],
         counters: Counters,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Planes:
         """Decode one frame's payload into clipped reconstruction planes.
 
         Defense in depth for the untrusted-input contract: the explicit
@@ -211,7 +200,7 @@ class Decoder:
         """
         try:
             return self._decode_frame_payload_unchecked(
-                reader, header, geometry, refs, counters
+                reader, header, recon, refs, counters
             )
         except BitstreamError:
             raise
@@ -222,66 +211,33 @@ class Decoder:
         self,
         reader: BitReader,
         header: StreamHeader,
-        geometry,
-        refs,
+        recon: FrameReconstructor,
+        refs: List[Planes],
         counters: Counters,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        coded_h, coded_w, n_mb, ys, xs, cys, cxs = geometry
-        tsize = header.transform_size
+    ) -> Planes:
         frame_type = FrameType(reader.read(1))
         qp = reader.read(6)
         if qp > QP_MAX:
             raise CorruptPayload(f"corrupt stream: qp {qp} out of range")
-        qp_c = _clamp_qp(qp + header.chroma_qp_offset)
+        qp_c = clamp_qp(qp + header.chroma_qp_offset)
 
         if frame_type is FrameType.I:
-            planes = self._decode_i_frame(
-                reader, header, coded_h, coded_w, n_mb, ys, xs, cys, cxs,
-                qp, qp_c, counters,
-            )
+            planes = self._decode_i_frame(reader, header, recon, qp, qp_c, counters)
             modes = None
         else:
             if not refs:
                 raise CorruptPayload("corrupt stream: P frame before any I frame")
             planes, modes = self._decode_p_frame(
-                reader, header, coded_h, coded_w, n_mb, ys, xs, cys, cxs,
-                qp, qp_c, refs, counters,
+                reader, header, recon, qp, qp_c, refs, counters
             )
 
-        recon_y, recon_u, recon_v = planes
-        if header.deblock:
-            if modes is not None:
-                mb_active = (modes != int(BlockMode.SKIP)).reshape(
-                    coded_h // MB_SIZE, coded_w // MB_SIZE
-                )
-                k = MB_SIZE // tsize
-                luma_active = np.repeat(
-                    np.repeat(mb_active, k, axis=0), k, axis=1
-                )
-                chroma_active = mb_active
-            else:
-                luma_active = None
-                chroma_active = None
-            recon_y = deblock_plane(recon_y, tsize, qp, luma_active, counters)
-            recon_u = deblock_plane(recon_u, 8, qp_c, chroma_active, counters)
-            recon_v = deblock_plane(recon_v, 8, qp_c, chroma_active, counters)
-        recon_y = np.clip(np.rint(recon_y), 0, 255)
-        recon_u = np.clip(np.rint(recon_u), 0, 255)
-        recon_v = np.clip(np.rint(recon_v), 0, 255)
-        if not (
-            np.isfinite(recon_y).all()
-            and np.isfinite(recon_u).all()
-            and np.isfinite(recon_v).all()
-        ):
+        planes = recon.filter_and_snap(planes, modes, qp, qp_c, counters)
+        if not all(np.isfinite(plane).all() for plane in planes):
             raise CorruptPayload("corrupt stream: non-finite reconstruction")
-        return recon_y, recon_u, recon_v
+        return planes
 
     @staticmethod
-    def _conceal_frame(
-        refs: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        coded_h: int,
-        coded_w: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _conceal_frame(refs: List[Planes], coded_h: int, coded_w: int) -> Planes:
         """Concealment pixels: repeat the previous reconstruction, or DC
         gray when nothing has decoded yet."""
         if refs:
@@ -292,36 +248,9 @@ class Decoder:
             np.full((coded_h // 2, coded_w // 2), 128.0),
         )
 
-    # -- residual payloads -----------------------------------------------------
+    # -- residual payload -------------------------------------------------------
 
     def _read_residuals(
-        self,
-        reader: BitReader,
-        header: StreamHeader,
-        n_luma: int,
-        n_chroma: int,
-        tsize: int,
-        counters: Counters,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if header.entropy_coder == "cavlc":
-            luma = decode_levels_cavlc(reader, n_luma, tsize)
-            chroma = decode_levels_cavlc(reader, n_chroma, 8)
-            counters.add(
-                "entropy_sym",
-                n_luma + n_chroma
-                + int(np.count_nonzero(luma)) + int(np.count_nonzero(chroma)),
-            )
-            return luma, chroma
-        reader.align()
-        length = reader.read(32)
-        chunk = reader.read_bytes(length)
-        cabac = CabacDecoder(chunk)
-        luma = cabac.decode_blocks(n_luma, tsize, chroma=False)
-        chroma = cabac.decode_blocks(n_chroma, 8, chroma=True)
-        counters.add("entropy_bin", 8 * length)
-        return luma, chroma
-
-    def _read_p_residuals(
         self,
         reader: BitReader,
         header: StreamHeader,
@@ -329,8 +258,11 @@ class Decoder:
         n_luma16: int,
         n_chroma: int,
         counters: Counters,
-    ):
-        """P-frame residual payload: 8x8 luma, 16x16 luma, then chroma."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Residual payload: 8x8 luma, 16x16 luma, then chroma levels.
+
+        An I frame is the ``n_luma16 = 0`` case: zero blocks read no bits.
+        """
         if header.entropy_coder == "cavlc":
             levels8 = decode_levels_cavlc(reader, n_luma8, 8)
             levels16 = decode_levels_cavlc(reader, n_luma16, 16)
@@ -356,53 +288,43 @@ class Decoder:
     # -- I frames ---------------------------------------------------------------
 
     def _decode_i_frame(
-        self, reader, header, coded_h, coded_w, n_mb, ys, xs, cys, cxs,
-        qp, qp_c, counters,
-    ):
+        self,
+        reader: BitReader,
+        header: StreamHeader,
+        recon: FrameReconstructor,
+        qp: int,
+        qp_c: int,
+        counters: Counters,
+    ) -> Planes:
         # Intra pictures always use the 8x8 transform (see the encoder).
-        k2 = 4
-        luma_levels, chroma_levels = self._read_residuals(
-            reader, header, n_mb * k2, 2 * n_mb, 8, counters
+        n_mb = recon.n_mb
+        luma_levels, _, chroma_levels = self._read_residuals(
+            reader, header, 4 * n_mb, 0, 2 * n_mb, counters
         )
-        recon_y = np.empty((coded_h, coded_w))
-        recon_u = np.empty((coded_h // 2, coded_w // 2))
-        recon_v = np.empty_like(recon_u)
-        flat = header.flat_quant
         # The coded residual is independent of the predictor, so dequant +
         # IDCT run over the whole frame in one batch; only the DC add has
-        # the above/left recurrence, handled per anti-diagonal wavefront.
-        recs = merge_blocks(
-            inverse_dct(dequantize(luma_levels, qp, flat=flat)), MB_SIZE
+        # the above/left recurrence, which the shared wavefront walk handles.
+        flat = header.flat_quant
+        luma = merge_blocks(residual_pixels(luma_levels, qp, flat, counters), MB_SIZE)
+        chroma = residual_pixels(chroma_levels, qp_c, flat, counters)
+        residuals = (luma, chroma[:n_mb], chroma[n_mb:])
+        return recon.reconstruct_intra(
+            lambda plane, idx, dcs: residuals[plane][idx], counters
         )
-        counters.add("idct", n_mb * k2)
-        counters.add("dequant", n_mb * k2)
-        crecs = inverse_dct(dequantize(chroma_levels, qp_c, flat=flat))
-        counters.add("idct", 2 * n_mb)
-        counters.add("dequant", 2 * n_mb)
-        mb_off = np.arange(MB_SIZE)
-        c_off = np.arange(MB_SIZE // 2)
-        for idx in wavefronts(coded_h // MB_SIZE, coded_w // MB_SIZE):
-            ys_k, xs_k = ys[idx], xs[idx]
-            cys_k, cxs_k = cys[idx], cxs[idx]
-            dcs = dc_predict_batch(recon_y, ys_k, xs_k, MB_SIZE, counters)
-            recon_y[
-                ys_k[:, None, None] + mb_off[None, :, None],
-                xs_k[:, None, None] + mb_off[None, None, :],
-            ] = np.clip(recs[idx] + dcs[:, None, None], 0, 255)
-            for plane, base in ((recon_u, 0), (recon_v, n_mb)):
-                dccs = dc_predict_batch(plane, cys_k, cxs_k, MB_SIZE // 2, counters)
-                plane[
-                    cys_k[:, None, None] + c_off[None, :, None],
-                    cxs_k[:, None, None] + c_off[None, None, :],
-                ] = np.clip(crecs[base + idx] + dccs[:, None, None], 0, 255)
-        return recon_y, recon_u, recon_v
 
     # -- P frames -----------------------------------------------------------------
 
     def _decode_p_frame(
-        self, reader, header, coded_h, coded_w, n_mb, ys, xs, cys, cxs,
-        qp, qp_c, refs, counters,
-    ):
+        self,
+        reader: BitReader,
+        header: StreamHeader,
+        recon: FrameReconstructor,
+        qp: int,
+        qp_c: int,
+        refs: List[Planes],
+        counters: Counters,
+    ) -> Tuple[Planes, np.ndarray]:
+        n_mb = recon.n_mb
         modes = read_ues(reader, n_mb)
         if np.any(modes > int(BlockMode.INTRA)):
             raise CorruptPayload("corrupt stream: invalid block mode")
@@ -414,7 +336,7 @@ class Decoder:
             # Sanity bound: no conforming encoder emits vectors beyond a
             # frame diagonal; a corrupt stream must not trigger a giant
             # reference-padding allocation below.
-            limit = 4 * (coded_w + coded_h)
+            limit = 4 * (recon.coded_w + recon.coded_h)
             if int(np.max(np.abs(mvs))) > limit:
                 raise CorruptPayload("corrupt stream: motion vector out of range")
         ref_idx = np.zeros(n_mb, dtype=np.int64)
@@ -429,78 +351,27 @@ class Decoder:
         else:
             use16 = np.zeros(n_ns, dtype=bool)
         n16 = int(use16.sum())
-        levels8, levels16, chroma_levels = self._read_p_residuals(
+        levels8, levels16, chroma_levels = self._read_residuals(
             reader, header, 4 * (n_ns - n16), n16, 2 * n_ns, counters
         )
 
+        # Pad per frame by the largest vector actually parsed (the encoder
+        # pads by its search range, which the stream does not carry).
         max_mv = int(np.max(np.abs(mvs))) // 4 if n_mb else 0
         pad = max_mv + 2
         cpad = max(max_mv // 2 + 2, 4)
-        padded_refs = [
-            (
-                pad_reference(r[0], pad),
-                pad_reference(r[1], cpad),
-                pad_reference(r[2], cpad),
-            )
-            for r in refs
-        ]
-        ref_y, ref_u, ref_v = padded_refs[0]
-
-        recon_blocks = np.empty((n_mb, MB_SIZE, MB_SIZE))
-        recon_u_blocks = np.empty((n_mb, MB_SIZE // 2, MB_SIZE // 2))
-        recon_v_blocks = np.empty_like(recon_u_blocks)
-
-        skip_idx = np.nonzero(modes == int(BlockMode.SKIP))[0]
-        if skip_idx.size:
-            zeros = np.zeros((skip_idx.size, 2), dtype=np.int64)
-            recon_blocks[skip_idx] = motion_compensate(
-                ref_y, pad, zeros, ys[skip_idx], xs[skip_idx], MB_SIZE, counters
-            )
-            recon_u_blocks[skip_idx] = motion_compensate_chroma(
-                ref_u, cpad, zeros, cys[skip_idx], cxs[skip_idx], MB_SIZE // 2, counters
-            )
-            recon_v_blocks[skip_idx] = motion_compensate_chroma(
-                ref_v, cpad, zeros, cys[skip_idx], cxs[skip_idx], MB_SIZE // 2, counters
-            )
-
-        if n_ns:
-            flat = header.flat_quant
-            luma_pred = np.full((n_ns, MB_SIZE, MB_SIZE), FLAT_PREDICTOR)
-            chroma_pred = np.full(
-                (2, n_ns, MB_SIZE // 2, MB_SIZE // 2), FLAT_PREDICTOR
-            )
-            inter_sel = modes[nonskip_idx] == int(BlockMode.INTER)
-            for ref in range(len(padded_refs)):
-                pick = inter_sel & (ref_idx[nonskip_idx] == ref)
-                if not pick.any():
-                    continue
-                sel = nonskip_idx[pick]
-                r_y, r_u, r_v = padded_refs[ref]
-                luma_pred[pick] = motion_compensate(
-                    r_y, pad, mvs[sel], ys[sel], xs[sel], MB_SIZE, counters
-                )
-                chroma_pred[0, pick] = motion_compensate_chroma(
-                    r_u, cpad, mvs[sel], cys[sel], cxs[sel], MB_SIZE // 2,
-                    header.chroma_subpel, counters,
-                )
-                chroma_pred[1, pick] = motion_compensate_chroma(
-                    r_v, cpad, mvs[sel], cys[sel], cxs[sel], MB_SIZE // 2,
-                    header.chroma_subpel, counters,
-                )
-            rec_res = reconstruct_luma_residual(
-                levels8, levels16, use16, qp, flat, counters
-            )
-            recon_blocks[nonskip_idx] = np.clip(luma_pred + rec_res, 0, 255)
-            crec = inverse_dct(dequantize(chroma_levels, qp_c, flat=flat))
-            counters.add("idct", chroma_levels.shape[0])
-            counters.add("dequant", chroma_levels.shape[0])
-            recon_u_blocks[nonskip_idx] = np.clip(chroma_pred[0] + crec[:n_ns], 0, 255)
-            recon_v_blocks[nonskip_idx] = np.clip(chroma_pred[1] + crec[n_ns:], 0, 255)
-
-        recon_y = from_blocks(recon_blocks, coded_h, coded_w)
-        recon_u = from_blocks(recon_u_blocks, coded_h // 2, coded_w // 2)
-        recon_v = from_blocks(recon_v_blocks, coded_h // 2, coded_w // 2)
-        return (recon_y, recon_u, recon_v), modes
+        padded_refs = [pad_planes(ref, pad, cpad) for ref in refs]
+        luma_pred, chroma_pred = recon.predict_p(
+            padded_refs, pad, cpad, modes, mvs, ref_idx, nonskip_idx, counters
+        )
+        plan = PFramePlan(
+            modes, nonskip_idx, use16, levels8, levels16, chroma_levels,
+            luma_pred, chroma_pred,
+        )
+        planes = recon.reconstruct_p(
+            padded_refs[0], pad, cpad, plan, qp, qp_c, counters
+        )
+        return planes, modes
 
 
 def decode(

@@ -3,9 +3,11 @@
 Per frame: decide the frame type (I at keyframe interval or scene cuts, P
 otherwise), run motion estimation for P frames, make a rate-distortion mode
 decision per macroblock (skip / inter / intra), transform and quantize the
-residuals, entropy code everything, and reconstruct exactly the picture a
-decoder will produce -- the reconstruction is the reference for the next
-frame, so encoder and decoder must agree bit for bit.
+residuals, entropy code everything, and reconstruct the picture a decoder will
+produce -- the reference for the next frame.  The reconstruction itself
+(prediction, residual add, loop filter, pixel snap) is not written here:
+:mod:`repro.codec.reconstruct` owns it for both sides; this module owns the
+decisions and the bitstream writers.
 
 The P-frame pipeline is vectorized across all macroblocks of the frame;
 I frames walk macroblocks in raster order because DC intra prediction
@@ -29,38 +31,25 @@ from repro.codec.bitstream import (
     write_header,
     write_header_v2,
 )
-from repro.codec.blocks import from_blocks, merge_blocks, split_blocks, to_blocks
-from repro.codec.deblock import deblock_plane
+from repro.codec.blocks import merge_blocks, split_blocks, to_blocks
 from repro.codec.entropy_coding.bitio import BitWriter
 from repro.codec.entropy_coding.cabac import CabacEncoder
 from repro.codec.entropy_coding.cavlc import encode_levels_cavlc
 from repro.codec.entropy_coding.expgolomb import se_codes, ue_codes
 from repro.codec.instrumentation import Counters, TraceRecorder
-from repro.codec.motion import (
-    MotionField,
-    block_positions,
-    estimate_motion,
-    motion_compensate,
-    motion_compensate_chroma,
-    pad_reference,
-)
-from repro.codec.predict import (
-    FLAT_PREDICTOR,
-    dc_predict_batch,
-    intra_cost,
-    wavefronts,
-)
+from repro.codec.motion import MotionField, estimate_motion
+from repro.codec.predict import intra_cost
 from repro.codec.presets import EncoderConfig, preset
-from repro.codec.quant import (
-    QP_MAX,
-    QP_MIN,
-    dequantize,
-    qp_to_qstep,
-    quantize,
-    rdoq_threshold,
-)
+from repro.codec.quant import clamp_qp, qp_to_qstep, quantize, rdoq_threshold
 from repro.codec.ratecontrol import RateControl
-from repro.codec.transform import forward_dct, inverse_dct
+from repro.codec.reconstruct import (
+    FrameReconstructor,
+    PFramePlan,
+    Planes,
+    pad_planes,
+    residual_pixels,
+)
+from repro.codec.transform import forward_dct
 from repro.codec.types import MB_SIZE, BlockMode, FrameStats, FrameType
 from repro.video.frame import Frame
 from repro.video.video import Video
@@ -207,19 +196,16 @@ class Encoder:
         cfg = self.config
         writer.write(int(FrameType.I), 1)
         writer.write(qp, 6)
-        qp_c = _clamp_qp(qp + cfg.chroma_qp_offset)
+        qp_c = clamp_qp(qp + cfg.chroma_qp_offset)
 
-        # Intra pictures always use the 8x8 transform: DC-predicted
-        # residuals have block-local structure, and real codecs use small
-        # intra transforms for the same reason.
         luma_levels, chroma_levels = state.intra_reconstruct(
-            qp, qp_c, 8, cfg, counters
+            qp, qp_c, cfg, counters
         )
         empty16 = np.zeros((0, 16, 16), dtype=np.int32)
         self._write_residuals(
             writer, luma_levels, empty16, chroma_levels, counters, cfg
         )
-        state.finish_frame(FrameType.I, qp, counters)
+        state.finish_frame(FrameType.I, qp, qp_c, counters)
         if self.trace is not None:
             tracegen.record_i_frame(self.trace, state, luma_levels, counters)
         nnz = int(np.count_nonzero(luma_levels)) + int(np.count_nonzero(chroma_levels))
@@ -241,7 +227,7 @@ class Encoder:
         writer.write(qp, 6)
         qstep = qp_to_qstep(qp)
         lam = _LAMBDA_SCALE * qstep
-        qp_c = _clamp_qp(qp + cfg.chroma_qp_offset)
+        qp_c = clamp_qp(qp + cfg.chroma_qp_offset)
 
         skip_threshold = (
             _SKIP_THRESHOLD_SCALE * cfg.skip_bias * qstep * MB_SIZE * MB_SIZE
@@ -330,8 +316,10 @@ class Encoder:
             counters, cfg,
         )
 
-        state.reconstruct_p(plan, qp, qp_c, cfg, counters)
-        state.finish_frame(FrameType.P, qp, counters, modes=modes)
+        state.recon = state.reconstruct_p(
+            state.refs[0], state.pad, state.cpad, plan, qp, qp_c, counters
+        )
+        state.finish_frame(FrameType.P, qp, qp_c, counters, modes=modes)
         state.prev_mvs = (mvs // 4).astype(np.int64)
 
         if self.trace is not None:
@@ -397,10 +385,6 @@ class Encoder:
 # ---------------------------------------------------------------------------
 
 
-def _clamp_qp(qp: int) -> int:
-    return int(max(QP_MIN, min(QP_MAX, qp)))
-
-
 def _mv_bits_estimate(mvs_halfpel: np.ndarray) -> np.ndarray:
     """Approximate signalling cost (bits) of each motion vector."""
     mags = np.abs(mvs_halfpel).astype(np.float64)
@@ -422,90 +406,14 @@ def _estimated_bits16(levels16: np.ndarray) -> np.ndarray:
     return per_level.sum(axis=(1, 2)) + 2.0
 
 
-def reconstruct_luma_residual(
-    levels8: np.ndarray,
-    levels16: np.ndarray,
-    use16: np.ndarray,
-    qp: int,
-    flat_quant: bool,
-    counters: Optional[Counters] = None,
-) -> np.ndarray:
-    """Dequantize + inverse transform the mixed-size luma residuals.
-
-    Returns ``(n_ns, 16, 16)`` pixel-domain residuals in macroblock order.
-    Shared verbatim by the encoder's reconstruction and the decoder, so
-    both sides stay bit-identical.
-    """
-    n_ns = use16.size
-    rec = np.zeros((n_ns, MB_SIZE, MB_SIZE))
-    n8 = int((~use16).sum())
-    if n8:
-        small = inverse_dct(dequantize(levels8, qp, flat=flat_quant))
-        rec[~use16] = merge_blocks(small, MB_SIZE)
-        if counters is not None:
-            counters.add("idct", levels8.shape[0])
-            counters.add("dequant", levels8.shape[0])
-    if levels16.shape[0]:
-        rec[use16] = inverse_dct(dequantize(levels16, qp, flat=flat_quant))
-        if counters is not None:
-            counters.add("idct", 8.0 * levels16.shape[0])
-            counters.add("dequant", 4.0 * levels16.shape[0])
-    return rec
-
-
-@dataclass
-class PFramePlan:
-    """Everything the encoder decided about one P frame's residuals.
-
-    ``levels8`` holds the 8x8 blocks of macroblocks that chose the small
-    transform (four per MB, MB raster order); ``levels16`` the single
-    blocks of macroblocks that chose the large transform; ``use16`` says
-    which is which, indexed over ``nonskip_idx``.
-    """
-
-    modes: np.ndarray
-    nonskip_idx: np.ndarray
-    ref_idx: np.ndarray
-    use16: np.ndarray
-    levels8: np.ndarray
-    levels16: np.ndarray
-    chroma_levels: np.ndarray
-    luma_pred: np.ndarray
-    chroma_pred: np.ndarray
-
-    def mb_levels(self):
-        """Per-MB quantized luma levels: ``{mb_index: (blocks, S, S)}``.
-
-        Trace generation consumes this view (it needs per-macroblock
-        significance and sign bits regardless of transform size).
-        """
-        out = {}
-        eight = self.levels8.reshape(-1, 4, 8, 8)
-        i8 = 0
-        i16 = 0
-        for j, mb in enumerate(self.nonskip_idx.tolist()):
-            if self.use16[j]:
-                out[mb] = self.levels16[i16][None]
-                i16 += 1
-            else:
-                out[mb] = eight[i8]
-                i8 += 1
-        return out
-
-
-class _CodingState:
+class _CodingState(FrameReconstructor):
     """Mutable per-encode state: current planes, references, geometry."""
 
     def __init__(self, video: Video, cfg: EncoderConfig) -> None:
+        super().__init__(video.width, video.height, cfg)
         self.cfg = cfg
         self.display_w = video.width
         self.display_h = video.height
-        probe = video[0].pad_to_multiple(MB_SIZE)
-        self.coded_w = probe.width
-        self.coded_h = probe.height
-        self.n_mb = (self.coded_w // MB_SIZE) * (self.coded_h // MB_SIZE)
-        self.ys, self.xs = block_positions(self.coded_h, self.coded_w, MB_SIZE)
-        self.cys, self.cxs = self.ys // 2, self.xs // 2
         self.pad = cfg.search_range + 2
         self.cpad = max(cfg.search_range // 2 + 2, 4)
 
@@ -514,27 +422,11 @@ class _CodingState:
         self.cur_v: np.ndarray = np.zeros_like(self.cur_u)
         self.prev_orig_y: Optional[np.ndarray] = None
         # Reference list, most recent first (padded planes per entry).
-        self.refs: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.recon_y: Optional[np.ndarray] = None
-        self.recon_u: Optional[np.ndarray] = None
-        self.recon_v: Optional[np.ndarray] = None
+        self.refs: List[Planes] = []
+        self.recon: Optional[Planes] = None
         self.prev_mvs = np.zeros((self.n_mb, 2), dtype=np.int64)
-        self.last_frame_type: Optional[FrameType] = None
         self.frames_since_key = 0
         self.mad_baseline: Optional[float] = None
-
-    @property
-    def ref_y_padded(self) -> Optional[np.ndarray]:
-        """Most recent reference luma plane (padded), or None."""
-        return self.refs[0][0] if self.refs else None
-
-    @property
-    def ref_u_padded(self) -> Optional[np.ndarray]:
-        return self.refs[0][1] if self.refs else None
-
-    @property
-    def ref_v_padded(self) -> Optional[np.ndarray]:
-        return self.refs[0][2] if self.refs else None
 
     # -- per-frame setup ------------------------------------------------------
 
@@ -561,7 +453,7 @@ class _CodingState:
         """
         cfg = self.cfg
         score = self.scene_change_score
-        if index == 0 or self.ref_y_padded is None or self.frames_since_key >= cfg.keyint:
+        if index == 0 or not self.refs or self.frames_since_key >= cfg.keyint:
             decision = FrameType.I
         elif (
             score > cfg.scene_cut
@@ -584,78 +476,54 @@ class _CodingState:
         self,
         qp: int,
         qp_c: int,
-        tsize: int,
         cfg: EncoderConfig,
         counters: Counters,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Wavefront DC-predicted intra coding of the whole frame.
 
-        DC prediction makes block ``(r, c)`` depend on its reconstructed
-        above/left neighbours, so the frame cannot be coded as one batch --
-        but every block on an anti-diagonal is independent of the others.
-        Processing wavefront-by-wavefront batches the DCT/quant/RDOQ/
-        dequant/IDCT pipeline over whole diagonals while producing the
-        exact same predictors, levels and reconstruction as the old
-        per-macroblock loop (guarded by the golden-digest tests).
+        The levels of a block depend on its DC predictor, hence on the
+        reconstruction of its neighbours, so the forward DCT/quant/RDOQ
+        runs inside the shared wavefront walk, one anti-diagonal per batch
+        (same predictors, levels and reconstruction as a per-macroblock
+        loop; guarded by the golden-digest tests).  Intra pictures always
+        use the 8x8 transform: DC-predicted residuals have block-local
+        structure, and real codecs use small intra transforms for the same
+        reason.
 
         Returns the (luma, chroma) level arrays in stream order and leaves
-        the unfiltered reconstruction in ``recon_*``.
+        the unfiltered reconstruction in ``recon``.
         """
-        recon_y = np.empty((self.coded_h, self.coded_w))
-        recon_u = np.empty((self.coded_h // 2, self.coded_w // 2))
-        recon_v = np.empty_like(recon_u)
-        bpm = (MB_SIZE // tsize) ** 2  # transform blocks per macroblock
-        luma = np.zeros((self.n_mb * bpm, tsize, tsize), np.int32)
+        luma = np.zeros((4 * self.n_mb, 8, 8), np.int32)
         chroma = np.zeros((2 * self.n_mb, 8, 8), np.int32)
-        cur_blocks = to_blocks(self.cur_y, MB_SIZE)
-        cur_u_blocks = to_blocks(self.cur_u, MB_SIZE // 2)
-        cur_v_blocks = to_blocks(self.cur_v, MB_SIZE // 2)
-        mb_off = np.arange(MB_SIZE)
-        c_off = np.arange(MB_SIZE // 2)
-        for idx in wavefronts(self.coded_h // MB_SIZE, self.coded_w // MB_SIZE):
-            m = idx.size
-            ys_k, xs_k = self.ys[idx], self.xs[idx]
-            cys_k, cxs_k = ys_k // 2, xs_k // 2
-            # Luma
-            dcs = dc_predict_batch(recon_y, ys_k, xs_k, MB_SIZE, counters)
-            sub = split_blocks(cur_blocks[idx] - dcs[:, None, None], tsize)
-            coeffs = forward_dct(sub)
-            levels = quantize(coeffs, qp, flat=cfg.flat_quant)
-            if cfg.rdoq:
-                levels = rdoq_threshold(levels, coeffs, qp, flat=cfg.flat_quant)
-                counters.add("rdoq", sub.shape[0])
-            counters.add("dct", sub.shape[0])
-            counters.add("quant", sub.shape[0])
-            counters.add("idct", sub.shape[0])
-            counters.add("dequant", sub.shape[0])
-            rec = merge_blocks(
-                inverse_dct(dequantize(levels, qp, flat=cfg.flat_quant)), MB_SIZE
-            )
-            recon_y[
-                ys_k[:, None, None] + mb_off[None, :, None],
-                xs_k[:, None, None] + mb_off[None, None, :],
-            ] = np.clip(rec + dcs[:, None, None], 0, 255)
-            luma[(idx[:, None] * bpm + np.arange(bpm)).ravel()] = levels
+        cur_blocks = (
+            to_blocks(self.cur_y, MB_SIZE),
+            to_blocks(self.cur_u, MB_SIZE // 2),
+            to_blocks(self.cur_v, MB_SIZE // 2),
+        )
+
+        def code(plane: int, idx: np.ndarray, dcs: np.ndarray) -> np.ndarray:
+            residual = cur_blocks[plane][idx] - dcs[:, None, None]
+            if plane == 0:
+                sub = split_blocks(residual, 8)
+                coeffs = forward_dct(sub)
+                levels = quantize(coeffs, qp, flat=cfg.flat_quant)
+                if cfg.rdoq:
+                    levels = rdoq_threshold(levels, coeffs, qp, flat=cfg.flat_quant)
+                    counters.add("rdoq", sub.shape[0])
+                counters.add("dct", sub.shape[0])
+                counters.add("quant", sub.shape[0])
+                luma[(idx[:, None] * 4 + np.arange(4)).ravel()] = levels
+                return merge_blocks(
+                    residual_pixels(levels, qp, cfg.flat_quant, counters), MB_SIZE
+                )
             # Chroma (8x8 per plane per MB); stream order is all-U then all-V.
-            for plane_blocks, recon_c, out_base in (
-                (cur_u_blocks, recon_u, 0),
-                (cur_v_blocks, recon_v, self.n_mb),
-            ):
-                dccs = dc_predict_batch(recon_c, cys_k, cxs_k, MB_SIZE // 2, counters)
-                ccoeffs = forward_dct(plane_blocks[idx] - dccs[:, None, None])
-                clevels = quantize(ccoeffs, qp_c, flat=cfg.flat_quant)
-                counters.add("dct", m)
-                counters.add("quant", m)
-                counters.add("idct", m)
-                counters.add("dequant", m)
-                crec = inverse_dct(dequantize(clevels, qp_c, flat=cfg.flat_quant))
-                recon_c[
-                    cys_k[:, None, None] + c_off[None, :, None],
-                    cxs_k[:, None, None] + c_off[None, None, :],
-                ] = np.clip(crec + dccs[:, None, None], 0, 255)
-                chroma[out_base + idx] = clevels
-            counters.add("recon", m)
-        self.recon_y, self.recon_u, self.recon_v = recon_y, recon_u, recon_v
+            levels = quantize(forward_dct(residual), qp_c, flat=cfg.flat_quant)
+            counters.add("dct", idx.size)
+            counters.add("quant", idx.size)
+            chroma[(plane - 1) * self.n_mb + idx] = levels
+            return residual_pixels(levels, qp_c, cfg.flat_quant, counters)
+
+        self.recon = self.reconstruct_intra(code, counters)
         return luma, chroma
 
     # -- P-frame coding ---------------------------------------------------------
@@ -687,29 +555,11 @@ class _CodingState:
         cur_u_blocks = to_blocks(self.cur_u, MB_SIZE // 2)
         cur_v_blocks = to_blocks(self.cur_v, MB_SIZE // 2)
 
-        luma_pred = np.full((n_ns, MB_SIZE, MB_SIZE), FLAT_PREDICTOR)
-        chroma_pred = np.full((2, n_ns, MB_SIZE // 2, MB_SIZE // 2), FLAT_PREDICTOR)
+        luma_pred, chroma_pred = self.predict_p(
+            self.refs, self.pad, self.cpad,
+            modes, mvs, ref_idx, nonskip_idx, counters,
+        )
         inter_sel = modes[nonskip_idx] == int(BlockMode.INTER)
-        for ref in range(len(self.refs)):
-            pick = inter_sel & (ref_idx[nonskip_idx] == ref)
-            if not pick.any():
-                continue
-            sel = nonskip_idx[pick]
-            ref_y, ref_u, ref_v = self.refs[ref]
-            luma_pred[pick] = motion_compensate(
-                ref_y, self.pad, mvs[sel],
-                self.ys[sel], self.xs[sel], MB_SIZE, counters,
-            )
-            chroma_pred[0, pick] = motion_compensate_chroma(
-                ref_u, self.cpad, mvs[sel],
-                self.cys[sel], self.cxs[sel], MB_SIZE // 2,
-                cfg.chroma_subpel, counters,
-            )
-            chroma_pred[1, pick] = motion_compensate_chroma(
-                ref_v, self.cpad, mvs[sel],
-                self.cys[sel], self.cxs[sel], MB_SIZE // 2,
-                cfg.chroma_subpel, counters,
-            )
 
         def _quantize(coeffs: np.ndarray, plane_qp: int, units: float):
             levels = quantize(coeffs, plane_qp, flat=cfg.flat_quant)
@@ -785,7 +635,6 @@ class _CodingState:
         return PFramePlan(
             modes=modes,
             nonskip_idx=nonskip_idx,
-            ref_idx=ref_idx,
             use16=use16,
             levels8=all8[~use16].reshape(-1, 8, 8),
             levels16=all16[use16],
@@ -794,119 +643,34 @@ class _CodingState:
             chroma_pred=chroma_pred,
         )
 
-    def reconstruct_p(
-        self,
-        plan: "PFramePlan",
-        qp: int,
-        qp_c: int,
-        cfg: EncoderConfig,
-        counters: Counters,
-    ) -> None:
-        """Build this frame's reconstruction (pre-deblock) from the plan."""
-        modes = plan.modes
-        nonskip_idx = plan.nonskip_idx
-        n_ns = nonskip_idx.size
-        recon_blocks = np.empty((self.n_mb, MB_SIZE, MB_SIZE))
-        recon_u_blocks = np.empty((self.n_mb, MB_SIZE // 2, MB_SIZE // 2))
-        recon_v_blocks = np.empty_like(recon_u_blocks)
-
-        skip_idx = np.nonzero(modes == int(BlockMode.SKIP))[0]
-        if skip_idx.size:
-            zeros = np.zeros((skip_idx.size, 2), dtype=np.int64)
-            recon_blocks[skip_idx] = motion_compensate(
-                self.ref_y_padded, self.pad, zeros,
-                self.ys[skip_idx], self.xs[skip_idx], MB_SIZE, counters,
-            )
-            recon_u_blocks[skip_idx] = motion_compensate_chroma(
-                self.ref_u_padded, self.cpad, zeros,
-                self.cys[skip_idx], self.cxs[skip_idx], MB_SIZE // 2, counters,
-            )
-            recon_v_blocks[skip_idx] = motion_compensate_chroma(
-                self.ref_v_padded, self.cpad, zeros,
-                self.cys[skip_idx], self.cxs[skip_idx], MB_SIZE // 2, counters,
-            )
-
-        if n_ns:
-            rec_res = reconstruct_luma_residual(
-                plan.levels8, plan.levels16, plan.use16, qp, cfg.flat_quant,
-                counters,
-            )
-            recon_blocks[nonskip_idx] = np.clip(plan.luma_pred + rec_res, 0, 255)
-            crec = inverse_dct(dequantize(plan.chroma_levels, qp_c, flat=cfg.flat_quant))
-            counters.add("idct", plan.chroma_levels.shape[0])
-            counters.add("dequant", plan.chroma_levels.shape[0])
-            recon_u_blocks[nonskip_idx] = np.clip(
-                plan.chroma_pred[0] + crec[:n_ns], 0, 255
-            )
-            recon_v_blocks[nonskip_idx] = np.clip(
-                plan.chroma_pred[1] + crec[n_ns:], 0, 255
-            )
-        counters.add("recon", self.n_mb)
-
-        self.recon_y = from_blocks(recon_blocks, self.coded_h, self.coded_w)
-        self.recon_u = from_blocks(recon_u_blocks, self.coded_h // 2, self.coded_w // 2)
-        self.recon_v = from_blocks(recon_v_blocks, self.coded_h // 2, self.coded_w // 2)
-
     # -- frame finalization --------------------------------------------------
 
     def finish_frame(
         self,
         frame_type: FrameType,
         qp: int,
+        qp_c: int,
         counters: Counters,
         modes: Optional[np.ndarray] = None,
     ) -> None:
-        """Deblock, round to pixels, and install the new reference.
-
-        ``modes`` (P frames) gates the loop filter: only edges touching a
-        coded macroblock are filtered (boundary strength), so static skip
-        regions stay bit-identical to the reference.
-        """
-        cfg = self.cfg
-        if cfg.deblock:
-            mb_rows = self.coded_h // MB_SIZE
-            mb_cols = self.coded_w // MB_SIZE
-            if modes is not None:
-                mb_active = (modes != int(BlockMode.SKIP)).reshape(mb_rows, mb_cols)
-                k = MB_SIZE // cfg.transform_size
-                luma_active = np.repeat(np.repeat(mb_active, k, axis=0), k, axis=1)
-                chroma_active = mb_active
-            else:
-                luma_active = None
-                chroma_active = None
-            self.recon_y = deblock_plane(
-                self.recon_y, cfg.transform_size, qp, luma_active, counters
-            )
-            qp_c = _clamp_qp(qp + cfg.chroma_qp_offset)
-            self.recon_u = deblock_plane(self.recon_u, 8, qp_c, chroma_active, counters)
-            self.recon_v = deblock_plane(self.recon_v, 8, qp_c, chroma_active, counters)
-        # Snap to the 8-bit pixel grid: encoder and decoder references must
-        # be bit-identical, and uint8 storage is the common denominator.
-        self.recon_y = np.clip(np.rint(self.recon_y), 0, 255)
-        self.recon_u = np.clip(np.rint(self.recon_u), 0, 255)
-        self.recon_v = np.clip(np.rint(self.recon_v), 0, 255)
-        self.refs.insert(
-            0,
-            (
-                pad_reference(self.recon_y, self.pad),
-                pad_reference(self.recon_u, self.cpad),
-                pad_reference(self.recon_v, self.cpad),
-            ),
-        )
+        """Filter and snap ``recon`` (``modes`` gates the loop filter on P
+        frames), and install it as the new reference."""
+        self.recon = self.filter_and_snap(self.recon, modes, qp, qp_c, counters)
+        self.refs.insert(0, pad_planes(self.recon, self.pad, self.cpad))
         del self.refs[2:]  # the codec keeps at most two references
         if frame_type is FrameType.I:
             self.frames_since_key = 1
             self.prev_mvs = np.zeros((self.n_mb, 2), dtype=np.int64)
         else:
             self.frames_since_key += 1
-        self.last_frame_type = frame_type
 
     def emit_recon_frame(self) -> Frame:
         """The display-cropped reconstructed frame."""
+        recon_y, recon_u, recon_v = self.recon
         return Frame.from_planes(
-            self.recon_y[: self.display_h, : self.display_w],
-            self.recon_u[: self.display_h // 2, : self.display_w // 2],
-            self.recon_v[: self.display_h // 2, : self.display_w // 2],
+            recon_y[: self.display_h, : self.display_w],
+            recon_u[: self.display_h // 2, : self.display_w // 2],
+            recon_v[: self.display_h // 2, : self.display_w // 2],
         )
 
 

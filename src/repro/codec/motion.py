@@ -352,13 +352,14 @@ def motion_compensate(
     ys: np.ndarray,
     xs: np.ndarray,
     block_size: int,
+    *,
     counters: Optional[Counters] = None,
 ) -> np.ndarray:
     """Build the ``(n, bs, bs)`` prediction for quarter-pel motion vectors.
 
-    Uses bilinear interpolation for fractional positions; this is the shared
-    inverse operation the encoder (for reconstruction) and the decoder both
-    run, so it must be deterministic and identical on both sides.
+    Uses bilinear interpolation for fractional positions; encoder and
+    decoder both reach it through :mod:`repro.codec.reconstruct`, so it
+    must be deterministic.
     """
     pred = _interp_windows(
         reference_padded, pad, mvs_qpel, ys, xs, block_size
@@ -375,6 +376,7 @@ def motion_compensate_chroma(
     ys: np.ndarray,
     xs: np.ndarray,
     block_size: int,
+    *,
     subpel: bool = False,
     counters: Optional[Counters] = None,
 ) -> np.ndarray:

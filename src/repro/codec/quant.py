@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "QP_MIN",
     "QP_MAX",
+    "clamp_qp",
     "qp_to_qstep",
     "quant_matrix",
     "quantize",
@@ -27,6 +28,11 @@ __all__ = [
 
 QP_MIN = 0
 QP_MAX = 51
+
+
+def clamp_qp(qp: int) -> int:
+    """``qp`` limited to the codable range."""
+    return int(max(QP_MIN, min(QP_MAX, qp)))
 
 #: Dead-zone rounding offset: inter residuals round at 1/3 like x264.
 _DEADZONE = 1.0 / 3.0

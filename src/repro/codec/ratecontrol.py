@@ -23,7 +23,7 @@ import enum
 import math
 from typing import List, Optional, Sequence
 
-from repro.codec.quant import QP_MAX, QP_MIN, qp_to_qstep
+from repro.codec.quant import QP_MAX, QP_MIN, clamp_qp, qp_to_qstep
 from repro.codec.types import FrameType
 
 __all__ = ["RateControlMode", "RateControl"]
@@ -42,10 +42,6 @@ class RateControlMode(enum.Enum):
     CRF = "crf"
     ABR = "abr"
     TWO_PASS = "two_pass"
-
-
-def _clamp_qp(qp: float) -> int:
-    return int(max(QP_MIN, min(QP_MAX, round(qp))))
 
 
 class RateControl:
@@ -167,7 +163,7 @@ class RateControl:
             qp = self._two_pass_qp()
         if frame_type is FrameType.I:
             qp += _I_FRAME_QP_DELTA
-        return _clamp_qp(qp)
+        return clamp_qp(round(qp))
 
     def feedback(self, frame_type: FrameType, qp: int, bits: int) -> None:
         """Report the actual bits the frame cost; updates the controller."""

@@ -25,7 +25,7 @@ from repro.exec.cache import (
     CacheCorruptError,
     CacheStats,
     CachingTranscoder,
-    MemoizingTranscoder,
+    MemoStore,
     TranscodeCache,
     cache_key,
     video_digest,
@@ -41,7 +41,7 @@ __all__ = [
     "CacheCorruptError",
     "CacheStats",
     "CachingTranscoder",
-    "MemoizingTranscoder",
+    "MemoStore",
     "TranscodeCache",
     "cache_key",
     "prime_references",

@@ -21,10 +21,11 @@ makes them persistent:
   :mod:`repro.robust` philosophy: detect by measuring, then recover):
   the entry is evicted, the miss is recorded, and the encode re-runs.
 
-:class:`CachingTranscoder` wraps any backend with the cache while keeping
-the plain :class:`~repro.encoders.base.Transcoder` interface, so the
-reference store, the bisection harness, and the transcoding farm all
-consult the cache without knowing it exists.  Cache hits return the exact
+:class:`CachingTranscoder` wraps any backend with the cache (or with the
+in-process :class:`MemoStore`) while keeping the plain
+:class:`~repro.encoders.base.Transcoder` interface, so the reference
+store, the bisection harness, and the transcoding farm all consult the
+cache without knowing it exists.  Cache hits return the exact
 modeled ``seconds`` of the original encode -- speed ratios and reports
 stay byte-identical whether an encode was computed or replayed.
 """
@@ -53,7 +54,7 @@ __all__ = [
     "CacheCorruptError",
     "CacheStats",
     "CachingTranscoder",
-    "MemoizingTranscoder",
+    "MemoStore",
     "TranscodeCache",
     "cache_key",
     "video_digest",
@@ -438,7 +439,7 @@ class TranscodeCache:
 
     def wrap(self, transcoder: Transcoder) -> "CachingTranscoder":
         """``transcoder`` with this cache in front (idempotent)."""
-        if isinstance(transcoder, CachingTranscoder) and transcoder.cache is self:
+        if isinstance(transcoder, CachingTranscoder) and transcoder.store is self:
             return transcoder
         return CachingTranscoder(transcoder, self)
 
@@ -450,60 +451,52 @@ class TranscodeCache:
         return f"TranscodeCache(root={str(self.root)!r})"
 
 
-class CachingTranscoder(Transcoder):
-    """A backend that consults a :class:`TranscodeCache` before encoding.
-
-    Transparent to callers: ``name`` mirrors the wrapped backend and a
-    replayed result carries the original modeled ``seconds``, so scores
-    and reports are byte-identical with or without the cache.
-    """
-
-    def __init__(self, inner: Transcoder, cache: TranscodeCache) -> None:
-        self.inner = inner
-        self.cache = cache
-        self.name = inner.name
-
-    def transcode(self, video: Video, rate: RateSpec) -> TranscodeResult:
-        key = self.cache.key_for(video, self.inner, rate)
-        cached = self.cache.load(key, source=video)
-        if cached is not None:
-            return cached
-        result = self.inner.transcode(video, rate)
-        self.cache.store(key, result)
-        return result
-
-    def __repr__(self) -> str:
-        return f"CachingTranscoder(inner={self.inner!r}, cache={self.cache!r})"
-
-
-class MemoizingTranscoder(Transcoder):
-    """An in-process transcode memo: same request, same result, no disk.
+class MemoStore:
+    """The in-process keyed store: same request, same result, no disk.
 
     The traffic simulator replays the same small catalog of titles
     thousands of times; re-encoding an identical request every arrival
-    would make simulated hours cost real hours.  This wrapper keys on the
-    same content address as :class:`TranscodeCache` (pixels + backend
-    knobs + rate), so two requests share an entry exactly when the
-    encoder would have done identical work, and every hit replays the
-    original modeled ``seconds`` — reports are byte-identical with or
-    without the memo.
-
-    Results are values (:class:`~repro.encoders.base.TranscodeResult` is
-    frozen), so the stored object itself is returned, on the miss that
-    fills the entry and on every hit after it.
+    would make simulated hours cost real hours.  Results are values
+    (:class:`~repro.encoders.base.TranscodeResult` is frozen), so the
+    stored object itself is handed back on every hit.
     """
 
-    def __init__(self, inner: Transcoder) -> None:
+    def __init__(self) -> None:
+        self._entries: Dict[str, TranscodeResult] = {}
+
+    def load(self, key: str, source: Video) -> Optional[TranscodeResult]:
+        return self._entries.get(key)
+
+    def store(self, key: str, result: TranscodeResult) -> None:
+        self._entries[key] = result
+
+
+class CachingTranscoder(Transcoder):
+    """A backend that consults a keyed store before encoding.
+
+    ``store`` is a :class:`TranscodeCache` (disk) or a :class:`MemoStore`
+    (in-process); both answer ``load(key, source)`` / ``store(key,
+    result)`` under the :func:`cache_key` content address, so two requests
+    share an entry exactly when the encoder would have done identical
+    work.  Transparent to callers: ``name`` mirrors the wrapped backend
+    and a replayed result carries the original modeled ``seconds``, so
+    scores and reports are byte-identical with or without the store.
+    """
+
+    def __init__(
+        self, inner: Transcoder, store: Union[TranscodeCache, MemoStore]
+    ) -> None:
         self.inner = inner
+        self.store = store
         self.name = inner.name
-        self._memo: Dict[str, TranscodeResult] = {}
 
     def transcode(self, video: Video, rate: RateSpec) -> TranscodeResult:
         key = cache_key(video, self.inner, rate)
-        result = self._memo.get(key)
+        result = self.store.load(key, video)
         if result is None:
-            result = self._memo[key] = self.inner.transcode(video, rate)
+            result = self.inner.transcode(video, rate)
+            self.store.store(key, result)
         return result
 
     def __repr__(self) -> str:
-        return f"MemoizingTranscoder(inner={self.inner!r})"
+        return f"CachingTranscoder(inner={self.inner!r}, store={self.store!r})"

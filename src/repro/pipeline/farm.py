@@ -536,9 +536,9 @@ class TranscodeFarm:
         if self.cache is not None:
             backend = self.cache.wrap(backend)
         if self._memoize:
-            from repro.exec.cache import MemoizingTranscoder
+            from repro.exec.cache import CachingTranscoder, MemoStore
 
-            backend = MemoizingTranscoder(backend)
+            backend = CachingTranscoder(backend, MemoStore())
         if self.config.time_scale != 1.0:
             backend = ScaledTranscoder(backend, self.config.time_scale)
         if self.fault_plan is not None:

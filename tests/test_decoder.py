@@ -203,3 +203,21 @@ class TestV1BackCompat:
         if result.frames_concealed:
             first = result.concealed.index(True)
             assert all(result.concealed[first:])
+
+
+class TestAllIntraResiduals:
+    """An I frame is the residual reader's ``n_luma16 = 0`` case, also when
+    the stream's P frames could carry 16x16 blocks."""
+
+    @pytest.mark.parametrize("container_version", [1, 2])
+    @pytest.mark.parametrize("entropy_coder", ["cavlc", "cabac"])
+    def test_round_trip_is_bit_exact(self, entropy_coder, container_version):
+        config = preset("medium").derived(
+            keyint=1,
+            transform_size=16,
+            entropy_coder=entropy_coder,
+            container_version=container_version,
+        )
+        result = encode(_tiny_clip(), config, crf=30)
+        assert result.keyframes == len(result.recon)
+        assert decode(result.bitstream) == result.recon

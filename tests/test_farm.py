@@ -322,7 +322,7 @@ class TestJobStream:
     def test_memoized_repeats_cost_the_same_simulated_time(self):
         from repro.core.scenarios import Scenario
 
-        from repro.exec import MemoizingTranscoder
+        from repro.exec import CachingTranscoder, MemoStore
 
         clip = make_clips()[0]
         for time_scale, plan in (
@@ -347,8 +347,9 @@ class TestJobStream:
                 assert repeat.service_s == pytest.approx(timings[0].service_s)
             # Results are values, so the memo shares the one it stored.
             memo = farm.pool["x264:medium"]
-            while not isinstance(memo, MemoizingTranscoder):
+            while not isinstance(memo, CachingTranscoder):
                 memo = memo.inner
+            assert isinstance(memo.store, MemoStore)
             rate = farm.job_rate(clip, Scenario.VOD)
             assert memo.transcode(clip, rate) is memo.transcode(clip, rate)
 
@@ -397,7 +398,7 @@ class TestJobStream:
         clean = {
             id(result.output)
             for backend in farm.pool.values()
-            for result in backend.inner.inner._memo.values()
+            for result in backend.inner.inner.store._entries.values()
         }
         clean_measured = [db for _, output, db in measured if id(output) in clean]
         assert 1 <= len(clean_measured) <= len(clean)

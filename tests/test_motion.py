@@ -194,3 +194,24 @@ class TestCompensation:
             padded, 4, np.array([[8, 8]]), ys, xs, 8
         )
         assert np.allclose(pred[0], padded[5:13, 5:13])
+
+    def test_counters_cannot_be_passed_positionally(self, rng):
+        """A positional ``counters`` once landed in the ``subpel`` slot."""
+        padded = pad_reference(_textured(rng, 16, 16), 4)
+        ys = xs = np.array([0])
+        mvs = np.array([[0, 0]])
+        with pytest.raises(TypeError):
+            motion_compensate_chroma(padded, 4, mvs, ys, xs, 8, Counters())
+        with pytest.raises(TypeError):
+            motion_compensate(padded, 4, mvs, ys, xs, 8, Counters())
+
+    def test_zero_vector_chroma_copy_needs_no_interpolation(self, rng):
+        """What lets the skip copy take the integer path: on an
+        integer-valued reference both paths give the same bits."""
+        padded = pad_reference(np.rint(_textured(rng, 32, 48)), 4)
+        ys, xs = block_positions(32, 48, 8)
+        zeros = np.zeros((ys.size, 2), dtype=np.int64)
+        np.testing.assert_array_equal(
+            motion_compensate_chroma(padded, 4, zeros, ys, xs, 8, subpel=False),
+            motion_compensate_chroma(padded, 4, zeros, ys, xs, 8, subpel=True),
+        )

@@ -1,5 +1,7 @@
-"""The repository must not track compiled artifacts (mirrors the CI gate)."""
+"""Repository hygiene: no tracked build artifacts (mirrors the CI gate), and
+the codec's layering -- reconstruction has one owner."""
 
+import ast
 import re
 import subprocess
 from pathlib import Path
@@ -38,3 +40,40 @@ def test_gitignore_covers_bytecode():
     rules = gitignore.read_text()
     assert "__pycache__/" in rules
     assert "*.py[cod]" in rules
+
+
+# -- codec layering -----------------------------------------------------------
+
+CODEC = REPO_ROOT / "src" / "repro" / "codec"
+#: The pixel-producing kernels of reconstruction, and where each is defined.
+_RECONSTRUCTION_KERNELS = {
+    "motion_compensate": "motion.py",
+    "motion_compensate_chroma": "motion.py",
+    "deblock_plane": "deblock.py",
+    "dc_predict_batch": "predict.py",
+}
+
+
+def test_decoder_does_not_import_the_encoder():
+    tree = ast.parse((CODEC / "decoder.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if "encoder" in name], imported
+
+
+def test_reconstruction_kernels_have_one_caller():
+    """Encoder and decoder rebuild pixels through codec/reconstruct.py only."""
+    offenders = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            home = _RECONSTRUCTION_KERNELS.get(name)
+            if home and path not in (CODEC / "reconstruct.py", CODEC / home):
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {name}")
+    assert not offenders, offenders
