@@ -12,8 +12,9 @@ methods span the effort ladder:
   highest effort level.
 
 Everything operates on all blocks of a frame simultaneously: candidate
-windows are gathered with advanced indexing and SAD is reduced per block,
-so the inner loops run in numpy, not Python.
+windows are gathered with advanced indexing (log search, sub-pel) or read
+as sliding-window views of the reference (full search) and SAD is reduced
+per block, so the inner loops run in numpy, not Python.
 
 Motion vectors are stored in **quarter-pel units** ``(dy, dx)``; sub-pixel
 refinement (when enabled by the preset) evaluates the 8 half-pel positions
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.codec.instrumentation import Counters
 
@@ -107,7 +109,8 @@ def estimate_motion(
         current: The luma plane being encoded, shape ``(H, W)``, padded to a
             multiple of ``block_size``.
         reference_padded: Output of :func:`pad_reference` on the
-            reconstructed reference plane, padded by ``pad``.
+            reconstructed reference plane, padded by ``pad``: shape
+            ``(H + 2 * pad, W + 2 * pad)``.
         pad: The padding used; must be at least ``search_range + 1``.
         block_size: Macroblock size (16 for luma).
         search_method: ``"none"``, ``"log"`` or ``"full"``.
@@ -139,6 +142,12 @@ def estimate_motion(
     if pad < search_range + 1:
         raise ValueError(
             f"reference pad {pad} too small for search range {search_range}"
+        )
+    if np.shape(reference_padded) != (height + 2 * pad, width + 2 * pad):
+        raise ValueError(
+            f"reference_padded is {np.shape(reference_padded)}, expected "
+            f"{(height + 2 * pad, width + 2 * pad)} for a {(height, width)} "
+            f"plane padded by {pad}"
         )
     counters = counters if counters is not None else Counters()
 
@@ -194,8 +203,8 @@ def estimate_motion(
 
         if search_method == "full":
             a_mvs, a_sads = _full_search(
-                a_blocks, reference_padded, a_ys, a_xs, pad,
-                block_size, search_range, a_mvs, a_sads, counters,
+                current, reference_padded, pad, block_size, search_range,
+                active, a_mvs, a_sads, counters,
             )
         else:
             a_mvs, a_sads = _log_search(
@@ -220,30 +229,55 @@ def estimate_motion(
     return MotionField(mvs=mvs_qpel, sads=best_sads, zero_sads=zero_sads)
 
 
-def _full_search(cur_blocks, padded, ys, xs, pad, bs, srange, best_mvs, best_sads, counters):
+def _on_8bit_grid(plane: np.ndarray) -> bool:
+    """Whether the pixel snap of ``filter_and_snap`` would leave ``plane`` as it is."""
+    return np.array_equal(plane, np.clip(np.rint(plane), 0, 255))
+
+
+def _full_search(current, padded, pad, bs, srange, active, best_mvs, best_sads, counters):
     """Exhaustive integer search over the full +/- srange window.
 
-    Each block's whole search window (``2*srange + bs`` square) is gathered
-    from the padded reference once up front; the candidate block at every
-    displacement is then a constant-stride slice view into that window.
-    This replaces ``(2*srange + 1)**2 - 1`` fancy-indexed gathers with one,
-    leaving only the SAD reductions per offset.  Candidate pixel values are
-    the same either way, so SADs -- and the bitstream -- are bit-identical.
+    Builds every block's SAD surface one row of displacements at a time:
+    the ``2*srange + 1`` horizontal shifts of the reference rows at one
+    ``dy`` are a sliding-window view against the current plane, reduced
+    over the rows, then the columns, of each macroblock -- ``2*srange + 1``
+    numpy passes per frame, not one per ``(dy, dx)``.  The first minimum of
+    the raster-ordered surface, under one strict ``<`` against the incoming
+    best, is the vector a sequential raster scan keeps.
+
+    Codec planes are on the 8-bit grid (``uint8`` sources, references
+    snapped by ``filter_and_snap``), so the sums run in integers that hold
+    them exactly -- ``|a - b| <= 255``, 16 rows ``<= 4080`` (``int16``), a
+    block ``<= 65280`` (``int32``) -- and equal the float64 SADs bit for
+    bit in any accumulation order.  Other inputs run the same code in
+    float64.
     """
-    n = cur_blocks.shape[0]
-    span = 2 * srange + bs
-    windows = _gather_windows(padded, ys + pad - srange, xs + pad - srange, span, span)
-    for dy in range(-srange, srange + 1):
-        for dx in range(-srange, srange + 1):
-            if dy == 0 and dx == 0:
-                continue
-            r0, c0 = dy + srange, dx + srange
-            cand = windows[:, r0 : r0 + bs, c0 : c0 + bs]
-            sads = _sad(cur_blocks, cand)
-            counters.add("sad", n)
-            better = sads < best_sads
-            best_sads[better] = sads[better]
-            best_mvs[better] = (dy, dx)
+    height, width = current.shape
+    rows, cols = height // bs, width // bs
+    k = 2 * srange + 1
+    exact = 255 * bs <= np.iinfo(np.int16).max  # what a 16-bit row sum can hold
+    if exact and _on_8bit_grid(current) and _on_8bit_grid(padded):
+        current, padded = current.astype(np.int16), padded.astype(np.int16)
+        row_t, sad_t = np.int16, np.int32
+    else:
+        row_t = sad_t = np.float64
+    surface = np.empty((rows, cols, k, k), dtype=sad_t)  # [mb row, mb col, dy, dx]
+    x0 = pad - srange
+    for i in range(k):
+        band = padded[x0 + i : x0 + i + height, x0 : x0 + width + 2 * srange]
+        diff = sliding_window_view(band, width, axis=1) - current[:, None, :]  # [y, dx, x]
+        np.abs(diff, out=diff)
+        row_sums = diff.reshape(rows, bs, k, width).sum(axis=1, dtype=row_t)
+        block_sads = row_sums.reshape(rows, k, cols, bs).sum(axis=3, dtype=sad_t)
+        surface[:, :, i] = block_sads.swapaxes(1, 2)
+    sads = surface.reshape(rows * cols, k * k)[active].astype(np.float64)
+    sads[:, k * k // 2] = best_sads  # the zero vector is the incumbent's, never a candidate
+    counters.add("sad", active.size * (k * k - 1))
+    lowest = sads.min(axis=1)
+    better = lowest < best_sads
+    best_sads[better] = lowest[better]
+    first = sads[better].argmin(axis=1)
+    best_mvs[better] = np.stack(np.divmod(first, k), axis=1) - srange
     return best_mvs, best_sads
 
 

@@ -38,7 +38,7 @@ def forward_dct(blocks: np.ndarray) -> np.ndarray:
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
         raise ValueError(f"expected (n, S, S) blocks, got shape {blocks.shape}")
     c = dct_matrix(blocks.shape[1])
-    return np.einsum("ij,njk,lk->nil", c, blocks, c, optimize=True)
+    return np.matmul(np.matmul(c, blocks), c.T)
 
 
 def inverse_dct(coeffs: np.ndarray) -> np.ndarray:
@@ -47,7 +47,7 @@ def inverse_dct(coeffs: np.ndarray) -> np.ndarray:
     if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
         raise ValueError(f"expected (n, S, S) coefficients, got shape {coeffs.shape}")
     c = dct_matrix(coeffs.shape[1])
-    return np.einsum("ji,njk,kl->nil", c, coeffs, c, optimize=True)
+    return np.matmul(np.matmul(c.T, coeffs), c)
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.codec import motion
 from repro.codec.instrumentation import Counters
 from repro.codec.motion import (
     block_positions,
@@ -103,6 +104,115 @@ class TestIntegerSearch:
             estimate_motion(
                 np.zeros((32, 32)), ref, 4, 16, search_range=2, subpel_depth=3
             )
+        # A reference padded for another plane: slices would truncate silently.
+        with pytest.raises(ValueError, match=r"\(40, 40\).*\(40, 56\)"):
+            estimate_motion(np.zeros((32, 48)), ref, 4, 16, search_range=2)
+
+
+def _scan_full_search(current, padded, pad, bs, srange, active, best_mvs, best_sads, counters):
+    """The sequential per-offset scan ``_full_search`` replaced: its oracle
+    for values, raster-order tie-breaking and the ``sad`` count."""
+    ys, xs = (origin[active] for origin in block_positions(*current.shape, bs))
+    cur_blocks = motion._gather_windows(current, ys, xs, bs, bs)
+    for dy in range(-srange, srange + 1):
+        for dx in range(-srange, srange + 1):
+            if dy == 0 and dx == 0:
+                continue
+            cand = motion._gather_windows(padded, ys + pad + dy, xs + pad + dx, bs, bs)
+            sads = np.abs(cur_blocks - cand).sum(axis=(1, 2))
+            counters.add("sad", active.size)
+            better = sads < best_sads
+            best_sads[better] = sads[better]
+            best_mvs[better] = (dy, dx)
+    return best_mvs, best_sads
+
+
+def _both_searches(monkeypatch, cur, ref, srange, **kwargs):
+    """``estimate_motion(..., "full")`` with the surface and with the scan."""
+    out = []
+    for scan in (False, True):
+        with monkeypatch.context() as patch:
+            if scan:
+                patch.setattr(motion, "_full_search", _scan_full_search)
+            counters = Counters()
+            mf = estimate_motion(
+                cur, pad_reference(ref, srange + 2), srange + 2, 16,
+                search_method="full", search_range=srange, counters=counters,
+                **kwargs,
+            )
+        out.append((mf, counters.as_dict()))
+    return out
+
+
+class TestFullSearchAgainstScan:
+    """The SAD surface must reproduce the per-offset scan, not approximate it."""
+
+    @pytest.mark.parametrize("srange", [1, 4, 16])
+    @pytest.mark.parametrize("subpel_depth", [0, 2])
+    def test_8bit_planes_are_equal(self, monkeypatch, rng, srange, subpel_depth):
+        h, w = 48, 80  # 3 x 5 macroblocks, non-square
+        ref = rng.integers(0, 256, size=(h, w)).astype(np.float64)
+        cur = np.clip(np.roll(ref, (2, -1), axis=(0, 1)) + rng.integers(-3, 4, (h, w)), 0, 255)
+        cur[32:, :32] = ref[32:, :32]  # static blocks: below the skip threshold
+        ref[:16, 32:] = cur[:16, 32:] = 77.0  # flat: every offset ties, nobody moves
+        ref[10:38, 10:38] = 120.0  # a plateau around block (16, 16) ...
+        ref[16:32, 16:32] = 130.0
+        cur[16:32, 16:32] = 100.0  # ... whose escapes tie: first in raster order wins
+        seeds = rng.integers(-srange, srange + 1, size=(15, 2))
+        seeds[::2] = (2, -1)  # the true shift: lowers best_sads before the search
+        (new, new_counts), (old, old_counts) = _both_searches(
+            monkeypatch, cur, ref, srange, subpel_depth=subpel_depth,
+            init_mvs=seeds, skip_threshold=16.0,
+        )
+        np.testing.assert_array_equal(new.mvs, old.mvs)
+        np.testing.assert_array_equal(new.sads, old.sads)
+        np.testing.assert_array_equal(new.zero_sads, old.zero_sads)
+        assert list(new_counts.items()) == list(old_counts.items())
+        assert np.any(new.mvs) and not np.all(np.any(new.mvs, axis=1))
+
+    def test_plateau_ties_resolve_to_first_raster_offset(self, monkeypatch):
+        ref = np.full((48, 48), 120.0)
+        ref[16:32, 16:32] = 130.0
+        cur = np.full((48, 48), 120.0)
+        cur[16:32, 16:32] = 100.0
+        (new, _), (old, _) = _both_searches(monkeypatch, cur, ref, 4, subpel_depth=0)
+        assert tuple(new.mvs[4] // 4) == tuple(old.mvs[4] // 4) == (-4, -4)
+        assert not np.any(np.delete(new.mvs, 4, axis=0))  # flat blocks stay put
+
+    def test_float_planes_run_the_same_search(self, monkeypatch):
+        # Seed picked so that on some static blocks the surface rounds the
+        # zero-vector SAD one ulp *below* ``zero_sads`` (it happens to ~15 %).
+        rng = np.random.default_rng(0)
+        ref = _textured(rng, 64, 96)
+        cur = _shift(ref, -3, 2)
+        cur[:, :48] = ref[:, :48]  # a static half ...
+        cur += rng.normal(0, 20.0, size=ref.shape)  # ... and a large zero-vector SAD
+        (new, new_counts), (old, old_counts) = _both_searches(
+            monkeypatch, cur, ref, 6, subpel_depth=0
+        )
+        np.testing.assert_array_equal(new.mvs, old.mvs)
+        np.testing.assert_allclose(new.sads, old.sads, rtol=1e-12)
+        assert new_counts == old_counts
+        # ... which must not leak out as a "better" zero vector.
+        unmoved = ~np.any(new.mvs, axis=1)
+        assert unmoved.any() and not unmoved.all()
+        np.testing.assert_array_equal(new.sads[unmoved], new.zero_sads[unmoved])
+
+    def test_codec_planes_are_on_the_8bit_grid(self, rng, natural_video):
+        """Where the integer path's precondition is produced."""
+        from repro.codec.encoder import _CodingState
+        from repro.codec.presets import preset
+
+        state = _CodingState(natural_video, preset("medium"))
+        state.load_frame(natural_video[0])
+        wild = tuple(
+            rng.normal(128, 200, size=p.shape)
+            for p in (state.cur_y, state.cur_u, state.cur_v)
+        )
+        snapped = state.filter_and_snap(wild, None, 30, 30, Counters())
+        for plane in (state.cur_y, state.cur_u, state.cur_v, *snapped):
+            np.testing.assert_array_equal(plane, plane.astype(np.uint8))
+            assert motion._on_8bit_grid(plane)
 
 
 class TestSubpel:

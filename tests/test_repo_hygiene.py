@@ -65,15 +65,32 @@ def test_decoder_does_not_import_the_encoder():
     assert not [name for name in imported if "encoder" in name], imported
 
 
+def _calls_in_src():
+    """``(path, node, called name)`` of every call expression under ``src/``."""
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                yield path, node, name
+
+
 def test_reconstruction_kernels_have_one_caller():
     """Encoder and decoder rebuild pixels through codec/reconstruct.py only."""
     offenders = []
-    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            home = _RECONSTRUCTION_KERNELS.get(name)
-            if home and path not in (CODEC / "reconstruct.py", CODEC / home):
-                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {name}")
+    for path, node, name in _calls_in_src():
+        home = _RECONSTRUCTION_KERNELS.get(name)
+        if home and path not in (CODEC / "reconstruct.py", CODEC / home):
+            offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {name}")
+    assert not offenders, offenders
+
+
+def test_no_einsum_path_search_per_call():
+    """``einsum(..., optimize=...)`` re-runs a Python contraction-order search
+    on every call (111 us against 11 us for the matmuls it picked): on the
+    codec's small per-wavefront batches that was a fifth of encode time."""
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+        for path, node, name in _calls_in_src()
+        if name == "einsum" and any(kw.arg == "optimize" for kw in node.keywords)
+    ]
     assert not offenders, offenders

@@ -48,6 +48,18 @@ class TestForwardInverse:
         low = np.sum(coeffs[:2, :2] ** 2)
         assert low / np.sum(coeffs**2) > 0.95
 
+    @pytest.mark.parametrize("transform", [forward_dct, inverse_dct])
+    @pytest.mark.parametrize("size", [4, 8, 16])
+    def test_block_bits_do_not_depend_on_the_batch(self, rng, transform, size):
+        """The encoder batches per wavefront, the decoder per frame:
+        ``decode == recon`` needs block *i* to come out the same either way."""
+        blocks = rng.normal(0, 50, size=(96, size, size))
+        alone = np.concatenate([transform(block[None]) for block in blocks])
+        for n in (0, 1, 7, 96):
+            batch = transform(blocks[:n])
+            assert batch.shape == (n, size, size)
+            np.testing.assert_array_equal(batch, alone[:n])
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             forward_dct(np.zeros((8, 8)))
