@@ -40,8 +40,9 @@ Determinism rules (see DESIGN.md "Fleet chaos & recovery"):
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -71,6 +72,8 @@ IDLE = "idle"  # ready, no job
 BUSY = "busy"  # running an attempt
 DEAD = "dead"  # crashed / preempted / caught in an outage
 RETIRED = "retired"  # reclaimed by scale-down or drained out
+
+_DEATH_CAUSES = ("crash", "preempt", "outage")
 
 
 @dataclass(frozen=True)
@@ -381,10 +384,13 @@ class FleetState:
         self.plan = plan
         self.policy = policy or RECOVERY_POLICY
         self.workers: Dict[int, Worker] = {}
+        # The census scans only replicas that can still matter: neither
+        # RETIRED nor known-dead.  Insertion order is wid order.
+        self._live: Dict[int, Worker] = {}
         self._next_id = 0
         # Deaths awaiting a replacement: spawn times pop the oldest to
         # form a time-to-recover sample (death -> replacement ready).
-        self._pending_deaths: List[float] = []
+        self._pending_deaths: Deque[float] = deque()
         self.ttr_samples: List[float] = []
         # Counters surfaced through FleetStats.
         self.spawned = 0
@@ -420,25 +426,28 @@ class FleetState:
         exactly what the recovering policy's detect-time replacement
         buys back.
         """
-        believed = sum(1 for w in self.workers.values() if self._serving(w))
-        believed += sum(
+        # Every DEAD replica still in the live set is an undetected one.
+        return sum(
             1
-            for w in self.workers.values()
-            if w.state == DEAD and not w.detected
+            for w in self._live.values()
+            if w.state == DEAD or self._serving(w)
         )
-        return believed
 
     def mark_detected(self, worker: Worker) -> None:
+        if worker.state != DEAD:
+            raise RuntimeError(
+                f"cannot detect the death of worker {worker.wid} in state "
+                f"{worker.state}"
+            )
         worker.detected = True
+        self._live.pop(worker.wid, None)
 
     def idle_worker(self) -> Optional[Worker]:
         """Lowest-id replica that can accept a job right now."""
-        best: Optional[Worker] = None
-        for worker in self.workers.values():
+        for worker in self._live.values():
             if worker.state == IDLE and self._serving(worker):
-                if best is None or worker.wid < best.wid:
-                    best = worker
-        return best
+                return worker
+        return None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -468,11 +477,12 @@ class FleetState:
         if self._pending_deaths:
             # Replacement for a recorded death: time-to-recover runs
             # from the death to this replica coming online.
-            ttr = worker.ready_s - self._pending_deaths.pop(0)
+            ttr = worker.ready_s - self._pending_deaths.popleft()
             self.ttr_samples.append(ttr)
         else:
             worker.growth_cold = worker.state == COLD
         self.workers[wid] = worker
+        self._live[wid] = worker
         self.spawned += 1
         return worker
 
@@ -495,7 +505,7 @@ class FleetState:
         have = self.capacity_count()
         if have < target:
             deficit = target - have
-            for worker in sorted(self.workers.values(), key=lambda w: w.wid):
+            for worker in self._live.values():
                 if deficit == 0:
                     break
                 if worker.state in (IDLE, BUSY) and worker.draining:
@@ -508,10 +518,10 @@ class FleetState:
             # Idle replicas retire immediately (nothing in flight) ...
             idles = [
                 w
-                for w in self.workers.values()
+                for w in self._live.values()
                 if w.state == IDLE and self._serving(w)
             ]
-            for worker in sorted(idles, key=lambda w: -w.wid):
+            for worker in reversed(idles):
                 if surplus == 0:
                     break
                 self._retire(worker)
@@ -519,10 +529,10 @@ class FleetState:
             # ... busy ones only drain: finish the job, then retire.
             busys = [
                 w
-                for w in self.workers.values()
+                for w in self._live.values()
                 if w.state == BUSY and self._serving(w)
             ]
-            for worker in sorted(busys, key=lambda w: -w.wid):
+            for worker in reversed(busys):
                 if surplus == 0:
                     break
                 worker.draining = True
@@ -539,6 +549,7 @@ class FleetState:
                 f"{worker.attempt_id} in flight"
             )
         worker.state = RETIRED
+        del self._live[worker.wid]
 
     def assign(self, worker: Worker, attempt_id: int) -> None:
         if worker.state != IDLE:
@@ -555,6 +566,7 @@ class FleetState:
             return  # already dead or retired; nothing to release
         if worker.draining or worker.preempt_notified:
             worker.state = RETIRED
+            del self._live[worker.wid]
         else:
             worker.state = IDLE
 
@@ -573,6 +585,8 @@ class FleetState:
         part of the cold start the notice window could not hide; silent
         deaths queue for pairing with the next replacement spawn.
         """
+        if cause not in _DEATH_CAUSES:
+            raise ValueError(f"unknown death cause {cause!r}")
         if worker.state in (DEAD, RETIRED):
             return None
         interrupted = worker.attempt_id
@@ -584,6 +598,7 @@ class FleetState:
             # the notice, so recovery time is only the part of its cold
             # start the notice window could not hide.
             worker.detected = True
+            del self._live[worker.wid]
             self.ttr_samples.append(
                 max(self.plan.cold_start_s - self.plan.preempt_notice_s, 0.0)
             )
@@ -593,22 +608,17 @@ class FleetState:
             self.crashes += 1
         elif cause == "preempt":
             self.preemptions += 1
-        elif cause == "outage":
+        else:
             self.outage_kills += 1
-        else:  # pragma: no cover - callers pass known causes
-            raise ValueError(f"unknown death cause {cause!r}")
         return interrupted
 
     def domain_members(self, domain: int) -> List[Worker]:
         """Alive workers in one fault domain, id order."""
-        return sorted(
-            (
-                w
-                for w in self.workers.values()
-                if w.domain == domain and w.state in (COLD, IDLE, BUSY)
-            ),
-            key=lambda w: w.wid,
-        )
+        return [
+            w
+            for w in self._live.values()
+            if w.domain == domain and w.state in (COLD, IDLE, BUSY)
+        ]
 
     # -- fault draws ----------------------------------------------------------
 
@@ -651,7 +661,7 @@ class FleetState:
             return
         alive = sum(
             1
-            for w in self.workers.values()
+            for w in self._live.values()
             if w.state in (IDLE, BUSY) or (w.state == COLD and w.growth_cold)
         )
         self.intended_worker_s += target * dt

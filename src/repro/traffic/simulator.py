@@ -50,6 +50,7 @@ budget is actually at risk and admission control has something to do.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -90,7 +91,7 @@ from repro.traffic.slo import (
     PredictionStats,
     ScenarioStats,
     SLOReport,
-    percentile,
+    nearest_rank,
 )
 from repro.video.synthesis import synthesize
 from repro.video.video import Video
@@ -289,8 +290,8 @@ class TrafficSimulator:
         self._wait_samples: Dict[str, List[float]] = {}
         self._e2e_samples: Dict[str, List[float]] = {}
         self._pred_samples: Dict[str, List[Tuple[float, float]]] = {}
-        # Clean first-delivery service times per scenario: the sample
-        # pool the p99 hedge delay derives from.
+        # Clean first-delivery service times per scenario, kept sorted
+        # ascending: the sample pool the p99 hedge delay derives from.
         self._service_samples: Dict[str, List[float]] = {}
         self._attempts: Dict[int, _Attempt] = {}
         self._next_aid = 0
@@ -433,7 +434,7 @@ class TrafficSimulator:
         samples = self._service_samples.get(scenario.value, [])
         if len(samples) < self.policy.hedge_min_samples:
             return None
-        return percentile(samples, 99.0) * self.policy.hedge_p99_multiplier
+        return nearest_rank(samples, 99.0) * self.policy.hedge_p99_multiplier
 
     # -- the event loop -------------------------------------------------------
 
@@ -745,9 +746,7 @@ class TrafficSimulator:
             # and the hedge-delay pool: a crashed, stretched, or hedged
             # duplicate's time says nothing about a healthy service.
             self._observe_service(request, timing.service_s)
-            self._service_samples[request.scenario.value].append(
-                timing.service_s
-            )
+            insort(self._service_samples[request.scenario.value], timing.service_s)
         if timing.spec:
             stats.scheduled_specs[timing.spec] = (
                 stats.scheduled_specs.get(timing.spec, 0) + 1

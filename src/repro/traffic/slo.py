@@ -32,6 +32,7 @@ __all__ = [
     "SLOReport",
     "ScenarioStats",
     "chaos_bench_dict",
+    "nearest_rank",
     "percentile",
     "sched_bench_dict",
 ]
@@ -46,11 +47,15 @@ def percentile(samples: Sequence[float], q: float) -> float:
     Returns 0.0 for an empty sample set — reports render "no data" as
     zeros rather than NaN so their text stays byte-stable.
     """
+    return nearest_rank(sorted(samples), q)
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of samples already sorted ascending (no copy)."""
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    if not samples:
+    if not ordered:
         return 0.0
-    ordered = sorted(samples)
     if q == 0.0:
         return ordered[0]
     rank = math.ceil(q / 100.0 * len(ordered))

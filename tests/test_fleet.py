@@ -1,6 +1,7 @@
 """Fleet chaos layer: fault plans, recovery policy, worker lifecycle."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -185,6 +186,25 @@ class TestFleetLifecycle:
         with pytest.raises(ValueError):
             fleet.kill(fleet.spawn(0.0), 1.0, "gremlins")
 
+    def test_unknown_cause_is_refused_before_anything_moves(self):
+        fleet = make_fleet()
+        worker = fleet.spawn(0.0)
+        fleet.assign(worker, 4)
+        with pytest.raises(ValueError, match="gremlins"):
+            fleet.kill(worker, 5.0, "gremlins")
+        assert worker.state == BUSY and worker.attempt_id == 4
+        assert fleet.lost == 0
+        fleet.spawn(10.0)  # no phantom death to pair a replacement with
+        assert fleet.ttr_samples == []
+
+    def test_detecting_a_death_that_did_not_happen_is_refused(self):
+        fleet = make_fleet()
+        worker = fleet.spawn(0.0)
+        with pytest.raises(RuntimeError, match="idle"):
+            fleet.mark_detected(worker)
+        assert not worker.detected
+        assert fleet.idle_worker() is worker  # still dispatchable
+
     def test_replacement_spawn_yields_a_ttr_sample(self):
         fleet = make_fleet(cold_start_s=15.0)
         worker = fleet.spawn(0.0)
@@ -292,3 +312,123 @@ class TestAvailabilityLedger:
         assert fleet.draw_fault(late, 5.0) == DispatchFault()
         fleet.accrue(100.0, target=2)
         assert fleet.availability == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The census oracle: the live set against brute-force scans of every replica
+# ---------------------------------------------------------------------------
+
+DOMAINS = 3
+
+
+def _serving(worker):
+    return (
+        worker.state in (COLD, IDLE, BUSY)
+        and not worker.draining
+        and not worker.preempt_notified
+    )
+
+
+def _check_census(fleet, now):
+    """Every census query equals a scan over all replicas ever spawned."""
+    everyone = sorted(fleet.workers.values(), key=lambda w: w.wid)
+    believed = [
+        w for w in everyone
+        if _serving(w) or (w.state == DEAD and not w.detected)
+    ]
+    assert fleet.capacity_count() == len(believed)
+    idle = [w for w in everyone if w.state == IDLE and _serving(w)]
+    assert fleet.idle_worker() is (idle[0] if idle else None)
+    for domain in range(DOMAINS):
+        assert fleet.domain_members(domain) == [
+            w for w in everyone
+            if w.domain == domain and w.state in (COLD, IDLE, BUSY)
+        ]
+    live = [
+        w for w in everyone
+        if w.state != RETIRED and not (w.state == DEAD and w.detected)
+    ]
+    assert list(fleet._live.items()) == [(w.wid, w) for w in live]
+    # accrue's alive count, read back off one whole second of deficit at
+    # a target no fleet here reaches (integral floats: exact).
+    alive = sum(
+        1 for w in everyone
+        if w.state in (IDLE, BUSY) or (w.state == COLD and w.growth_cold)
+    )
+    before = fleet.unavailable_worker_s
+    fleet.accrue(now, target=100)
+    assert fleet.unavailable_worker_s - before == 100 - alive
+
+
+_OPS = (
+    "spawn", "ready", "assign", "release", "drain", "notify", "kill",
+    "anticipate", "detect", "reconcile",
+)
+
+
+def _random_transition(fleet, rng, now, aid):
+    """Apply one seeded transition; returns what it did, None for a no-op.
+
+    A transition that drops a replica from the live set says so in its
+    return value, so the test can prove every drop site ran.
+    """
+    by_state = {state: [] for state in (COLD, IDLE, BUSY, DEAD, RETIRED)}
+    for worker in fleet.workers.values():
+        by_state[worker.state].append(worker)
+    op = rng.choice(_OPS)
+    if op == "spawn":
+        fleet.spawn(now)
+    elif op == "ready" and by_state[COLD]:
+        fleet.mark_ready(rng.choice(by_state[COLD]))
+    elif op == "assign" and fleet.idle_worker() is not None:
+        fleet.assign(fleet.idle_worker(), aid)
+    elif op == "release" and by_state[BUSY]:
+        worker = rng.choice(by_state[BUSY])
+        fleet.release(worker)
+        return "release:retired" if worker.state == RETIRED else op
+    elif op == "drain" and by_state[BUSY]:
+        rng.choice(by_state[BUSY]).draining = True
+    elif op == "notify" and by_state[IDLE] + by_state[BUSY]:
+        # The simulator's drain-on-preempt write, made outside FleetState.
+        rng.choice(by_state[IDLE] + by_state[BUSY]).preempt_notified = True
+    elif op in ("kill", "anticipate"):
+        worker = rng.choice(list(fleet.workers.values()))  # dead ones too
+        alive = worker.state in (COLD, IDLE, BUSY)
+        if op == "anticipate":
+            fleet.kill(worker, now, "preempt", anticipated=True)
+            return "anticipate:dropped" if alive else op
+        fleet.kill(worker, now, rng.choice(("crash", "preempt", "outage")))
+    elif op == "detect" and by_state[DEAD]:
+        worker = rng.choice(by_state[DEAD])  # detected ones too
+        first = not worker.detected
+        fleet.mark_detected(worker)
+        return "detect:dropped" if first else op
+    elif op == "reconcile":
+        fleet.reconcile(now, target=rng.randrange(0, 8))
+        retired = sum(w.state == RETIRED for w in fleet.workers.values())
+        return "reconcile:retired" if retired > len(by_state[RETIRED]) else op
+    else:
+        return None
+    return op
+
+
+class TestCensusOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_live_set_census_matches_a_full_scan(self, seed):
+        rng = random.Random(seed)
+        fleet = make_fleet(cold_start_s=15.0, fault_domains=DOMAINS)
+        for _ in range(4):
+            fleet.spawn(0.0)  # the warm initial fleet
+        seen = set()
+        for step in range(1, 301):
+            now = float(step)  # spawns after t = 0 boot cold
+            seen.add(_random_transition(fleet, rng, now, aid=step))
+            _check_census(fleet, now)
+        assert fleet.reclaimed_busy == 0
+        # Every transition that drops a replica from the live set ran.
+        assert {
+            "release:retired",
+            "reconcile:retired",
+            "anticipate:dropped",
+            "detect:dropped",
+        } <= seen

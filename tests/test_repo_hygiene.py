@@ -94,3 +94,53 @@ def test_no_einsum_path_search_per_call():
         if name == "einsum" and any(kw.arg == "optimize" for kw in node.keywords)
     ]
     assert not offenders, offenders
+
+
+# -- traffic hot path ---------------------------------------------------------
+
+TRAFFIC = REPO_ROOT / "src" / "repro" / "traffic"
+
+
+def _methods(path, class_name):
+    """``{name: FunctionDef}`` of one class's methods in one module."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            return {
+                item.name: item
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            }
+    raise AssertionError(f"{class_name} not found in {path}")
+
+
+def test_fleet_census_scans_the_live_set_not_every_replica():
+    """``FleetState.workers`` keeps every replica ever spawned (1 023 in a
+    12 000 s chaos run, at most 10 alive at once); scanning it per event
+    was nearly half of that run.  Only ``spawn`` (which registers) may
+    touch it."""
+    offenders = [
+        f"FleetState.{name}:{node.lineno}"
+        for name, method in _methods(TRAFFIC / "fleet.py", "FleetState").items()
+        if name not in ("__init__", "spawn")
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "workers"
+        and getattr(node.value, "id", None) == "self"
+    ]
+    assert not offenders, offenders
+
+
+def test_hedge_delay_reads_the_pool_without_sorting_it():
+    """The hedge pool is kept sorted by ``insort``; re-sorting the whole
+    growing pool on every launch was about half of the simulator's own
+    time on the chaos path."""
+    method = _methods(TRAFFIC / "simulator.py", "TrafficSimulator")["_hedge_delay_s"]
+    span = range(method.lineno, method.end_lineno + 1)
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno} {name}"
+        for path, node, name in _calls_in_src()
+        if path == TRAFFIC / "simulator.py"
+        and node.lineno in span
+        and name in ("sorted", "sort", "percentile")
+    ]
+    assert not offenders, offenders

@@ -1,8 +1,12 @@
 """Traffic layer: arrivals, admission, autoscaling, SLO accounting, the loop."""
 
+import bisect
 import dataclasses
 import hashlib
 import inspect
+import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,9 @@ from repro.traffic import (
     resolve_profile,
     run_traffic,
 )
+from repro.traffic.slo import nearest_rank
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # ---------------------------------------------------------------------------
 # Arrivals
@@ -355,6 +362,29 @@ class TestPercentiles:
     def test_bounds(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
+        with pytest.raises(ValueError):
+            nearest_rank([1.0], -1)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 50.0, 99.0, 100.0])
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [4.25],
+            [2.0, 2.0, 2.0],  # all tied
+            [0.5, 3.0, 3.0, 1.5, 3.0, 0.5, 9.0],  # duplicates and ties
+            [float(v % 37) / 8.0 for v in range(250)],  # heavy duplicates
+        ],
+    )
+    def test_sorted_pool_nearest_rank_is_percentile(self, samples, q):
+        # The hedge delay reads nearest_rank off a pool kept sorted by
+        # insort; it must be the very float percentile() gives unsorted.
+        shuffled = list(samples)
+        random.Random(len(samples)).shuffle(shuffled)
+        pool = []
+        for sample in shuffled:
+            bisect.insort(pool, sample)
+        assert pool == sorted(samples)
+        assert nearest_rank(pool, q) == percentile(shuffled, q)
 
     def test_summary_fields(self):
         summary = LatencySummary.from_samples([3.0, 1.0, 2.0])
@@ -561,6 +591,7 @@ class TestChaosSimulator:
         config = TrafficConfig(
             arrivals=ArrivalConfig(duration_s=300.0),
             fleet=resolve_profile("full", 7),
+            chaos_profile="full",
         )
         naive = TrafficSimulator(
             dataclasses.replace(config, recovery=NAIVE_POLICY), seed=7
@@ -572,6 +603,14 @@ class TestChaosSimulator:
         assert recovery.fleet.availability > naive.fleet.availability
         assert recovery.fleet.redeliveries > 0
         assert naive.fleet.redeliveries == 0  # one delivery, then lost
+        # The hedge schedule (sorted-pool p99) replays the committed arm;
+        # the digest pins hedges_launched along with everything else.
+        committed = json.loads((REPO_ROOT / "BENCH_chaos.json").read_text())
+        arm = committed["arms"]["recovery"]
+        assert recovery.fleet.hedges_launched > 0
+        assert recovery.fleet.hedge_wins == arm["hedge_wins"]
+        assert recovery.fleet.hedge_cancelled == arm["hedge_cancelled"]
+        assert recovery.digest() == arm["digest"]
 
 
 # ---------------------------------------------------------------------------
