@@ -10,19 +10,18 @@ reproducibility silently.  This package is an AST-based lint framework
 (stdlib :mod:`ast`, no dependencies) that makes those invariants fail the
 build instead.
 
-It runs in two phases.  Phase 1 walks files independently (and in
-parallel) running the per-file rules and extracting a
-:class:`~repro.analysis.summaries.ModuleSummary` per file.  Phase 2 --
-``--whole-program`` -- merges the summaries into a
-:class:`~repro.analysis.project.ProjectIndex`, solves interprocedural
-facts to a fixed point over the cross-module call graph, and runs the
-global rules; it is always serial and fully sorted, so serial and
-``--jobs N`` reports stay byte-identical.
+Every run has two phases.  Phase 1 walks files independently (and in
+parallel) running the file rules and extracting a
+:class:`~repro.analysis.summaries.ModuleSummary` per file.  Phase 2
+merges the summaries into a :class:`~repro.analysis.project.ProjectIndex`,
+solves interprocedural facts to a fixed point over the cross-module call
+graph, and runs the project rules; it is always serial and fully sorted,
+so serial and ``--jobs N`` reports stay byte-identical.
 
 * :mod:`repro.analysis.registry` -- checker registry + ``ModuleInfo``.
 * :mod:`repro.analysis.engine` -- file discovery, parallel phase 1,
   deterministic phase 2 and merge.
-* :mod:`repro.analysis.summaries` -- the per-module dataflow IR.
+* :mod:`repro.analysis.summaries` -- the per-module call/raise/export IR.
 * :mod:`repro.analysis.callgraph` -- cross-module call-graph resolution.
 * :mod:`repro.analysis.project` -- the merged index + fixed-point solve.
 * :mod:`repro.analysis.findings` -- structured findings.
@@ -32,8 +31,7 @@ global rules; it is always serial and fully sorted, so serial and
 
 Run it as ``python -m repro lint`` (the CI gate) or programmatically via
 :func:`lint_paths` / :func:`build_project_index`.  The repo self-hosts:
-``tests/test_vlint.py`` asserts the source tree lints clean, including
-the whole-program phase.
+``tests/test_vlint.py`` asserts the source tree lints clean.
 """
 
 from repro.analysis.baseline import (
@@ -58,7 +56,6 @@ from repro.analysis.checkers import (
 from repro.analysis.engine import (
     LintReport,
     collect_summaries,
-    lint_file,
     lint_paths,
     module_name_for,
 )
@@ -103,7 +100,6 @@ __all__ = [
     "collect_summaries",
     "discover_pairs",
     "known_rules",
-    "lint_file",
     "lint_paths",
     "load_baseline",
     "module_name_for",

@@ -14,15 +14,16 @@ Importing this package registers every checker with
 * **VL005** :mod:`~repro.analysis.checkers.exports` -- package
   ``__all__`` matches what is actually bound.
 * **VL006** :mod:`~repro.analysis.checkers.exceptions` -- codec decode
-  paths raise only the bitstream error taxonomy.
+  paths raise only the bitstream error taxonomy, directly or through
+  any call chain.
 * **VL007** :mod:`~repro.analysis.checkers.clock_discipline` --
-  simulated-time code (traffic, SimClock) never reaches a wall clock
-  (whole-program only).
+  simulated-time code (traffic, SimClock) never reaches a wall clock.
 * **VL008** :mod:`~repro.analysis.checkers.dead_api` -- every
-  ``__all__`` export has an in-repo caller (whole-program only).
+  ``__all__`` export has an in-repo caller.
 
-VL001, VL002, and VL006 additionally implement ``check_project`` and
-gain interprocedural findings when ``--whole-program`` is active.
+VL001-VL005 are file rules (``check``); VL006-VL008 are project rules
+(``check_project``) over the solved call graph.  Each rule has exactly
+one implementation.
 """
 
 from repro.analysis.checkers.clock_discipline import ClockDisciplineChecker

@@ -11,7 +11,7 @@ seed.  One
 three modules away -- silently couples the simulation to the host and
 the replay guarantee is gone, without any test necessarily failing.
 
-This is a whole-program rule: it has no per-file phase.  Phase 2 walks
+This is a project rule: it has no file-local half.  Phase 2 walks
 every call site in the simulated-time scope and flags
 
 * direct wall-clock reads (``time.time``, ``time.perf_counter``,

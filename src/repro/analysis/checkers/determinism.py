@@ -27,7 +27,6 @@ import ast
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.findings import Finding
-from repro.analysis.project import TAINT_SINKS as _TAINT_SINKS, sink_leaf
 from repro.analysis.registry import Checker, ModuleInfo, register
 
 __all__ = ["DeterminismChecker"]
@@ -42,6 +41,10 @@ DETERMINISTIC_PACKAGES = (
     "repro.robust",
     "repro.traffic",
 )
+
+#: Call-name prefixes a perf_counter-derived value must never reach
+#: (``bench_dict`` covers the SLO and benchmark digest surfaces).
+TAINT_SINKS = ("cache_key", "video_digest", "score", "bench_dict")
 
 #: ``random`` module attributes that pin or construct streams (allowed).
 _RANDOM_ALLOWED = {"seed", "Random", "SystemRandom", "getstate", "setstate"}
@@ -296,7 +299,7 @@ class DeterminismChecker(Checker):
                     continue
                 name = _call_name(sub.func)
                 leaf = name.rsplit(".", 1)[-1]
-                if not any(leaf.startswith(s) for s in _TAINT_SINKS):
+                if not any(leaf.startswith(s) for s in TAINT_SINKS):
                     continue
                 args_taint = False
                 for arg in list(sub.args) + [kw.value for kw in sub.keywords]:
@@ -316,100 +319,3 @@ class DeterminismChecker(Checker):
                         )
                     )
         return findings
-
-    # -- whole-program taint (phase 2) ---------------------------------------
-
-    def check_project(self, index) -> List[Finding]:
-        """Clock taint across call and module boundaries.
-
-        Two flows the per-file pass cannot see:
-
-        * a sink call whose argument is clock-tainted only through a
-          *callee's return value* (``t = timed_helper()`` where the
-          helper, possibly in another module, returns perf_counter);
-        * a clock-tainted value passed to a callee whose parameter flows
-          into a sink *inside the callee* (taint laundered through a
-          call boundary).
-
-        Flows the per-file rule already reports are skipped, so the two
-        phases never double-report one defect.
-        """
-        findings: List[Finding] = []
-        for module_name in sorted(index.lint_modules):
-            if not _in_scope(module_name):
-                continue
-            summary = index.summaries[module_name]
-            for fn in summary.functions:
-                findings.extend(self._check_flows(index, summary, fn))
-        return findings
-
-    def _check_flows(self, index, summary, fn) -> List[Finding]:
-        tainted = index.clock_tainted_names(fn)
-        local = index.clock_tainted_names(fn, local_only=True)
-        findings: List[Finding] = []
-        for site in fn.calls:
-            sink = sink_leaf(site)
-            for position, arg in enumerate(site.args):
-                if sink is not None:
-                    if not index.arg_clock_tainted(fn, arg, tainted):
-                        continue
-                    if set(arg.names) & local or any(
-                        index.is_wallclock_read(fn.calls[i])
-                        for i in arg.calls
-                    ):
-                        continue  # the per-file pass reports this one
-                    via = self._taint_source(index, fn, arg, tainted)
-                    findings.append(
-                        self._project_finding(
-                            summary,
-                            site,
-                            f"clock-derived value reaches {sink}() across "
-                            f"a call boundary (via {via}); measured time "
-                            f"in a cache key or score breaks content "
-                            f"addressing",
-                        )
-                    )
-                    break
-                forwarded = index.forwarded_sink(site, position, arg)
-                if forwarded is None:
-                    continue
-                if not (
-                    set(arg.top_names) & tainted
-                    or any(
-                        index.call_returns_clock(fn.calls[i])
-                        for i in arg.top_calls
-                    )
-                ):
-                    continue
-                callee = index.graph.resolve(site.target)
-                findings.append(
-                    self._project_finding(
-                        summary,
-                        site,
-                        f"clock-derived value passed to {callee}() flows "
-                        f"into {forwarded}() inside the callee; measured "
-                        f"time in a cache key or score breaks content "
-                        f"addressing",
-                    )
-                )
-                break
-        return findings
-
-    @staticmethod
-    def _taint_source(index, fn, arg, tainted) -> str:
-        names = sorted(set(arg.names) & tainted)
-        if names:
-            return f"local {names[0]!r}"
-        for i in arg.calls:
-            if index.call_returns_clock(fn.calls[i]):
-                return fn.calls[i].target or fn.calls[i].leaf
-        return "a clock-returning callee"
-
-    def _project_finding(self, summary, site, message: str) -> Finding:
-        return Finding(
-            rule=self.rule,
-            path=summary.path,
-            line=site.line,
-            column=site.col,
-            message=message,
-        )

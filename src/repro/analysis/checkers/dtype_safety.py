@@ -211,54 +211,6 @@ class DtypeSafetyChecker(Checker):
             self._update_state(stmt, uint8_locals, clip_locals)
         return findings
 
-    # -- whole-program uint8 lattice (phase 2) -------------------------------
-
-    def check_project(self, index) -> List[Finding]:
-        """uint8 facts through function signatures and returns.
-
-        The per-file pass only knows a local is uint8 when the cast is in
-        the same scope.  The project index adds two interprocedural
-        sources -- a callee that *returns* uint8, and uint8-ness carried
-        through local aliasing -- plus the forwarding hazard: a uint8
-        value passed to a callee whose parameter feeds unwidened
-        ``+ - *`` arithmetic.  Events the per-file pass already reports
-        (origin ``local``) are skipped.
-        """
-        findings: List[Finding] = []
-        for module_name in sorted(index.lint_modules):
-            summary = index.summaries[module_name]
-            for fn in summary.functions:
-                for kind, fact, origin in index.uint8_walk(fn):
-                    if kind == "arith":
-                        if origin == "local":
-                            continue  # the per-file pass reports this one
-                        if origin == "prop":
-                            source = "through local aliasing"
-                        else:
-                            source = f"returned by {origin}()"
-                        message = (
-                            f"arithmetic on uint8 array {fact.name!r} "
-                            f"(uint8 {source}) wraps at 0/255; widen "
-                            f"first with .astype(np.int16) or wider"
-                        )
-                    else:  # forward into a callee's arithmetic
-                        callee = origin.split("->", 1)[1]
-                        message = (
-                            f"uint8 array passed to {callee}(), whose "
-                            f"parameter feeds unwidened arithmetic; "
-                            f"widen before the call or inside the callee"
-                        )
-                    findings.append(
-                        Finding(
-                            rule=self.rule,
-                            path=summary.path,
-                            line=fact.line,
-                            column=fact.col,
-                            message=message,
-                        )
-                    )
-        return findings
-
     @staticmethod
     def _update_state(
         stmt: ast.stmt, uint8_locals: Set[str], clip_locals: Set[str]

@@ -21,53 +21,28 @@ each ``raise`` in it to be one of:
   caller's bug, not the stream's), ``NotImplementedError``,
 * a bare ``raise`` (re-raising inside an ``except`` block).
 
+The same contract is verified transitively: a helper three calls deep
+that raises bare ``ValueError`` -- minus anything caught by an enclosing
+``try`` along the way -- leaks that exception through the decode API.
+Leaks are reported at each *public* decode-path function (the boundary
+callers and the fuzz oracle actually hit); private ``_decode_*`` helpers
+are conduits the closure propagates through.  The policy itself (scope,
+decode-path criteria, allowed names) lives in
+:mod:`repro.analysis.project`, which the closure also reads.
+
 The write side is exempt: encoder bugs should fail loudly with whatever
 exception is most informative, because encoder inputs are trusted.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.findings import Finding
-from repro.analysis.registry import Checker, ModuleInfo, register
+from repro.analysis.project import DECODE_ALLOWED, in_codec, is_decode_path
+from repro.analysis.registry import Checker, register
 
 __all__ = ["ExceptionHygieneChecker"]
-
-#: Package whose decode paths carry the untrusted-input contract.
-CODEC_PACKAGE = "repro.codec"
-
-#: Exception names the taxonomy sanctions on a decode path.
-TAXONOMY = frozenset(
-    {"BitstreamError", "TruncatedStream", "CorruptPayload", "HeaderError"}
-)
-
-_ALLOWED = TAXONOMY | {"TypeError", "NotImplementedError"}
-
-_DECODE_PREFIXES = ("read_", "decode_")
-_DECODE_CLASS_TAGS = ("Decoder", "Reader")
-
-
-def _is_decode_name(name: str) -> bool:
-    bare = name.lstrip("_")
-    return bare in ("read", "decode") or bare.startswith(_DECODE_PREFIXES)
-
-
-def _is_decode_class(name: str) -> bool:
-    return any(tag in name for tag in _DECODE_CLASS_TAGS)
-
-
-def _raised_name(exc: ast.expr) -> Optional[str]:
-    """Name of the exception a ``raise`` constructs ('' when dynamic)."""
-    target = exc
-    if isinstance(target, ast.Call):
-        target = target.func
-    if isinstance(target, ast.Attribute):
-        return target.attr
-    if isinstance(target, ast.Name):
-        return target.id
-    return None
 
 
 @register
@@ -75,101 +50,52 @@ class ExceptionHygieneChecker(Checker):
     rule = "VL006"
     title = "decode paths may only raise the bitstream error taxonomy"
 
-    def check(self, module: ModuleInfo) -> List[Finding]:
-        if not (
-            module.module == CODEC_PACKAGE
-            or module.module.startswith(CODEC_PACKAGE + ".")
-        ):
-            return []
-        if module.is_package_init:
-            return []
-        findings: List[Finding] = []
-        for node in module.tree.body:
-            if isinstance(node, ast.FunctionDef) and _is_decode_name(
-                node.name
-            ):
-                findings.extend(self._check_function(module, node, node.name))
-            elif isinstance(node, ast.ClassDef):
-                all_methods = _is_decode_class(node.name)
-                for item in node.body:
-                    if not isinstance(item, ast.FunctionDef):
-                        continue
-                    if all_methods or _is_decode_name(item.name):
-                        findings.extend(
-                            self._check_function(
-                                module, item, f"{node.name}.{item.name}"
-                            )
-                        )
-        return findings
-
-    def _check_function(
-        self, module: ModuleInfo, fn: ast.FunctionDef, where: str
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Raise):
-                continue
-            if node.exc is None:  # bare re-raise
-                continue
-            name = _raised_name(node.exc)
-            if name is None or name in _ALLOWED:
-                continue
-            findings.append(
-                self.finding(
-                    module,
-                    node,
-                    f"decode path {where!r} raises {name}; malformed input "
-                    f"must surface as a BitstreamError subclass "
-                    f"(TruncatedStream/CorruptPayload/HeaderError) so "
-                    f"concealment and the fuzz oracle can catch it",
-                )
-            )
-        return findings
-
-    # -- whole-program taxonomy closure (phase 2) ----------------------------
-
     def check_project(self, index) -> List[Finding]:
-        """The taxonomy contract, verified transitively.
-
-        The per-file pass checks what a decode-path function raises
-        *directly*.  The project index closes over the call graph: a
-        helper three calls deep that raises bare ``ValueError`` -- minus
-        anything caught by an enclosing ``try`` along the way -- leaks
-        that exception through the decode API.  Findings anchor at each
-        *public* decode-path function (the API boundary callers and the
-        fuzz oracle actually hit); private ``_decode_*`` helpers are
-        conduits the closure propagates through, not boundaries.
-        """
         findings: List[Finding] = []
         for module_name in sorted(index.lint_modules):
-            if not (
-                module_name == CODEC_PACKAGE
-                or module_name.startswith(CODEC_PACKAGE + ".")
-            ):
+            if not in_codec(module_name):
                 continue
             summary = index.summaries[module_name]
             for fn in summary.functions:
-                if not fn.decode_path or not _is_public_qualname(fn.name):
+                if not is_decode_path(fn.name):
                     continue
-                facts = index.facts.get(f"{module_name}.{fn.name}")
-                if facts is None:
+                for raised in fn.raises:
+                    if raised.name in DECODE_ALLOWED:
+                        continue
+                    findings.append(
+                        self._finding(
+                            summary.path,
+                            raised.line,
+                            raised.col,
+                            f"decode path {fn.name!r} raises "
+                            f"{raised.name}; malformed input must surface "
+                            f"as a BitstreamError subclass "
+                            f"(TruncatedStream/CorruptPayload/HeaderError) "
+                            f"so concealment and the fuzz oracle can catch "
+                            f"it",
+                        )
+                    )
+                if not _is_public_qualname(fn.name):
                     continue
+                facts = index.facts[f"{module_name}.{fn.name}"]
                 for exc, origin in sorted(facts.raises_out.items()):
                     findings.append(
-                        Finding(
-                            rule=self.rule,
-                            path=summary.path,
-                            line=fn.line,
-                            column=fn.col,
-                            message=(
-                                f"decode path {fn.name!r} can leak {exc} "
-                                f"raised at {origin}; catch it at the "
-                                f"decode boundary or raise a "
-                                f"BitstreamError subclass at the origin"
-                            ),
+                        self._finding(
+                            summary.path,
+                            fn.line,
+                            fn.col,
+                            f"decode path {fn.name!r} can leak {exc} "
+                            f"raised at {origin}; catch it at the decode "
+                            f"boundary or raise a BitstreamError subclass "
+                            f"at the origin",
                         )
                     )
         return findings
+
+    def _finding(self, path: str, line: int, col: int, message: str):
+        return Finding(
+            rule=self.rule, path=path, line=line, column=col, message=message
+        )
 
 
 def _is_public_qualname(name: str) -> bool:

@@ -5,16 +5,16 @@ time, mirroring the execution contract of :mod:`repro.exec.runner`: work
 fans out across a fork-based process pool, results are collected in
 deterministic order (sorted paths, then per-file findings sorted by
 location), and the serial and parallel paths produce byte-identical
-reports.  Each worker returns the file's findings *and* its
-:class:`~repro.analysis.summaries.ModuleSummary`.
+reports.  Each worker runs the file rules (``check``) and returns the
+file's findings *and* its :class:`~repro.analysis.summaries.ModuleSummary`.
 
-**Phase 2** (``whole_program=True``) merges the summaries into a
+**Phase 2** merges the summaries -- plus those of any *reference* tree
+(tests, examples), which count as usage but are never linted -- into a
 :class:`~repro.analysis.project.ProjectIndex`, runs the fixed-point
-solve, and gives every checker's ``check_project`` hook a shot at the
-global facts.  Phase 2 is always serial and iterates everything in
-sorted order, so ``--jobs N`` cannot reorder or change its findings:
-lint findings about nondeterminism had better be deterministic
-themselves.
+solve, and runs the project rules (``check_project``).  Phase 2 is always
+serial and iterates everything in sorted order, so ``--jobs N`` cannot
+reorder or change its findings: lint findings about nondeterminism had
+better be deterministic themselves.
 
 Module names are inferred from paths: everything after the last ``src``
 path segment (or from the first ``repro`` segment) joined with dots,
@@ -41,13 +41,13 @@ from typing import (
 
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.project import ProjectIndex
 from repro.analysis.registry import ModuleInfo, all_checkers
 from repro.analysis.summaries import ModuleSummary, extract_summary
 
 __all__ = [
     "LintReport",
     "collect_summaries",
-    "lint_file",
     "lint_paths",
     "module_name_for",
 ]
@@ -67,7 +67,7 @@ class LintReport:
     suppressed: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     stale_entries: List[BaselineEntry] = field(default_factory=list)
-    call_graph: Optional[Dict[str, Any]] = None
+    call_graph: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -123,37 +123,21 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
     return sorted(found)
 
 
-def lint_file(
-    path: Union[str, Path],
-    module: Optional[str] = None,
-    rules: Optional[Sequence[str]] = None,
-) -> List[Finding]:
-    """Lint one file; findings come back sorted by location."""
-    path = str(path)
-    info = ModuleInfo.from_path(path, module or module_name_for(path))
-    return _check(info, rules)
+def _process_one(
+    task: Tuple[str, Optional[Tuple[str, ...]]]
+) -> Tuple[List[Finding], ModuleSummary]:
+    """Pool worker: phase 1 for one file.
 
-
-def _check(info: ModuleInfo, rules: Optional[Sequence[str]]) -> List[Finding]:
-    """The per-file rules over one parsed module, sorted by location."""
+    Returns the file's findings, sorted by location, and its summary.
+    Pure function of its arguments -- no module globals are read or
+    written, so it is fork- and spawn-safe.
+    """
+    path, rules = task
+    info = ModuleInfo.from_path(path, module_name_for(path))
     findings: List[Finding] = []
     for checker in all_checkers(rules):
         findings.extend(checker.check(info))
-    return sorted(findings, key=Finding.sort_key)
-
-
-def _process_one(
-    task: Tuple[str, Optional[Tuple[str, ...]], bool]
-) -> Tuple[List[Finding], Optional[ModuleSummary]]:
-    """Pool worker: phase 1 for one file.
-
-    Returns ``(findings, summary)``; ``summary`` is ``None`` unless
-    requested.  Pure function of its arguments -- no module globals are
-    read or written, so it is fork- and spawn-safe.
-    """
-    path, rules, want_summary = task
-    info = ModuleInfo.from_path(path, module_name_for(path))
-    return _check(info, rules), (extract_summary(info) if want_summary else None)
+    return sorted(findings, key=Finding.sort_key), extract_summary(info)
 
 
 def _pool(jobs: int):
@@ -172,11 +156,10 @@ def _run_phase1(
     files: Sequence[Path],
     rules: Optional[Tuple[str, ...]],
     jobs: int,
-    want_summaries: bool = True,
 ) -> Tuple[List[Finding], List[ModuleSummary]]:
     """Walk ``files`` (in parallel for ``jobs > 1``), in sorted order."""
-    tasks = [(str(path), rules, want_summaries) for path in files]
-    per_file: Iterable[Tuple[List[Finding], Optional[ModuleSummary]]]
+    tasks = [(str(path), rules) for path in files]
+    per_file: Iterable[Tuple[List[Finding], ModuleSummary]]
     findings: List[Finding] = []
     summaries: List[ModuleSummary] = []
     with _pool(jobs) as executor:
@@ -186,8 +169,7 @@ def _run_phase1(
             per_file = executor.map(_process_one, tasks)
         for file_findings, summary in per_file:
             findings.extend(file_findings)
-            if summary is not None:
-                summaries.append(summary)
+            summaries.append(summary)
     return findings, summaries
 
 
@@ -198,7 +180,7 @@ def collect_summaries(
     """Extract :class:`ModuleSummary` objects for every file under
     ``paths`` without running any checker (``rules=()``), in sorted-path
     order.  This is the summaries-only path used for *reference* trees
-    (tests, examples): their names count as usage for the whole-program
+    (tests, examples): their names count as usage for the project
     rules, but they are never linted themselves.
     """
     files = iter_python_files(paths)
@@ -211,40 +193,29 @@ def lint_paths(
     rules: Optional[Sequence[str]] = None,
     baseline: Optional[Baseline] = None,
     jobs: int = 1,
-    whole_program: bool = False,
     reference_paths: Sequence[Union[str, Path]] = (),
 ) -> LintReport:
-    """Lint every ``.py`` file under ``paths``.
+    """Lint every ``.py`` file under ``paths``: both phases, every time.
 
-    ``jobs > 1`` fans phase 1 out across a process pool; the report is
-    byte-identical to a serial run because files are independent, results
-    merge in sorted-path order, and phase 2 -- enabled with
-    ``whole_program=True`` -- is always serial and fully sorted.
+    ``reference_paths`` (tests, examples) contribute summaries -- usage
+    and call-graph nodes -- but are never linted.  ``jobs > 1`` fans
+    phase 1 out across a process pool; the report is byte-identical to a
+    serial run because files are independent, results merge in
+    sorted-path order, and phase 2 is always serial and fully sorted.
     """
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
     files = iter_python_files(paths)
     rule_tuple = tuple(rules) if rules is not None else None
-    merged, summaries = _run_phase1(
-        files, rule_tuple, jobs, want_summaries=whole_program
+    merged, summaries = _run_phase1(files, rule_tuple, jobs)
+    index = ProjectIndex(
+        summaries, collect_summaries(reference_paths, jobs=jobs)
+    ).solve()
+    for checker in all_checkers(rule_tuple):
+        merged.extend(checker.check_project(index))
+    report = LintReport(
+        files_checked=len(files), call_graph=index.graph.to_dict()
     )
-    report = LintReport(files_checked=len(files))
-
-    if whole_program:
-        from repro.analysis.project import ProjectIndex
-
-        lint_modules = {summary.module for summary in summaries}
-        reference = [
-            summary
-            for summary in collect_summaries(reference_paths, jobs=jobs)
-            if summary.module not in lint_modules
-        ]
-        index = ProjectIndex(
-            summaries + reference, lint_modules=lint_modules
-        ).solve()
-        for checker in all_checkers(rule_tuple):
-            merged.extend(checker.check_project(index))
-        report.call_graph = index.graph.to_dict()
 
     if baseline is None:
         report.findings = merged
@@ -265,10 +236,10 @@ def lint_paths(
         else:
             matched.add(entry_index)
             report.suppressed.append(finding)
-    # Staleness is only decidable when the complete rule surface ran:
-    # a per-file or rule-filtered run never produces whole-program
-    # findings, so their baseline entries would read as false stales.
-    if not (whole_program and rules is None):
+    # Staleness is only decidable when the complete rule surface ran: a
+    # rule-filtered run never produces the other rules' findings, so
+    # their baseline entries would read as false stales.
+    if rules is not None:
         return _finish_report(report)
     report.stale_entries = [
         entry

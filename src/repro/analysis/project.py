@@ -3,53 +3,59 @@
 :class:`ProjectIndex` holds every module summary, the resolved
 :class:`~repro.analysis.callgraph.CallGraph`, and one
 :class:`FunctionFacts` per function -- the whole-program facts the
-interprocedural checkers consume:
+project rules consume:
 
-* ``returns_clock`` -- the function's return value derives from a wall
-  clock read (directly, through locals, or through a callee that does);
-* ``sink_params`` -- parameter indices whose value reaches a cache-key /
-  digest / score / bench-dict sink inside this function or a callee;
-* ``returns_uint8`` -- the return value is a uint8 array;
-* ``arith_params`` -- parameter indices used in un-widened ``+ - *``
-  arithmetic here or in a callee they are forwarded to;
-* ``wallclock`` -- a wall-clock read is reachable from this function;
-* ``raises_out`` -- non-taxonomy exception types that can escape this
-  function, each with its deterministic origin site (VL006 propagation
-  stops at decode-path functions: their own violations are reported at
-  them, not re-reported at every caller).
+* ``wallclock`` -- a wall-clock read is reachable from this function
+  (VL007);
+* ``raises_out`` -- exception types outside the decode-path taxonomy
+  that can escape this function, each with its deterministic origin site
+  (VL006).  A decode-path function's own raises are reported where they
+  stand, so only non-decode-path functions seed the closure; decode-path
+  helpers still pass their callees' leaks upward.
+
+This module also owns the VL006 policy -- which modules carry the
+decode contract, which functions are decode paths, which exceptions
+they may raise -- so the solve and the checker read one definition.
 
 The solve visits Tarjan SCCs in reverse topological order (callees
 first) and iterates each component to its own fixed point, evaluating
-functions in sorted-id order.  Every lattice is finite and every
+functions in sorted-id order.  Both lattices are finite and every
 transfer function monotone, so the solve terminates; every iteration
-order is sorted, so the result -- and therefore the whole-program lint
-report -- is byte-identical across runs, processes, and ``--jobs``
-settings.
+order is sorted, so the result -- and therefore the lint report -- is
+byte-identical across runs, processes, and ``--jobs`` settings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.analysis.callgraph import WALLCLOCK_TARGETS, CallGraph
-from repro.analysis.summaries import (
-    ArgFact,
-    CallSite,
-    FunctionSummary,
-    ModuleSummary,
-)
+from repro.analysis.summaries import FunctionSummary, ModuleSummary
 
 __all__ = [
     "ProjectIndex",
-    "TAINT_SINKS",
     "build_project_index",
 ]
 
-#: Call-name prefixes a timing value must never reach (the whole-program
-#: superset of the local VL001 sink list: ``bench_dict`` covers the SLO
-#: and benchmark digest surfaces).
-TAINT_SINKS = ("cache_key", "video_digest", "score", "bench_dict")
+#: Package whose decode paths carry the untrusted-input contract.
+CODEC_PACKAGE = "repro.codec"
+
+#: What a decode path may raise: the bitstream error taxonomy, plus
+#: ``TypeError`` (caller misuse) and ``NotImplementedError``.
+DECODE_ALLOWED = frozenset(
+    {
+        "BitstreamError",
+        "TruncatedStream",
+        "CorruptPayload",
+        "HeaderError",
+        "TypeError",
+        "NotImplementedError",
+    }
+)
+
+_DECODE_PREFIXES = ("read_", "decode_")
+_DECODE_CLASS_TAGS = ("Decoder", "Reader")
 
 #: Known exception ancestry for handler-coverage checks (name-based; the
 #: repo taxonomy plus the builtin slices of it that matter here).
@@ -70,18 +76,24 @@ _EXC_ANCESTORS: Dict[str, Tuple[str, ...]] = {
     "UnicodeDecodeError": ("UnicodeError", "ValueError"),
 }
 
-#: Raises on a decode path that the VL006 taxonomy sanctions.
-_VL006_ALLOWED = frozenset(
-    {
-        "BitstreamError",
-        "TruncatedStream",
-        "CorruptPayload",
-        "HeaderError",
-        "TypeError",
-        "NotImplementedError",
-        "AssertionError",
-    }
-)
+
+def in_codec(module: str) -> bool:
+    """Is ``module`` inside the package bound by the decode contract?"""
+    return module == CODEC_PACKAGE or module.startswith(CODEC_PACKAGE + ".")
+
+
+def is_decode_path(qualname: str) -> bool:
+    """Is the function ``qualname`` ("f" or "C.m") a decode path?
+
+    A function or method named ``read_*``/``decode_*`` (or bare
+    ``read``/``decode``, leading underscores ignored), plus every method
+    of a class whose name contains ``Decoder`` or ``Reader``.
+    """
+    owner, _, name = qualname.rpartition(".")
+    if any(tag in owner for tag in _DECODE_CLASS_TAGS):
+        return True
+    bare = name.lstrip("_")
+    return bare in ("read", "decode") or bare.startswith(_DECODE_PREFIXES)
 
 
 def handler_covers(handler: str, raised: str) -> bool:
@@ -97,34 +109,34 @@ def handler_covers(handler: str, raised: str) -> bool:
 class FunctionFacts:
     """Solved whole-program facts for one function."""
 
-    returns_clock: bool = False
-    returns_uint8: bool = False
     wallclock: bool = False
-    sink_params: Dict[int, str] = field(default_factory=dict)
-    arith_params: Dict[int, str] = field(default_factory=dict)
     raises_out: Dict[str, str] = field(default_factory=dict)
 
 
 class ProjectIndex:
-    """The merged, solved whole-program view handed to global checkers."""
+    """The merged, solved whole-program view handed to project rules.
+
+    ``summaries`` are the linted modules; ``reference`` summaries (tests,
+    examples) join the call graph and count as usage, but findings are
+    only ever emitted for ``lint_modules``.  A reference module that
+    shares a name with a linted one is dropped.
+    """
 
     def __init__(
         self,
         summaries: Sequence[ModuleSummary],
-        lint_modules: Optional[Set[str]] = None,
+        reference: Sequence[ModuleSummary] = (),
     ) -> None:
-        ordered = sorted(summaries, key=lambda s: s.module)
+        self.lint_modules = {s.module for s in summaries}
+        ordered = sorted(
+            list(summaries)
+            + [s for s in reference if s.module not in self.lint_modules],
+            key=lambda s: s.module,
+        )
         self.summaries: Dict[str, ModuleSummary] = {
             s.module: s for s in ordered
         }
         self.graph = CallGraph(ordered)
-        #: Modules findings may be emitted for (reference-only modules --
-        #: tests, examples -- contribute facts but never findings).
-        self.lint_modules: Set[str] = (
-            set(lint_modules)
-            if lint_modules is not None
-            else set(self.summaries)
-        )
         self.facts: Dict[str, FunctionFacts] = {
             fid: FunctionFacts() for fid in self.graph.functions
         }
@@ -142,7 +154,7 @@ class ProjectIndex:
                 changed = False
                 for fid in component:
                     new = self._eval(fid)
-                    if _facts_differ(self.facts[fid], new):
+                    if new != self.facts[fid]:
                         self.facts[fid] = new
                         changed = True
         self._solved = True
@@ -150,285 +162,36 @@ class ProjectIndex:
 
     def _eval(self, fid: str) -> FunctionFacts:
         fn = self.graph.functions[fid]
-        facts = FunctionFacts()
-        facts.wallclock = self._eval_wallclock(fn)
-        self._eval_clock(fn, facts)
-        self._eval_uint8(fn, facts)
-        self._eval_raises(fid, fn, facts)
-        return facts
+        return FunctionFacts(
+            wallclock=self._eval_wallclock(fn),
+            raises_out=self._eval_raises(fid, fn),
+        )
 
     # -- wall-clock reachability (VL007) ------------------------------------
 
-    def is_wallclock_read(self, site: CallSite) -> bool:
-        return site.target in WALLCLOCK_TARGETS
-
     def _eval_wallclock(self, fn: FunctionSummary) -> bool:
         for site in fn.calls:
-            if self.is_wallclock_read(site):
+            if site.target in WALLCLOCK_TARGETS:
                 return True
             resolved = self.graph.resolve(site.target)
             if resolved is not None and self.facts[resolved].wallclock:
                 return True
         return False
 
-    # -- clock taint (VL001) ------------------------------------------------
-
-    def call_returns_clock(self, site: CallSite) -> bool:
-        """Does this call's *return value* carry wall-clock taint?"""
-        if site.target in WALLCLOCK_TARGETS:
-            return True
-        resolved = self.graph.resolve(site.target)
-        return resolved is not None and self.facts[resolved].returns_clock
-
-    def clock_tainted_names(
-        self, fn: FunctionSummary, local_only: bool = False
-    ) -> Set[str]:
-        """Locals carrying clock taint.
-
-        ``local_only`` replicates what the per-file VL001 pass can see
-        (direct wall-clock reads anywhere in an assigned value, plus name
-        chaining) so the global checker can report only the flows the
-        local pass misses.
-        """
-        tainted: Set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for assign in fn.assigns:
-                if self._value_clock_tainted(fn, assign, tainted, local_only):
-                    for target in assign.targets:
-                        if target not in tainted:
-                            tainted.add(target)
-                            changed = True
-        return tainted
-
-    def _value_clock_tainted(self, fn, fact, tainted, local_only) -> bool:
-        if set(fact.names if local_only else fact.top_names) & tainted:
-            return True
-        if local_only:
-            # The local pass taints on a clock read anywhere in the value.
-            return any(
-                self.is_wallclock_read(fn.calls[i]) for i in fact.calls
-            )
-        return any(self.call_returns_clock(fn.calls[i]) for i in fact.top_calls)
-
-    def arg_clock_tainted(
-        self, fn: FunctionSummary, arg: ArgFact, tainted: Set[str]
-    ) -> bool:
-        """Sink-style check: taint anywhere inside the argument counts."""
-        if set(arg.names) & tainted:
-            return True
-        return any(self.call_returns_clock(fn.calls[i]) for i in arg.calls)
-
-    def _eval_clock(self, fn: FunctionSummary, facts: FunctionFacts) -> None:
-        tainted = self.clock_tainted_names(fn)
-        facts.returns_clock = any(
-            set(ret.top_names) & tainted
-            or any(self.call_returns_clock(fn.calls[i]) for i in ret.top_calls)
-            for ret in fn.returns
-        )
-        # Which params flow into a sink (here or through a callee)?
-        for index, name in enumerate(fn.params):
-            spread = self._spread_param(fn, name)
-            sink = self._find_sink(fn, spread)
-            if sink is not None:
-                facts.sink_params[index] = sink
-
-    def _spread_param(self, fn: FunctionSummary, name: str) -> Set[str]:
-        """Names a parameter's value can reach through local assignments."""
-        reached = {name}
-        changed = True
-        while changed:
-            changed = False
-            for assign in fn.assigns:
-                if set(assign.top_names) & reached:
-                    for target in assign.targets:
-                        if target not in reached:
-                            reached.add(target)
-                            changed = True
-        return reached
-
-    def _find_sink(
-        self, fn: FunctionSummary, reached: Set[str]
-    ) -> Optional[str]:
-        hits: List[str] = []
-        for site in fn.calls:
-            direct = sink_leaf(site)
-            for position, arg in enumerate(site.args):
-                if not set(arg.names) & reached:
-                    continue
-                if direct is not None:
-                    hits.append(direct)
-                    continue
-                forwarded = self.forwarded_sink(site, position, arg)
-                if forwarded is not None:
-                    hits.append(forwarded)
-        return min(hits) if hits else None
-
-    def forwarded_sink(
-        self, site: CallSite, position: int, arg: ArgFact
-    ) -> Optional[str]:
-        """The sink an argument reaches through the callee, if any."""
-        resolved = self.graph.resolve(site.target)
-        if resolved is None:
-            return None
-        callee = self.graph.functions[resolved]
-        index = param_index(callee, position, arg)
-        if index is None:
-            return None
-        return self.facts[resolved].sink_params.get(index)
-
-    # -- uint8 lattice (VL002) ----------------------------------------------
-
-    def call_returns_uint8(self, site: CallSite) -> bool:
-        resolved = self.graph.resolve(site.target)
-        return resolved is not None and self.facts[resolved].returns_uint8
-
-    def uint8_walk(
-        self, fn: FunctionSummary, seed_param: Optional[str] = None
-    ) -> List[Tuple[str, object, str]]:
-        """Replay the function forward and emit uint8 hazard events.
-
-        Returns ``(kind, fact, origin)`` tuples where ``kind`` is
-        ``"arith"`` (a bare-name ``+ - *`` operand was uint8) or
-        ``"forward"`` (a uint8 value was passed into a callee's
-        wrap-hazard parameter), ``fact`` is the
-        :class:`~repro.analysis.summaries.ArithFact` or
-        :class:`~repro.analysis.summaries.CallSite`, and ``origin``
-        says where the uint8-ness came from (``"local"`` for a direct
-        cast the per-file pass already sees, a call description for
-        interprocedural facts, ``"param"`` when seeded).
-
-        The walk is seq-ordered with kills on reassignment, mirroring
-        the local VL002 state machine.
-        """
-        state: Dict[str, str] = {}
-        if seed_param is not None:
-            state[seed_param] = "param"
-        events: List[Tuple[int, str, object, str]] = []
-        steps: List[Tuple[int, str, object]] = []
-        for assign in fn.assigns:
-            steps.append((assign.seq, "assign", assign))
-        for arith in fn.ariths:
-            steps.append((arith.seq, "arith", arith))
-        for site in fn.calls:
-            steps.append((site.seq, "call", site))
-        steps.sort(key=lambda item: item[0])
-        for seq, kind, fact in steps:
-            if kind == "arith":
-                origin = state.get(fact.name)
-                if origin is not None:
-                    events.append((seq, "arith", fact, origin))
-            elif kind == "call":
-                for position, arg in enumerate(fact.args):
-                    origin = self._arg_uint8_origin(fn, arg, state)
-                    if origin is None:
-                        continue
-                    forwarded = self._forwarded_arith(fact, position, arg)
-                    if forwarded is not None:
-                        events.append(
-                            (seq, "forward", fact, f"{origin}->{forwarded}")
-                        )
-            else:  # assign
-                origin = self._value_uint8_origin(fn, fact, state)
-                for target in fact.targets:
-                    state.pop(target, None)
-                    if origin is not None:
-                        state[target] = origin
-        return [(kind, fact, origin) for _, kind, fact, origin in events]
-
-    def _arg_uint8_origin(
-        self, fn: FunctionSummary, arg: ArgFact, state: Dict[str, str]
-    ) -> Optional[str]:
-        for name in arg.top_names:
-            if name in state:
-                return state[name]
-        if arg.uint8:
-            return "local"
-        for i in arg.top_calls:
-            if self.call_returns_uint8(fn.calls[i]):
-                return self.graph.resolve(fn.calls[i].target) or "call"
-        return None
-
-    def _value_uint8_origin(self, fn, fact, state) -> Optional[str]:
-        if fact.uint8:
-            return "local"
-        for name in fact.top_names:
-            if name in state:
-                origin = state[name]
-                return origin if origin != "local" else "prop"
-        for i in fact.top_calls:
-            if self.call_returns_uint8(fn.calls[i]):
-                return self.graph.resolve(fn.calls[i].target) or "call"
-        return None
-
-    def _forwarded_arith(
-        self, site: CallSite, position: int, arg: ArgFact
-    ) -> Optional[str]:
-        resolved = self.graph.resolve(site.target)
-        if resolved is None:
-            return None
-        callee = self.graph.functions[resolved]
-        index = param_index(callee, position, arg)
-        if index is None:
-            return None
-        if index not in self.facts[resolved].arith_params:
-            return None
-        # Record only the immediate callee, never the callee's own origin
-        # chain: a finite value set is what makes the solve converge on
-        # recursive call cycles.
-        return resolved
-
-    def _eval_uint8(self, fn: FunctionSummary, facts: FunctionFacts) -> None:
-        # returns_uint8: forward walk, then inspect each return.
-        state: Dict[str, str] = {}
-        steps = sorted(
-            [(a.seq, "assign", a) for a in fn.assigns]
-            + [(r.seq, "return", r) for r in fn.returns],
-            key=lambda item: item[0],
-        )
-        returns_uint8 = False
-        for _, kind, fact in steps:
-            if kind == "assign":
-                origin = self._value_uint8_origin(fn, fact, state)
-                for target in fact.targets:
-                    state.pop(target, None)
-                    if origin is not None:
-                        state[target] = origin
-            else:
-                if self._value_uint8_origin(fn, fact, state) is not None:
-                    returns_uint8 = True
-        facts.returns_uint8 = returns_uint8
-        # arith_params: seed each parameter and watch for hazards.
-        for index, name in enumerate(fn.params):
-            for kind, fact, origin in self.uint8_walk(fn, seed_param=name):
-                if "param" not in origin.split("->", 1)[0]:
-                    continue
-                if kind == "arith":
-                    facts.arith_params[index] = f"line {fact.line}"
-                else:
-                    facts.arith_params[index] = origin.split("->", 1)[1]
-                break
-
     # -- exception closure (VL006) ------------------------------------------
 
-    def _eval_raises(
-        self, fid: str, fn: FunctionSummary, facts: FunctionFacts
-    ) -> None:
-        module = self.graph.function_module[fid]
-        if not _in_codec(module):
-            return
+    def _eval_raises(self, fid: str, fn: FunctionSummary) -> Dict[str, str]:
         out: Dict[str, str] = {}
+        if not in_codec(self.graph.function_module[fid]):
+            return out
 
         def merge(name: str, origin: str) -> None:
             if name not in out or origin < out[name]:
                 out[name] = origin
 
-        if not fn.decode_path:
-            # Decode-path functions' direct raises are the local VL006
-            # pass's findings; only helpers propagate theirs upward.
+        if not is_decode_path(fn.name):
             for raised in fn.raises:
-                if raised.name in _VL006_ALLOWED:
+                if raised.name in DECODE_ALLOWED:
                     continue
                 if not raised.name[:1].isupper():
                     continue  # `raise err` on a variable: type unknowable
@@ -438,55 +201,20 @@ class ProjectIndex:
                     continue
                 merge(raised.name, f"{fid}:{raised.line}")
         # Callee closures propagate through *every* codec function,
-        # decode-path helpers included: the checker reports only at the
-        # public decode API, so an interior `_decode_*` helper is a
+        # decode-path helpers included: the checker reports leaks only at
+        # the public decode API, so an interior `_decode_*` helper is a
         # conduit, not a boundary.
         for site in fn.calls:
             resolved = self.graph.resolve(site.target)
             if resolved is None:
                 continue
-            if not _in_codec(self.graph.function_module[resolved]):
+            if not in_codec(self.graph.function_module[resolved]):
                 continue
             for name, origin in self.facts[resolved].raises_out.items():
                 if any(handler_covers(h, name) for h in site.handled):
                     continue
                 merge(name, origin)
-        facts.raises_out = out
-
-
-def _in_codec(module: str) -> bool:
-    return module == "repro.codec" or module.startswith("repro.codec.")
-
-
-def _facts_differ(a: FunctionFacts, b: FunctionFacts) -> bool:
-    return (
-        a.returns_clock != b.returns_clock
-        or a.returns_uint8 != b.returns_uint8
-        or a.wallclock != b.wallclock
-        or a.sink_params != b.sink_params
-        or a.arith_params != b.arith_params
-        or a.raises_out != b.raises_out
-    )
-
-
-def sink_leaf(site: CallSite) -> Optional[str]:
-    """The sink name a call site *is*, or ``None``."""
-    for sink in TAINT_SINKS:
-        if site.leaf.startswith(sink):
-            return site.leaf
-    return None
-
-
-def param_index(
-    callee: FunctionSummary, position: int, arg: ArgFact
-) -> Optional[int]:
-    """Map a call-site argument onto the callee's parameter index."""
-    if arg.kw is not None:
-        try:
-            return callee.params.index(arg.kw)
-        except ValueError:
-            return None
-    return position if position < len(callee.params) else None
+        return out
 
 
 def build_project_index(
@@ -494,22 +222,15 @@ def build_project_index(
 ) -> ProjectIndex:
     """Build (and solve) a :class:`ProjectIndex` for ``paths``.
 
-    The programmatic entry point mirroring ``repro lint
-    --whole-program``: files under ``paths`` are fully indexed and
-    lintable; files under ``reference_paths`` (tests, examples)
-    contribute summaries -- call-graph nodes, VL008 references -- but
-    never findings.  Results are independent of ``jobs``.
+    The programmatic view of what ``repro lint`` solves: files under
+    ``paths`` are indexed and lintable; files under ``reference_paths``
+    (tests, examples) contribute summaries -- call-graph nodes, VL008
+    references -- but never findings.  Results are independent of
+    ``jobs``.
     """
     from repro.analysis.engine import collect_summaries
 
-    lint_summaries = collect_summaries(paths, jobs=jobs)
-    reference_summaries = (
-        collect_summaries(reference_paths, jobs=jobs)
-        if reference_paths
-        else []
-    )
-    lint_modules = {s.module for s in lint_summaries}
-    merged = list(lint_summaries) + [
-        s for s in reference_summaries if s.module not in lint_modules
-    ]
-    return ProjectIndex(merged, lint_modules=lint_modules).solve()
+    return ProjectIndex(
+        collect_summaries(paths, jobs=jobs),
+        collect_summaries(reference_paths, jobs=jobs),
+    ).solve()

@@ -1,18 +1,18 @@
 """Checker registry: rule ids map to checker classes.
 
-A checker is a class with a ``rule`` id (``VLxxx``), a one-line ``title``,
-and a ``check(module)`` method returning findings for one parsed module.
-Registration is declarative -- the :func:`register` decorator -- so adding
-a rule means writing one module under ``repro.analysis.checkers`` and
-decorating the class; the engine, the CLI's ``--rules`` filter, and the
-self-hosting tests all pick it up from here.
+A checker is a class with a ``rule`` id (``VLxxx``), a one-line
+``title``, and exactly one of two hooks.  Registration is declarative --
+the :func:`register` decorator -- so adding a rule means writing one
+module under ``repro.analysis.checkers`` and decorating the class; the
+engine, the CLI's ``--rules`` filter, and the self-hosting tests all pick
+it up from here.
 
-Checkers run in two phases.  ``check(module)`` is *per-file* and runs in
-parallel with no cross-file barrier; ``check_project(index)`` is the
-optional *whole-program* hook that runs serially after the fixed-point
-solve over the merged :class:`~repro.analysis.project.ProjectIndex`, for
-invariants no single file can witness (cross-module taint, transitive
-exception taxonomy, dead exports).
+A *file rule* overrides ``check(module)``: it sees one parsed module and
+runs in parallel with no cross-file barrier.  A *project rule* overrides
+``check_project(index)``: it runs serially after the fixed-point solve
+over the merged :class:`~repro.analysis.project.ProjectIndex`, for
+invariants no single file can witness (transitive exception taxonomy,
+wall-clock reachability, dead exports).  Every lint run runs both kinds.
 """
 
 from __future__ import annotations
@@ -81,17 +81,15 @@ class Checker:
     title: str = ""
 
     def check(self, module: ModuleInfo) -> List[Finding]:
-        """Per-file findings for one parsed module."""
+        """File-rule findings for one parsed module."""
         return []
 
     def check_project(self, index) -> List[Finding]:
-        """Whole-program findings over a solved ProjectIndex.
+        """Project-rule findings over a solved ProjectIndex.
 
-        Called once per lint run when ``--whole-program`` is active,
-        after the fixed-point solve.  The default is no global findings;
-        interprocedural rules override this.  Implementations must be
-        deterministic (sorted iteration only) -- the serial/parallel
-        byte-identity contract covers this phase too.
+        Called once per lint run, after the fixed-point solve.
+        Implementations must be deterministic (sorted iteration only) --
+        the serial/parallel byte-identity contract covers this phase too.
         """
         return []
 

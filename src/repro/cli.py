@@ -16,8 +16,7 @@ script).  Commands:
 * ``traffic`` -- simulate a request stream against the farm; print SLOs.
 * ``sched``   -- compare EWMA vs predictor scheduling (BENCH_sched.json).
 * ``fuzz``    -- deterministic structured fuzzing of the decoder.
-* ``lint``    -- the vlint static-analysis pass (VL001-VL008; add
-  ``--whole-program`` for the cross-module rules).
+* ``lint``    -- the vlint static-analysis pass (VL001-VL008).
 
 Every command prints human-readable rows to stdout and exits non-zero on
 invalid input, so the tools compose in shell pipelines.  Diagnostics that
@@ -284,24 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="files linted concurrently (process pool)",
     )
     lint.add_argument(
-        "--whole-program",
-        action="store_true",
-        help="run phase 2: merge per-file summaries, solve the "
-        "cross-module call graph, and run the interprocedural rules "
-        "(VL007/VL008; deeper VL001/VL002/VL006)",
-    )
-    lint.add_argument(
         "--reference",
         action="append",
         default=[],
         metavar="PATH",
         help="summaries-only tree (tests, examples): counts as usage for "
-        "whole-program rules but is never linted itself (repeatable)",
+        "the project rules but is never linted itself (repeatable; "
+        "default: ./tests when present)",
     )
     lint.add_argument(
         "--graph-out",
         metavar="FILE",
-        help="with --whole-program: write the resolved call graph as JSON",
+        help="write the resolved call graph as JSON",
     )
     lint.add_argument(
         "--prune-baseline",
@@ -815,14 +808,14 @@ def _cmd_lint(args) -> int:
 
     import repro
     from repro.analysis.baseline import load_baseline, render_baseline
-    from repro.analysis.engine import lint_paths
+    from repro.analysis.engine import STALE_BASELINE_RULE, lint_paths
     from repro.analysis.reporters import render_json, render_text
     from repro.record import write_record
 
     paths = args.paths or [str(Path(repro.__file__).parent)]
-    if args.prune_baseline and (args.rules or not args.whole_program):
+    if args.prune_baseline and args.rules:
         raise ValueError(
-            "--prune-baseline requires --whole-program and no --rules "
+            "--prune-baseline cannot be combined with --rules "
             "(staleness is only decidable on a complete run)"
         )
     baseline = None
@@ -831,26 +824,26 @@ def _cmd_lint(args) -> int:
         args.baseline or Path(baseline_path).exists()
     ):
         baseline = load_baseline(baseline_path)
+    if args.prune_baseline and baseline is None:
+        raise ValueError("--prune-baseline: no baseline file to prune")
     rules = (
         [r.strip() for r in args.rules.split(",") if r.strip()]
         if args.rules
         else None
+    )
+    reference = args.reference or (
+        ["tests"] if Path("tests").is_dir() else []
     )
     report = lint_paths(
         paths,
         rules=rules,
         baseline=baseline,
         jobs=args.jobs,
-        whole_program=args.whole_program,
-        reference_paths=args.reference,
+        reference_paths=reference,
     )
     if args.graph_out:
-        if report.call_graph is None:
-            raise ValueError("--graph-out requires --whole-program")
         write_record(args.graph_out, report.call_graph)
-    if args.prune_baseline:
-        if baseline is None:
-            raise ValueError("--prune-baseline: no baseline file to prune")
+    if args.prune_baseline and report.stale_entries:
         stale = set(report.stale_entries)
         kept = [e for e in baseline.entries if e not in stale]
         Path(baseline_path).write_text(
@@ -859,9 +852,14 @@ def _cmd_lint(args) -> int:
         print(
             f"pruned {len(stale)} stale entr"
             f"{'y' if len(stale) == 1 else 'ies'} from {baseline_path} "
-            f"({len(kept)} kept)"
+            f"({len(kept)} kept)",
+            file=sys.stderr,
         )
-        return 0
+        # The entries those warnings point at are gone now.
+        report.findings = [
+            f for f in report.findings if f.rule != STALE_BASELINE_RULE
+        ]
+        report.stale_entries = []
     if args.json:
         print(render_json(report))
     else:

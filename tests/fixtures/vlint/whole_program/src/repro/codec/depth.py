@@ -1,7 +1,7 @@
 """Fixture: a validation helper that raises outside the taxonomy.
 
-``check_depth`` is not a decode-path function, so the per-file VL006
-never inspects it.  The leak only exists transitively: a decode path in
+``check_depth`` is not a decode-path function, so VL006 never reports
+its raise directly.  The leak only exists transitively: a decode path in
 another module calls it without catching the ``ValueError``.
 """
 

@@ -1,8 +1,8 @@
 """Fixture: a wall-clock helper *outside* every per-file rule's scope.
 
 Nothing here is a violation on its own -- ``repro.timeutil`` is not a
-deterministic package, so VL001 never looks at it.  The whole-program
-rules must discover that callers in scoped packages reach this clock
+deterministic package, so VL001 never looks at it.  VL007 must
+discover that callers in simulated-time packages reach this clock
 read through the call graph.
 """
 

@@ -314,10 +314,13 @@ class TestLintUsageErrors:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--graph-out", "graph.json"], "--graph-out requires --whole-program"),
-            (["--prune-baseline"], "--prune-baseline requires --whole-program"),
+            (["--jobs", "0"], "need at least one job"),
             (
-                ["--whole-program", "--no-baseline", "--prune-baseline"],
+                ["--rules", "VL006", "--prune-baseline"],
+                "--prune-baseline cannot be combined with --rules",
+            ),
+            (
+                ["--no-baseline", "--prune-baseline"],
                 "--prune-baseline: no baseline file to prune",
             ),
         ],

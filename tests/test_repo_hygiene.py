@@ -144,3 +144,64 @@ def test_hedge_delay_reads_the_pool_without_sorting_it():
         and name in ("sorted", "sort", "percentile")
     ]
     assert not offenders, offenders
+
+
+# -- vlint: one VL006 policy ---------------------------------------------------
+
+ANALYSIS = REPO_ROOT / "src" / "repro" / "analysis"
+#: The VL006 policy: scope, decode-name/class rule, allowed raises.
+_VL006_POLICY = (
+    "CODEC_PACKAGE",
+    "in_codec",
+    "_DECODE_PREFIXES",
+    "_DECODE_CLASS_TAGS",
+    "is_decode_path",
+    "DECODE_ALLOWED",
+)
+
+
+def _top_level_definitions(path):
+    """Names a module binds at top level (defs, classes, assignments)."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(
+                t.id for t in node.targets if isinstance(t, ast.Name)
+            )
+        elif isinstance(node, ast.AnnAssign) and isinstance(
+            node.target, ast.Name
+        ):
+            names.append(node.target.id)
+    return names
+
+
+def test_vl006_policy_is_defined_once():
+    """The decode-path criteria and allowed set once lived in three places
+    that had drifted apart (two allow-lists disagreed on AssertionError)."""
+    defined = [
+        (name, path.relative_to(REPO_ROOT).as_posix())
+        for path in sorted(ANALYSIS.rglob("*.py"))
+        for name in _top_level_definitions(path)
+        if name in _VL006_POLICY
+    ]
+    counts = {name: [p for n, p in defined if n == name] for name in _VL006_POLICY}
+    assert all(len(paths) == 1 for paths in counts.values()), counts
+
+
+def test_summaries_do_not_import_checkers():
+    """The IR sits below the rules: phase 1 must not depend on a checker."""
+    tree = ast.parse((ANALYSIS / "summaries.py").read_text())
+    imported = [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+    ] + [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    offenders = [m for m in imported if m.startswith("repro.analysis.checkers")]
+    assert not offenders, offenders

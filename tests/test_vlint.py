@@ -9,15 +9,18 @@ The big contracts under test:
   ``tests/fixtures/vlint`` trip every rule, and the CLI exits non-zero on
   them.
 * **Deterministic output** -- parallel and serial runs render
-  byte-identical reports (including the whole-program phase), and the
+  byte-identical reports (including the project phase), and the
   JSON form is stable and parseable.
-* **Whole-program closure** -- the cross-module fixtures are quiet
-  per-file and light up exactly once each under ``--whole-program``.
+* **Pinned findings** -- the full finding lists for both fixture trees,
+  and the bytes of ``--graph-out``, are pinned.
+* **Whole-program closure** -- the cross-module fixtures are quiet under
+  the file rules and light up exactly once each under the project rules.
 * **Static symmetry is backed by behaviour** -- the write/read pairs
   VL004 discovers in ``entropy_coding`` round-trip seeded random values.
 """
 
 import ast
+import hashlib
 import json
 from pathlib import Path
 
@@ -43,7 +46,6 @@ from repro.analysis import (
     checker_for,
     discover_pairs,
     known_rules,
-    lint_file,
     lint_paths,
     load_baseline,
     module_name_for,
@@ -66,33 +68,47 @@ def rules_in(findings):
     return {f.rule for f in findings}
 
 
+def lint(path, rules):
+    return lint_paths([path], rules=rules).findings
+
+
+def _overrides(rule, hook):
+    return hook in vars(type(checker_for(rule)))
+
+
+#: The rules with a file-local implementation (``check``); the rest are
+#: project rules (``check_project``).
+FILE_RULES = [rule for rule in known_rules() if _overrides(rule, "check")]
+
+
+@pytest.fixture(scope="module")
+def src_report():
+    """The CI gate, run once: src/ with tests/ as the reference tree."""
+    return lint_paths(
+        [SRC],
+        reference_paths=[REPO / "tests"],
+        baseline=load_baseline(REPO / ".vlint.toml"),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Self-hosting: the repo must satisfy its own invariants
 # ---------------------------------------------------------------------------
 
 
 class TestSelfHosting:
-    def test_source_tree_lints_clean(self):
-        report = lint_paths([SRC])
-        assert report.findings == [], render_text(report)
-        assert report.ok
-        assert report.files_checked > 80
+    def test_source_tree_lints_clean(self, src_report):
+        assert src_report.findings == [], render_text(src_report)
+        assert src_report.ok
+        assert src_report.files_checked > 80
 
-    def test_whole_program_self_hosts_clean(self):
-        # The CI gate: every cross-module rule over src/, with tests/ as
-        # the reference tree (test usage keeps public API alive for
-        # VL008) and the shipped baseline sanctioning the two documented
-        # VL006 exceptions -- and nothing else.
-        report = lint_paths(
-            [SRC],
-            whole_program=True,
-            reference_paths=[REPO / "tests"],
-            baseline=load_baseline(REPO / ".vlint.toml"),
-        )
-        assert report.findings == [], render_text(report)
-        assert report.stale_entries == []
-        assert rules_in(report.suppressed) == {"VL006"}
-        assert len(report.suppressed) == 2
+    def test_whole_program_self_hosts_clean(self, src_report):
+        # Test usage keeps public API alive for VL008, and the shipped
+        # baseline sanctions the two documented VL006 exceptions -- and
+        # nothing else.
+        assert src_report.stale_entries == []
+        assert rules_in(src_report.suppressed) == {"VL006"}
+        assert len(src_report.suppressed) == 2
 
     def test_all_eight_rules_registered(self):
         assert known_rules() == [
@@ -120,6 +136,13 @@ class TestSelfHosting:
         for rule, cls in expected.items():
             assert isinstance(checker_for(rule), cls)
 
+    def test_each_rule_has_exactly_one_implementation(self):
+        for rule in known_rules():
+            file_rule = _overrides(rule, "check")
+            project_rule = _overrides(rule, "check_project")
+            assert file_rule != project_rule, rule
+        assert FILE_RULES == ["VL001", "VL002", "VL003", "VL004", "VL005"]
+
 
 # ---------------------------------------------------------------------------
 # Rule fixtures: every checker fires on its seeded violations
@@ -130,7 +153,7 @@ class TestDeterminismRule:
     FIXTURE = FIXTURES / "src" / "repro" / "codec" / "bad_determinism.py"
 
     def test_fires(self):
-        findings = lint_file(self.FIXTURE)
+        findings = lint(self.FIXTURE, ["VL001"])
         assert rules_in(findings) == {"VL001"}
         messages = " | ".join(f.message for f in findings)
         assert "without a seed" in messages
@@ -140,7 +163,7 @@ class TestDeterminismRule:
         assert "cache_key" in messages
 
     def test_sanctioned_wall_seconds_site_not_flagged(self):
-        findings = lint_file(self.FIXTURE)
+        findings = lint(self.FIXTURE, ["VL001"])
         source = self.FIXTURE.read_text()
         sanctioned_line = (
             source[: source.index("def sanctioned_measurement")].count("\n")
@@ -153,13 +176,13 @@ class TestDeterminismRule:
         path = tmp_path / "src" / "repro" / "metrics" / "timing.py"
         path.parent.mkdir(parents=True)
         path.write_text("import time\n\nNOW = time.time()\n")
-        assert lint_file(path, rules=["VL001"]) == []
+        assert lint(path, ["VL001"]) == []
 
     def test_scoped_module_caught(self, tmp_path):
         path = tmp_path / "src" / "repro" / "robust" / "leak.py"
         path.parent.mkdir(parents=True)
         path.write_text("import time\n\nNOW = time.time()\n")
-        assert rules_in(lint_file(path, rules=["VL001"])) == {"VL001"}
+        assert rules_in(lint(path, ["VL001"])) == {"VL001"}
 
     def test_fleet_module_is_in_both_time_scopes(self, tmp_path):
         # The fleet chaos layer must replay byte-for-byte, so it sits
@@ -179,21 +202,21 @@ class TestDeterminismRule:
         path.write_text(
             "import numpy as np\n\nRNG = np.random.default_rng()\n"
         )
-        assert rules_in(lint_file(path, rules=["VL001"])) == {"VL001"}
+        assert rules_in(lint(path, ["VL001"])) == {"VL001"}
 
 
 class TestDtypeRule:
     FIXTURE = FIXTURES / "src" / "repro" / "codec" / "bad_dtype.py"
 
     def test_fires(self):
-        findings = lint_file(self.FIXTURE)
+        findings = lint(self.FIXTURE, ["VL002"])
         assert rules_in(findings) == {"VL002"}
         messages = " | ".join(f.message for f in findings)
         assert "wraps at 0/255" in messages
         assert "np.clip" in messages
 
     def test_guarded_sites_not_flagged(self):
-        findings = lint_file(self.FIXTURE)
+        findings = lint(self.FIXTURE, ["VL002"])
         source = self.FIXTURE.read_text().splitlines()
         for finding in findings:
             assert "safe_" not in source[finding.line - 1]
@@ -203,7 +226,7 @@ class TestForkSafetyRule:
     FIXTURE = FIXTURES / "src" / "repro" / "exec" / "bad_forksafety.py"
 
     def test_fires(self):
-        findings = lint_file(self.FIXTURE)
+        findings = lint(self.FIXTURE, ["VL003"])
         assert rules_in(findings) == {"VL003"}
         messages = " | ".join(f.message for f in findings)
         assert "global COUNTER" in messages
@@ -225,7 +248,7 @@ class TestSymmetryRule:
     )
 
     def test_fires(self):
-        findings = lint_file(self.FIXTURE)
+        findings = lint(self.FIXTURE, ["VL004"])
         assert rules_in(findings) == {"VL004"}
         messages = " | ".join(f.message for f in findings)
         assert "write_orphan" in messages
@@ -233,7 +256,7 @@ class TestSymmetryRule:
         assert "disagree in order" in messages
 
     def test_mirrored_pair_not_flagged(self):
-        findings = lint_file(self.FIXTURE)
+        findings = lint(self.FIXTURE, ["VL004"])
         assert not any("pure" in f.message for f in findings)
 
     def test_discovery_matches_fixture(self):
@@ -246,7 +269,7 @@ class TestExportSyncRule:
     FIXTURE = FIXTURES / "src" / "repro" / "badpkg" / "__init__.py"
 
     def test_fires(self):
-        findings = lint_file(self.FIXTURE)
+        findings = lint(self.FIXTURE, ["VL005"])
         assert rules_in(findings) == {"VL005"}
         messages = " | ".join(f.message for f in findings)
         assert "phantom_export" in messages
@@ -257,7 +280,7 @@ class TestExportSyncRule:
         pkg.mkdir(parents=True)
         init = pkg / "__init__.py"
         init.write_text('"""No __all__ here."""\n\nVALUE = 1\n')
-        findings = lint_file(init, rules=["VL005"])
+        findings = lint(init, ["VL005"])
         assert len(findings) == 1
         assert "no __all__" in findings[0].message
 
@@ -268,14 +291,14 @@ class TestExportSyncRule:
         init.write_text(
             "from math import sqrt\n\n__all__ = [\"sqrt\"]\n"
         )
-        assert lint_file(init, rules=["VL005"]) == []
+        assert lint(init, ["VL005"]) == []
 
 
 class TestExceptionHygieneRule:
     FIXTURE = FIXTURES / "src" / "repro" / "codec" / "bad_exceptions.py"
 
     def test_fires(self):
-        findings = lint_file(self.FIXTURE)
+        findings = lint(self.FIXTURE, ["VL006"])
         assert rules_in(findings) == {"VL006"}
         messages = " | ".join(f.message for f in findings)
         assert "read_marker" in messages
@@ -284,7 +307,7 @@ class TestExceptionHygieneRule:
         assert len(findings) == 3
 
     def test_allowed_raises_not_flagged(self):
-        findings = lint_file(self.FIXTURE)
+        findings = lint(self.FIXTURE, ["VL006"])
         source = self.FIXTURE.read_text().splitlines()
         for finding in findings:
             assert "allowed" not in source[finding.line - 1]
@@ -299,11 +322,43 @@ class TestExceptionHygieneRule:
         path.write_text(
             "def read_thing(reader):\n    raise ValueError('fine here')\n"
         )
-        assert lint_file(path, rules=["VL006"]) == []
+        assert lint(path, ["VL006"]) == []
 
     def test_real_decode_paths_self_host_clean(self):
-        report = lint_paths([SRC / "codec"], rules=["VL006"])
+        # Only the two documented transitive leaks, both baselined.
+        report = lint_paths(
+            [SRC / "codec"],
+            rules=["VL006"],
+            baseline=load_baseline(REPO / ".vlint.toml"),
+        )
         assert report.findings == [], render_text(report)
+        assert len(report.suppressed) == 2
+
+    def test_direct_raise_and_transitive_leak_are_reported_once(
+        self, tmp_path
+    ):
+        # A decode path's own raise is reported at the raise; a helper's
+        # raise is reported once, at the public decode path reaching it.
+        path = tmp_path / "src" / "repro" / "codec" / "both.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            "def _check(n):\n"
+            "    if n < 0:\n"
+            "        raise ValueError(n)\n"
+            "    return n\n"
+            "\n\n"
+            "def read_size(reader):\n"
+            "    if not reader:\n"
+            "        raise EOFError\n"
+            "    return _check(reader[0])\n"
+        )
+        findings = lint(path, ["VL006"])
+        assert [(f.line, f.column) for f in findings] == [(7, 1), (9, 9)]
+        leak, direct = findings
+        assert "can leak ValueError raised at repro.codec.both._check:3" in (
+            leak.message
+        )
+        assert "'read_size' raises EOFError" in direct.message
 
 
 # ---------------------------------------------------------------------------
@@ -432,39 +487,146 @@ class TestBaseline:
 # ---------------------------------------------------------------------------
 
 
+SRC_FIXTURE_FINDINGS = [
+    ("VL005", "src/repro/badpkg/__init__.py", 8, 1, "error",
+     "__all__ lists 'phantom_export' but the module never binds it; "
+     "`from ... import *` would raise AttributeError"),
+    ("VL005", "src/repro/badpkg/__init__.py", 8, 1, "error",
+     "public name 'tau' is bound in the package but missing from "
+     "__all__; exports have drifted"),
+    ("VL008", "src/repro/badpkg/__init__.py", 9, 5, "error",
+     "'sqrt' is exported in __all__ but nothing in the repo (or its "
+     "tests) references it; remove the export and the dead code it "
+     "names, or add the missing caller"),
+    ("VL008", "src/repro/badpkg/__init__.py", 10, 5, "error",
+     "'phantom_export' is exported in __all__ but nothing in the "
+     "repo (or its tests) references it; remove the export and the "
+     "dead code it names, or add the missing caller"),
+    ("VL001", "src/repro/codec/bad_determinism.py", 15, 11, "error",
+     "np.random.default_rng() without a seed: derive the seed from "
+     "the task identity (see repro.exec.runner.task_seed)"),
+    ("VL001", "src/repro/codec/bad_determinism.py", 20, 12, "error",
+     "draw from the global random module (random.randint) depends on "
+     "hidden interpreter state; use a seeded np.random.Generator or "
+     "random.Random(seed)"),
+    ("VL001", "src/repro/codec/bad_determinism.py", 24, 12, "error",
+     "time.time() read in deterministic code; use the simulated "
+     "clock (repro.robust.clock.SimClock) or pass timestamps in "
+     "explicitly"),
+    ("VL001", "src/repro/codec/bad_determinism.py", 28, 13, "error",
+     "time.perf_counter() outside a wall_seconds measurement site; "
+     "its value must only ever populate a wall_seconds= field"),
+    ("VL001", "src/repro/codec/bad_determinism.py", 37, 13, "error",
+     "time.perf_counter() outside a wall_seconds measurement site; "
+     "its value must only ever populate a wall_seconds= field"),
+    ("VL001", "src/repro/codec/bad_determinism.py", 38, 15, "error",
+     "time.perf_counter() outside a wall_seconds measurement site; "
+     "its value must only ever populate a wall_seconds= field"),
+    ("VL001", "src/repro/codec/bad_determinism.py", 39, 11, "error",
+     "perf_counter-derived value flows into cache_key(); measured "
+     "time in a cache key or score breaks content addressing"),
+    ("VL002", "src/repro/codec/bad_dtype.py", 12, 12, "error",
+     "arithmetic on uint8 array 'frame' wraps at 0/255; widen first "
+     "with .astype(np.int16) or wider"),
+    ("VL002", "src/repro/codec/bad_dtype.py", 17, 12, "error",
+     "narrowing astype(np.uint8) not dominated by np.clip; "
+     "wraparound truncation is silent -- clip to [0, 255] first (or "
+     "mask with & 0xFF / % 256 if wrap is intended)"),
+    ("VL006", "src/repro/codec/bad_exceptions.py", 11, 9, "error",
+     "decode path 'read_marker' raises ValueError; malformed input "
+     "must surface as a BitstreamError subclass "
+     "(TruncatedStream/CorruptPayload/HeaderError) so concealment "
+     "and the fuzz oracle can catch it"),
+    ("VL006", "src/repro/codec/bad_exceptions.py", 20, 5, "error",
+     "decode path 'decode_block' raises KeyError; malformed input "
+     "must surface as a BitstreamError subclass "
+     "(TruncatedStream/CorruptPayload/HeaderError) so concealment "
+     "and the fuzz oracle can catch it"),
+    ("VL006", "src/repro/codec/bad_exceptions.py", 36, 9, "error",
+     "decode path 'ToyDecoder.parse' raises OSError; malformed input "
+     "must surface as a BitstreamError subclass "
+     "(TruncatedStream/CorruptPayload/HeaderError) so concealment "
+     "and the fuzz oracle can catch it"),
+    ("VL004", "src/repro/codec/entropy_coding/bad_symmetry.py", 7, 1, "error",
+     "'write_orphan' (module) has no mirrored reader; every writer "
+     "needs a matching read_/decode_ counterpart"),
+    ("VL004", "src/repro/codec/entropy_coding/bad_symmetry.py", 11, 1, "error",
+     "'read_widow' (module) has no mirrored writer; every reader "
+     "needs a matching write_/encode_ counterpart"),
+    ("VL004", "src/repro/codec/entropy_coding/bad_symmetry.py", 21, 1, "error",
+     "shared parameters of 'write_twisted'/'read_twisted' disagree "
+     "in order (['flag', 'count'] vs ['count', 'flag']); mirrored "
+     "signatures must agree"),
+    ("VL003", "src/repro/exec/bad_forksafety.py", 13, 5, "error",
+     "pool worker 'leaky_worker' declares global COUNTER; workers "
+     "must not write module state -- return results instead"),
+    ("VL003", "src/repro/exec/bad_forksafety.py", 19, 5, "error",
+     "pool worker 'stateful_worker' mutates module-level state "
+     "'RESULTS'; the write is lost outside this worker process"),
+    ("VL003", "src/repro/exec/bad_forksafety.py", 23, 41, "error",
+     "pool worker 'defaulted_worker' has a mutable default argument; "
+     "that object is shared state that diverges across the fork"),
+    ("VL003", "src/repro/exec/bad_forksafety.py", 33, 36, "error",
+     "lambda dispatched to the process pool; lambdas are unpicklable "
+     "under spawn -- use a module-level function"),
+    ("VL003", "src/repro/exec/bad_forksafety.py", 38, 36, "error",
+     "nested function 'closure_worker' dispatched to the process "
+     "pool; closures are unpicklable under spawn -- hoist it to "
+     "module level"),
+]
+
+WHOLE_PROGRAM_FINDINGS = [
+    ("VL006", "whole_program/src/repro/codec/bad_reader.py", 12, 1, "error",
+     "decode path 'decode_header' can leak ValueError raised at "
+     "repro.codec.depth.check_depth:11; catch it at the decode "
+     "boundary or raise a BitstreamError subclass at the origin"),
+    ("VL008", "whole_program/src/repro/deadpkg/__init__.py", 11, 12, "error",
+     "'dead_fn' is exported in __all__ but nothing in the repo (or "
+     "its tests) references it; remove the export and the dead code "
+     "it names, or add the missing caller"),
+    ("VL007", "whole_program/src/repro/traffic/bad_clock.py", 12, 20, "error",
+     "call into repro.timeutil.stamp() reaches a wall-clock read "
+     "(repro.timeutil.stamp -> time.perf_counter); simulated-time "
+     "code must stay on SimClock"),
+]
+
+
+def pinned(findings):
+    return [
+        (
+            f.rule,
+            Path(f.path).relative_to(FIXTURES).as_posix(),
+            f.line,
+            f.column,
+            f.severity.value,
+            f.message,
+        )
+        for f in findings
+    ]
+
+
 def wp_findings(**kwargs):
-    return lint_paths([WHOLE_PROGRAM], whole_program=True, **kwargs).findings
+    return lint_paths([WHOLE_PROGRAM], **kwargs).findings
+
+
+class TestPinnedFindings:
+    def test_rule_fixture_findings_are_pinned(self):
+        findings = lint_paths([FIXTURES / "src"]).findings
+        assert pinned(findings) == SRC_FIXTURE_FINDINGS
+
+    def test_whole_program_fixture_findings_are_pinned(self):
+        assert pinned(wp_findings()) == WHOLE_PROGRAM_FINDINGS
 
 
 class TestWholeProgram:
     def test_fixture_tree_is_quiet_per_file(self):
-        report = lint_paths([WHOLE_PROGRAM])
+        report = lint_paths([WHOLE_PROGRAM], rules=FILE_RULES)
         assert report.findings == [], render_text(report)
-        assert report.files_checked == 10
+        assert report.files_checked == 7
 
     def test_exactly_the_seeded_findings_fire(self):
         findings = wp_findings()
-        assert sorted(f.rule for f in findings) == [
-            "VL001", "VL002", "VL002", "VL006", "VL007", "VL008",
-        ]
-
-    def test_vl001_taint_crosses_the_call_boundary(self):
-        [f] = [f for f in wp_findings() if f.rule == "VL001"]
-        assert f.path.endswith("codec/keys.py")
-        assert "reaches cache_key() across a call boundary" in f.message
-        assert "via local 'jitter'" in f.message
-
-    def test_vl002_tracks_uint8_through_returns(self):
-        vl002 = [f for f in wp_findings() if f.rule == "VL002"]
-        cur = next(f for f in vl002 if "'cur'" in f.message)
-        ref = next(f for f in vl002 if "'ref'" in f.message)
-        assert cur.path.endswith("codec/residual_chain.py")
-        assert cur.line == ref.line
-        for f in (cur, ref):
-            assert (
-                "uint8 returned by repro.codec.planes.uint8_plane()"
-                in f.message
-            )
+        assert sorted(f.rule for f in findings) == ["VL006", "VL007", "VL008"]
 
     def test_vl006_reports_the_transitive_leak_site(self):
         [f] = [f for f in wp_findings() if f.rule == "VL006"]
@@ -499,26 +661,24 @@ class TestWholeProgram:
         assert [f.rule for f in findings if f.rule == "VL008"] == []
 
     def test_serial_and_parallel_whole_program_byte_identical(self):
-        serial = lint_paths([WHOLE_PROGRAM], whole_program=True)
-        parallel = lint_paths([WHOLE_PROGRAM], whole_program=True, jobs=4)
+        serial = lint_paths([WHOLE_PROGRAM])
+        parallel = lint_paths([WHOLE_PROGRAM], jobs=4)
         assert render_json(serial) == render_json(parallel)
         assert render_text(serial) == render_text(parallel)
 
     def test_call_graph_attached_and_resolved(self):
-        report = lint_paths([WHOLE_PROGRAM], whole_program=True)
-        graph = report.call_graph
-        assert graph is not None
+        graph = lint_paths([WHOLE_PROGRAM]).call_graph
         assert "repro.traffic.bad_clock" in graph["modules"]
         caller = graph["functions"]["repro.traffic.bad_clock.next_deadline"]
         assert caller["calls"] == ["repro.timeutil.stamp"]
-        # Per-file runs carry no graph.
-        assert lint_paths([WHOLE_PROGRAM]).call_graph is None
 
     def test_build_project_index_programmatic_entry(self):
         index = build_project_index([WHOLE_PROGRAM])
         resolved = index.graph.resolve("repro.deadpkg.used_fn")
         assert resolved == "repro.deadpkg.impl.used_fn"
-        assert "repro.codec.planes.uint8_plane" in index.graph.functions
+        assert "repro.codec.depth.check_depth" in index.graph.functions
+        # One index builder: the programmatic index is the linted one.
+        assert index.graph.to_dict() == lint_paths([WHOLE_PROGRAM]).call_graph
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +706,7 @@ class TestBaselineHygiene:
         baseline_file = tmp_path / "allow.toml"
         baseline_file.write_text(STALE_TEXT)
         baseline = load_baseline(baseline_file)
-        report = lint_paths(
-            [WHOLE_PROGRAM], whole_program=True, baseline=baseline
-        )
+        report = lint_paths([WHOLE_PROGRAM], baseline=baseline)
         assert report.stale_entries == list(baseline.entries)
         [warning] = [
             f for f in report.findings if f.rule == STALE_BASELINE_RULE
@@ -564,28 +722,20 @@ class TestBaselineHygiene:
         clean.write_text('"""Nothing to see."""\n\nVALUE = 1\n')
         baseline_file = tmp_path / "allow.toml"
         baseline_file.write_text(STALE_TEXT)
-        report = lint_paths(
-            [clean],
-            whole_program=True,
-            baseline=load_baseline(baseline_file),
-        )
+        report = lint_paths([clean], baseline=load_baseline(baseline_file))
         assert rules_in(report.findings) == {STALE_BASELINE_RULE}
         assert report.ok  # a stale entry warns; it never gates CI.
 
     def test_staleness_undecidable_on_partial_runs(self, tmp_path):
         baseline_file = tmp_path / "allow.toml"
         baseline_file.write_text(STALE_TEXT)
-        baseline = load_baseline(baseline_file)
-        per_file = lint_paths([WHOLE_PROGRAM], baseline=baseline)
-        assert per_file.stale_entries == []
-        assert rules_in(per_file.findings) == set()
         filtered = lint_paths(
             [WHOLE_PROGRAM],
             rules=["VL001"],
-            whole_program=True,
-            baseline=baseline,
+            baseline=load_baseline(baseline_file),
         )
         assert filtered.stale_entries == []
+        assert filtered.findings == []
 
     def test_render_baseline_roundtrips(self):
         entries = (
@@ -600,33 +750,70 @@ class TestBaselineHygiene:
         ] == [(e.rule, e.path, e.line, e.reason) for e in entries]
 
     def test_prune_baseline_cli_drops_only_stale_entries(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
+        monkeypatch.chdir(tmp_path)
         baseline_file = tmp_path / "allow.toml"
         baseline_file.write_text(LIVE_TEXT + "\n" + STALE_TEXT)
         code = main(
             [
                 "lint",
-                "--whole-program",
                 "--baseline",
                 str(baseline_file),
                 "--prune-baseline",
                 str(WHOLE_PROGRAM),
             ]
         )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "pruned 1 stale entry" in out
+        # The fixture still has two unbaselined errors (VL006, VL007);
+        # pruning reports them and fails like any other run.
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "pruned 1 stale entry" in captured.err
+        assert "VL006" in captured.out and "VL007" in captured.out
+        assert STALE_BASELINE_RULE not in captured.out
         kept = load_baseline(baseline_file)
         assert len(kept.entries) == 1
         assert kept.entries[0].rule == "VL008"
         assert kept.entries[0].reason == "kept for a downstream consumer"
 
-    def test_prune_baseline_requires_whole_program(self, capsys):
+    def test_prune_baseline_without_stale_entries_leaves_file_untouched(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        baseline_file = tmp_path / "allow.toml"
+        text = "# A hand-written header that must survive.\n\n" + LIVE_TEXT
+        baseline_file.write_text(text)
+        code = main(
+            [
+                "lint",
+                "--baseline",
+                str(baseline_file),
+                "--prune-baseline",
+                str(WHOLE_PROGRAM),
+            ]
+        )
+        assert code == 1
+        assert baseline_file.read_text() == text
+        captured = capsys.readouterr()
+        assert "pruned" not in captured.err
+        assert "2 findings (1 baselined)" in captured.out
+
+    def test_prune_baseline_rejects_a_rules_filter(self, tmp_path, capsys):
+        baseline_file = tmp_path / "allow.toml"
+        baseline_file.write_text(STALE_TEXT)
         assert main(
-            ["lint", "--prune-baseline", str(WHOLE_PROGRAM)]
+            [
+                "lint",
+                "--baseline",
+                str(baseline_file),
+                "--rules",
+                "VL001",
+                "--prune-baseline",
+                str(WHOLE_PROGRAM),
+            ]
         ) == 2
-        assert "requires --whole-program" in capsys.readouterr().err
+        assert "cannot be combined with --rules" in capsys.readouterr().err
+        assert baseline_file.read_text() == STALE_TEXT
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +829,7 @@ class TestReporters:
         payload = json.loads(once)
         assert payload["version"] == JSON_REPORT_VERSION == 1
         assert payload["ok"] is False
-        assert payload["files_checked"] == 16
+        assert payload["files_checked"] == 13
         finding = payload["findings"][0]
         assert set(finding) == {
             "rule", "path", "line", "column", "message", "severity",
@@ -656,7 +843,7 @@ class TestReporters:
         report = lint_paths([FIXTURES])
         text = render_text(report)
         assert f"{len(report.findings)} findings" in text
-        assert "in 16 files" in text
+        assert "in 13 files" in text
 
 
 # ---------------------------------------------------------------------------
@@ -664,14 +851,28 @@ class TestReporters:
 # ---------------------------------------------------------------------------
 
 
+#: SHA-256 of ``repro lint --graph-out`` over tests/fixtures/vlint.  It
+#: moves only when call resolution or the graph's rendering changes.
+FIXTURE_GRAPH_SHA256 = (
+    "d9f53786a5ea89ff380b0ddbd261c7eec908e4d2dbd98c3ec4b9472d4fb38a9e"
+)
+
+
 class TestLintCli:
-    def test_repo_lints_clean(self, capsys):
-        assert main(["lint", str(SRC)]) == 0
-        assert "0 findings" in capsys.readouterr().out
+    @pytest.fixture(autouse=True)
+    def _outside_the_repo(self, tmp_path, monkeypatch):
+        # No ./tests reference tree and no ./.vlint.toml unless a test
+        # asks for the repo root.
+        monkeypatch.chdir(tmp_path)
+
+    def test_repo_lints_clean(self, capsys, monkeypatch):
+        # The CI gate, flagless: ./tests is the default reference tree and
+        # ./.vlint.toml the default baseline.
+        monkeypatch.chdir(REPO)
+        assert main(["lint", "src"]) == 0
+        assert "vlint: 0 findings (2 baselined)" in capsys.readouterr().out
 
     def test_nonzero_on_each_rule_fixture(self, capsys):
-        # Only the per-file fixtures under src/: the whole_program tree
-        # is deliberately quiet without --whole-program.
         fixture_files = sorted((FIXTURES / "src").rglob("*.py"))
         assert len(fixture_files) == 6
         for path in fixture_files:
@@ -700,7 +901,10 @@ class TestLintCli:
         )
         fixture = FIXTURES / "src" / "repro" / "badpkg" / "__init__.py"
         assert main(
-            ["lint", "--baseline", str(baseline), str(fixture)]
+            [
+                "lint", "--rules", "VL005", "--baseline", str(baseline),
+                str(fixture),
+            ]
         ) == 0
         assert "2 baselined" in capsys.readouterr().out
 
@@ -714,55 +918,55 @@ class TestLintCli:
         assert main(["lint", "definitely/not/a/path"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_parser_exposes_whole_program_flags(self):
-        args = build_parser().parse_args(
+    def test_parser_exposes_whole_program_flags(self, capsys):
+        parser = build_parser()
+        args = parser.parse_args(
             [
                 "lint",
-                "--whole-program",
                 "--reference",
                 "tests",
+                "--graph-out",
+                "graph.json",
                 "--jobs",
                 "4",
                 "x.py",
             ]
         )
-        assert args.whole_program is True
         assert args.reference == ["tests"]
+        assert args.graph_out == "graph.json"
         assert args.jobs == 4
+        # Whole-program is the only mode: there is no flag to ask for it.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["lint", "--whole-program", "x.py"])
+        capsys.readouterr()
+        lint_parser = next(
+            action.choices["lint"]
+            for action in parser._actions
+            if getattr(action, "choices", None) and "lint" in action.choices
+        )
+        flags = [
+            action.option_strings[-1]
+            for action in lint_parser._actions
+            if action.option_strings and action.dest != "help"
+        ]
+        assert len(flags) == 8, flags
 
     def test_whole_program_cli_fires_and_is_parallel_stable(
         self, capsys
     ):
-        base = [
-            "lint", "--json", "--no-baseline",
-            "--whole-program", str(WHOLE_PROGRAM),
-        ]
+        base = ["lint", "--json", str(WHOLE_PROGRAM)]
         assert main(base) == 1
         serial = capsys.readouterr().out
         assert main(base + ["--jobs", "4"]) == 1
         assert capsys.readouterr().out == serial
         payload = json.loads(serial)
         assert sorted(f["rule"] for f in payload["findings"]) == [
-            "VL001", "VL002", "VL002", "VL006", "VL007", "VL008",
+            "VL006", "VL007", "VL008",
         ]
-
-    def test_graph_out_requires_whole_program(self, tmp_path, capsys):
-        graph_file = tmp_path / "graph.json"
-        code = main(
-            ["lint", "--graph-out", str(graph_file), str(WHOLE_PROGRAM)]
-        )
-        assert code == 2
-        assert "requires --whole-program" in capsys.readouterr().err
-        assert not graph_file.exists()
 
     def test_graph_out_writes_the_resolved_graph(self, tmp_path, capsys):
         graph_file = tmp_path / "graph.json"
-        main(
-            [
-                "lint", "--whole-program", "--no-baseline",
-                "--graph-out", str(graph_file), str(WHOLE_PROGRAM),
-            ]
-        )
+        main(["lint", "--graph-out", str(graph_file), str(WHOLE_PROGRAM)])
         capsys.readouterr()
         graph = json.loads(graph_file.read_text())
         assert "repro.deadpkg.impl" in graph["modules"]
@@ -770,6 +974,13 @@ class TestLintCli:
             graph["functions"]["repro.usedby.run"]["calls"]
             == ["repro.deadpkg.impl.used_fn"]
         )
+
+    def test_graph_out_bytes_are_pinned(self, tmp_path, capsys):
+        graph_file = tmp_path / "graph.json"
+        main(["lint", "--graph-out", str(graph_file), str(FIXTURES)])
+        capsys.readouterr()
+        digest = hashlib.sha256(graph_file.read_bytes()).hexdigest()
+        assert digest == FIXTURE_GRAPH_SHA256
 
 
 # ---------------------------------------------------------------------------

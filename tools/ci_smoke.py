@@ -38,7 +38,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 _REPRO = (sys.executable, "-m", "repro")
 
-_VLINT_WP = _REPRO + ("lint", "--whole-program", "--reference", "tests")
+_VLINT = _REPRO + ("lint",)
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,13 @@ def _check_sched(record: dict) -> None:
 
 
 SMOKES = (
-    # Whole-program vlint must render identically serial and parallel.
+    # vlint (./tests is its default reference tree) must render
+    # identically serial and parallel.
     Smoke(
         name="vlint-parallel",
         variants=(
-            _VLINT_WP + ("--json", "src"),
-            _VLINT_WP + ("--jobs", "4", "--json", "src"),
+            _VLINT + ("--json", "src"),
+            _VLINT + ("--jobs", "4", "--json", "src"),
         ),
     ),
     # Fixed-seed structured fuzzing: zero oracle violations, twice.
