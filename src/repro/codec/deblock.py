@@ -91,7 +91,13 @@ def deblock_plane(
 
     Vertical edges are filtered first, then horizontal, matching the
     encoder/decoder shared order (the result depends on it).
+
+    Raises:
+        ValueError: On a block size below 4 or a plane or activity grid
+            that does not fit it.
     """
+    if block_size < 4:
+        raise ValueError(f"block size must be at least 4, got {block_size}")
     out = np.asarray(plane, dtype=np.float64).copy()
     height, width = out.shape
     if height % block_size or width % block_size:
@@ -99,45 +105,39 @@ def deblock_plane(
             f"plane {width}x{height} not a multiple of block size {block_size}"
         )
     activity = _expand_activity(active_blocks, height, width, block_size)
-    threshold = edge_threshold(qp)
-    edges = 0
-
-    # Vertical edges: columns at multiples of block_size.
-    for col_block in range(1, width // block_size):
-        x = col_block * block_size
-        p1, p0 = out[:, x - 2], out[:, x - 1]
-        q0, q1 = out[:, x], out[:, min(x + 1, width - 1)]
-        step = np.abs(p0 - q0)
-        mask = (step < threshold) & (step > _min_step())
-        if activity is not None:
-            strength = activity[:, col_block - 1] | activity[:, col_block]
-            mask &= np.repeat(strength, block_size)
-        if mask.any():
-            tc = _tc(qp)
-            dp = np.clip((p1 + 2.0 * p0 + q0) / 4.0 - p0, -tc, tc)
-            dq = np.clip((p0 + 2.0 * q0 + q1) / 4.0 - q0, -tc, tc)
-            out[:, x - 1] = np.where(mask, p0 + dp, p0)
-            out[:, x] = np.where(mask, q0 + dq, q0)
-        edges += int(mask.sum())
-
-    # Horizontal edges: rows at multiples of block_size.
-    for row_block in range(1, height // block_size):
-        y = row_block * block_size
-        p1, p0 = out[y - 2, :], out[y - 1, :]
-        q0, q1 = out[y, :], out[min(y + 1, height - 1), :]
-        step = np.abs(p0 - q0)
-        mask = (step < threshold) & (step > _min_step())
-        if activity is not None:
-            strength = activity[row_block - 1, :] | activity[row_block, :]
-            mask &= np.repeat(strength, block_size)
-        if mask.any():
-            tc = _tc(qp)
-            dp = np.clip((p1 + 2.0 * p0 + q0) / 4.0 - p0, -tc, tc)
-            dq = np.clip((p0 + 2.0 * q0 + q1) / 4.0 - q0, -tc, tc)
-            out[y - 1, :] = np.where(mask, p0 + dp, p0)
-            out[y, :] = np.where(mask, q0 + dq, q0)
-        edges += int(mask.sum())
-
+    edges = _filter_vertical_edges(out, block_size, qp, activity)
+    edges += _filter_vertical_edges(
+        out.T, block_size, qp, None if activity is None else activity.T
+    )
     if counters is not None:
         counters.add("deblock_edge", edges)
     return out
+
+
+def _filter_vertical_edges(
+    out: np.ndarray, block_size: int, qp: int, activity: Optional[np.ndarray]
+) -> int:
+    """Filter every vertical block edge of ``out`` in place, all at once.
+
+    An edge at column ``x`` reads columns ``x - 2 .. x + 1`` and writes
+    ``x - 1`` and ``x``.  Edges are ``block_size >= 4`` apart, so no edge
+    reads a column another one writes, and filtering them together gives
+    the bits of filtering them one at a time.  Called on ``out.T`` it
+    filters the horizontal edges.  Returns the number of filtered edge
+    samples.
+    """
+    width = out.shape[1]
+    p1, p0, q0, q1 = (
+        out[:, block_size + d : width + d : block_size] for d in (-2, -1, 0, 1)
+    )
+    step = np.abs(p0 - q0)
+    mask = (step < edge_threshold(qp)) & (step > _min_step())
+    if activity is not None:
+        strength = activity[:, :-1] | activity[:, 1:]
+        mask &= np.repeat(strength, block_size, axis=0)
+    tc = _tc(qp)
+    dp = np.clip((p1 + 2.0 * p0 + q0) / 4.0 - p0, -tc, tc)
+    dq = np.clip((p0 + 2.0 * q0 + q1) / 4.0 - q0, -tc, tc)
+    p0[...] = np.where(mask, p0 + dp, p0)
+    q0[...] = np.where(mask, q0 + dq, q0)
+    return int(mask.sum())

@@ -12,9 +12,14 @@ methods span the effort ladder:
   highest effort level.
 
 Everything operates on all blocks of a frame simultaneously: candidate
-windows are gathered with advanced indexing (log search, sub-pel) or read
-as sliding-window views of the reference (full search) and SAD is reduced
-per block, so the inner loops run in numpy, not Python.
+windows are gathered per block from a sliding-window view of the reference
+and SAD is reduced per block, so the inner loops run in numpy, not Python.
+
+The search runs in exact integers.  Codec planes are on the 8-bit grid
+(``uint8`` sources, references snapped by ``filter_and_snap``), which
+:func:`estimate_motion` checks once per call; every SAD is then ``int16``
+differences summed into ``int32``, the same numbers as float64 SADs of the
+same planes, bit for bit (DESIGN.md, "Codec performance").
 
 Motion vectors are stored in **quarter-pel units** ``(dy, dx)``; sub-pixel
 refinement (when enabled by the preset) evaluates the 8 half-pel positions
@@ -24,6 +29,7 @@ around that (``subpel_depth`` 1 and 2), using bilinear interpolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -41,6 +47,9 @@ __all__ = [
     "motion_compensate_chroma",
 ]
 
+#: Largest block whose full-search row sums (``255 * size``) fit ``int16``.
+_MAX_BLOCK = np.iinfo(np.int16).max // 255
+
 
 @dataclass
 class MotionField:
@@ -48,13 +57,18 @@ class MotionField:
 
     Attributes:
         mvs: ``(n, 2)`` motion vectors in quarter-pel units, ``(dy, dx)``.
-        sads: ``(n,)`` best SAD per block (at the chosen vector).
-        zero_sads: ``(n,)`` SAD at the zero vector (skip-mode cost).
+        sads: ``(n,)`` best SAD per block (at the chosen vector), float64.
+        zero_sads: ``(n,)`` SAD at the zero vector (skip-mode cost), float64.
     """
 
     mvs: np.ndarray
     sads: np.ndarray
     zero_sads: np.ndarray
+
+    def __post_init__(self) -> None:
+        # The search sums in integers; mode decision adds float costs to them.
+        self.sads = np.asarray(self.sads, dtype=np.float64)
+        self.zero_sads = np.asarray(self.zero_sads, dtype=np.float64)
 
 
 def pad_reference(plane: np.ndarray, pad: int) -> np.ndarray:
@@ -76,18 +90,39 @@ def block_positions(height: int, width: int, size: int) -> Tuple[np.ndarray, np.
     return by * size, bx * size
 
 
-def _gather_windows(
-    padded: np.ndarray, ys: np.ndarray, xs: np.ndarray, h: int, w: int
-) -> np.ndarray:
-    """Gather ``(n, h, w)`` windows at per-block offsets into a padded plane."""
-    rows = ys[:, None, None] + np.arange(h)[None, :, None]
-    cols = xs[:, None, None] + np.arange(w)[None, None, :]
-    return padded[rows, cols]
-
-
 def _sad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-block SAD over ``(n, s, s)`` arrays."""
-    return np.abs(a - b).sum(axis=(1, 2))
+    """Per-block SAD over ``(n, s, s)`` integer arrays, summed in ``int32``."""
+    diff = a - b
+    return np.abs(diff, out=diff).sum(axis=(1, 2), dtype=np.int32)
+
+
+def _bilinear(view: np.ndarray, ys, xs, mvs: np.ndarray, one: int) -> np.ndarray:
+    """Bilinear prediction numerator at fractional vectors.
+
+    ``mvs`` are in ``1/one`` pixel units; ``view`` is the sliding
+    ``(bs + 1)``-pixel window view of a padded reference and ``(ys, xs)``
+    the blocks' origins in it.  Returns the ``(n, bs, bs)`` predictions
+    times ``one**2``, the sum of the weights: exact integers on an integer
+    view (``16 * 255`` and ``64 * 255`` fit ``int16``), the same float
+    expression otherwise.
+    """
+    int_y, frac_y = np.divmod(mvs[:, 0], one)
+    int_x, frac_x = np.divmod(mvs[:, 1], one)
+    window = view[ys + int_y, xs + int_x]
+    fy = frac_y[:, None, None].astype(window.dtype)
+    fx = frac_x[:, None, None].astype(window.dtype)
+    bs = window.shape[1] - 1
+    return (
+        (one - fy) * (one - fx) * window[:, :bs, :bs]
+        + (one - fy) * fx * window[:, :bs, 1:]
+        + fy * (one - fx) * window[:, 1:, :bs]
+        + fy * fx * window[:, 1:, 1:]
+    )
+
+
+def _on_8bit_grid(plane: np.ndarray) -> bool:
+    """Whether the pixel snap of ``filter_and_snap`` would leave ``plane`` as it is."""
+    return np.array_equal(plane, np.clip(np.rint(plane), 0, 255))
 
 
 def estimate_motion(
@@ -107,12 +142,12 @@ def estimate_motion(
 
     Args:
         current: The luma plane being encoded, shape ``(H, W)``, padded to a
-            multiple of ``block_size``.
+            multiple of ``block_size``, on the 8-bit grid.
         reference_padded: Output of :func:`pad_reference` on the
             reconstructed reference plane, padded by ``pad``: shape
-            ``(H + 2 * pad, W + 2 * pad)``.
+            ``(H + 2 * pad, W + 2 * pad)``, on the 8-bit grid.
         pad: The padding used; must be at least ``search_range + 1``.
-        block_size: Macroblock size (16 for luma).
+        block_size: Macroblock size (16 for luma), at most 128.
         search_method: ``"none"``, ``"log"`` or ``"full"``.
         search_range: Maximum displacement in integer pixels.
         subpel_depth: 0 = integer-pel only, 1 = refine to half-pel,
@@ -121,16 +156,21 @@ def estimate_motion(
         init_mvs: Optional ``(n, 2)`` integer-pel seeds (e.g. the previous
             frame's field, the temporal predictor).
         skip_threshold: Early-skip gate: blocks whose zero-vector SAD is
-            below this threshold are not searched at all (their vector
-            stays zero).  This is where fast presets and hardware models
-            save most of their motion-search work on static content.
+            below this (finite) threshold are not searched at all (their
+            vector stays zero).  This is where fast presets and hardware
+            models save most of their motion-search work on static content.
         counters: Kernel-work counters to update.
 
     Returns:
         A :class:`MotionField` with vectors in quarter-pel units.
+
+    Raises:
+        ValueError: On inconsistent geometry or options, or a plane with a
+            value that is not an integer in 0..255.
     """
-    current = np.asarray(current, dtype=np.float64)
-    height, width = current.shape
+    height, width = np.shape(current)
+    if not 0 < block_size <= _MAX_BLOCK:
+        raise ValueError(f"block size must be in 1..{_MAX_BLOCK}, got {block_size}")
     if height % block_size or width % block_size:
         raise ValueError(
             f"plane {width}x{height} not a multiple of block size {block_size}"
@@ -149,21 +189,28 @@ def estimate_motion(
             f"{(height + 2 * pad, width + 2 * pad)} for a {(height, width)} "
             f"plane padded by {pad}"
         )
+    n = (height // block_size) * (width // block_size)
+    if init_mvs is not None and np.shape(init_mvs) != (n, 2):
+        raise ValueError(f"init_mvs must be ({n}, 2), got {np.shape(init_mvs)}")
+    if skip_threshold is not None and not math.isfinite(skip_threshold):
+        raise ValueError(f"skip_threshold must be finite, got {skip_threshold}")
+    for name, plane in (("current", current), ("reference_padded", reference_padded)):
+        if not _on_8bit_grid(plane):
+            raise ValueError(f"{name} is not on the 8-bit grid (integers in 0..255)")
+    cur = np.asarray(current).astype(np.int16)
+    ref = np.asarray(reference_padded).astype(np.int16)
     counters = counters if counters is not None else Counters()
 
     cur_blocks = (
-        current.reshape(height // block_size, block_size, width // block_size, block_size)
+        cur.reshape(height // block_size, block_size, width // block_size, block_size)
         .swapaxes(1, 2)
         .reshape(-1, block_size, block_size)
     )
-    n = cur_blocks.shape[0]
-    ys, xs = block_positions(height, width, block_size)
+    ys, xs = (origin + pad for origin in block_positions(height, width, block_size))
+    view = sliding_window_view(ref, (block_size, block_size))
 
     # Zero-motion SAD doubles as the skip-mode cost.
-    zero_blocks = _gather_windows(
-        reference_padded, ys + pad, xs + pad, block_size, block_size
-    )
-    zero_sads = _sad(cur_blocks, zero_blocks)
+    zero_sads = _sad(cur_blocks, view[ys, xs])
     counters.add("sad", n)
 
     best_mvs = np.zeros((n, 2), dtype=np.int64)
@@ -183,19 +230,10 @@ def estimate_motion(
         a_sads = best_sads[active]
 
         if init_mvs is not None:
-            seeds = np.asarray(init_mvs, dtype=np.int64)
-            if seeds.shape != (n, 2):
-                raise ValueError(f"init_mvs must be ({n}, 2), got {seeds.shape}")
-            seeds = np.clip(seeds[active], -search_range, search_range)
+            seeds = np.asarray(init_mvs, dtype=np.int64)[active]
+            seeds = np.clip(seeds, -search_range, search_range)
             if np.any(seeds):
-                seed_blocks = _gather_windows(
-                    reference_padded,
-                    a_ys + pad + seeds[:, 0],
-                    a_xs + pad + seeds[:, 1],
-                    block_size,
-                    block_size,
-                )
-                seed_sads = _sad(a_blocks, seed_blocks)
+                seed_sads = _sad(a_blocks, view[a_ys + seeds[:, 0], a_xs + seeds[:, 1]])
                 counters.add("sad", active.size)
                 better = seed_sads < a_sads
                 a_mvs[better] = seeds[better]
@@ -203,35 +241,29 @@ def estimate_motion(
 
         if search_method == "full":
             a_mvs, a_sads = _full_search(
-                current, reference_padded, pad, block_size, search_range,
+                cur, ref, pad, block_size, search_range,
                 active, a_mvs, a_sads, counters,
             )
         else:
             a_mvs, a_sads = _log_search(
-                a_blocks, reference_padded, a_ys, a_xs, pad,
-                block_size, search_range, refine_iterations,
+                a_blocks, view, a_ys, a_xs, search_range, refine_iterations,
                 a_mvs, a_sads, counters,
             )
         best_mvs[active] = a_mvs
         best_sads[active] = a_sads
 
     mvs_qpel = best_mvs * 4
+    sads16 = best_sads * 16  # sixteenths of a pixel: sub-pel SADs are exact in them
     if subpel_depth > 0 and search_method != "none" and active.size:
-        a_qpel, a_sads = _subpel_refine(
-            cur_blocks[active], reference_padded, ys[active], xs[active], pad,
-            block_size, search_range, best_mvs[active], best_sads[active],
-            subpel_depth, counters,
+        mvs_qpel[active], sads16[active] = _subpel_refine(
+            cur_blocks[active],
+            sliding_window_view(ref, (block_size + 1, block_size + 1)),
+            ys[active], xs[active], search_range,
+            best_mvs[active], sads16[active], subpel_depth, counters,
         )
-        mvs_qpel[active] = a_qpel
-        best_sads[active] = a_sads
 
     counters.add("me_blocks", n)
-    return MotionField(mvs=mvs_qpel, sads=best_sads, zero_sads=zero_sads)
-
-
-def _on_8bit_grid(plane: np.ndarray) -> bool:
-    """Whether the pixel snap of ``filter_and_snap`` would leave ``plane`` as it is."""
-    return np.array_equal(plane, np.clip(np.rint(plane), 0, 255))
+    return MotionField(mvs=mvs_qpel, sads=sads16 / 16.0, zero_sads=zero_sads)
 
 
 def _full_search(current, padded, pad, bs, srange, active, best_mvs, best_sads, counters):
@@ -245,32 +277,23 @@ def _full_search(current, padded, pad, bs, srange, active, best_mvs, best_sads, 
     the raster-ordered surface, under one strict ``<`` against the incoming
     best, is the vector a sequential raster scan keeps.
 
-    Codec planes are on the 8-bit grid (``uint8`` sources, references
-    snapped by ``filter_and_snap``), so the sums run in integers that hold
-    them exactly -- ``|a - b| <= 255``, 16 rows ``<= 4080`` (``int16``), a
-    block ``<= 65280`` (``int32``) -- and equal the float64 SADs bit for
-    bit in any accumulation order.  Other inputs run the same code in
-    float64.
+    ``current`` and ``padded`` are ``int16`` planes on the 8-bit grid, so
+    ``|a - b| <= 255``, a block row sums to ``<= 255 * bs`` (``int16`` for
+    ``bs <= 128``) and a block to ``<= 255 * bs**2`` (``int32``).
     """
     height, width = current.shape
     rows, cols = height // bs, width // bs
     k = 2 * srange + 1
-    exact = 255 * bs <= np.iinfo(np.int16).max  # what a 16-bit row sum can hold
-    if exact and _on_8bit_grid(current) and _on_8bit_grid(padded):
-        current, padded = current.astype(np.int16), padded.astype(np.int16)
-        row_t, sad_t = np.int16, np.int32
-    else:
-        row_t = sad_t = np.float64
-    surface = np.empty((rows, cols, k, k), dtype=sad_t)  # [mb row, mb col, dy, dx]
+    surface = np.empty((rows, cols, k, k), dtype=np.int32)  # [mb row, mb col, dy, dx]
     x0 = pad - srange
     for i in range(k):
         band = padded[x0 + i : x0 + i + height, x0 : x0 + width + 2 * srange]
         diff = sliding_window_view(band, width, axis=1) - current[:, None, :]  # [y, dx, x]
         np.abs(diff, out=diff)
-        row_sums = diff.reshape(rows, bs, k, width).sum(axis=1, dtype=row_t)
-        block_sads = row_sums.reshape(rows, k, cols, bs).sum(axis=3, dtype=sad_t)
+        row_sums = diff.reshape(rows, bs, k, width).sum(axis=1, dtype=np.int16)
+        block_sads = row_sums.reshape(rows, k, cols, bs).sum(axis=3, dtype=np.int32)
         surface[:, :, i] = block_sads.swapaxes(1, 2)
-    sads = surface.reshape(rows * cols, k * k)[active].astype(np.float64)
+    sads = surface.reshape(rows * cols, k * k)[active]
     sads[:, k * k // 2] = best_sads  # the zero vector is the incumbent's, never a candidate
     counters.add("sad", active.size * (k * k - 1))
     lowest = sads.min(axis=1)
@@ -281,7 +304,7 @@ def _full_search(current, padded, pad, bs, srange, active, best_mvs, best_sads, 
     return best_mvs, best_sads
 
 
-def _log_search(cur_blocks, padded, ys, xs, pad, bs, srange, max_iters, best_mvs, best_sads, counters):
+def _log_search(cur_blocks, view, ys, xs, srange, max_iters, best_mvs, best_sads, counters):
     """Step-halving neighbourhood search, all blocks in lockstep.
 
     At each step size the eight neighbours of every block's current best
@@ -289,8 +312,8 @@ def _log_search(cur_blocks, padded, ys, xs, pad, bs, srange, max_iters, best_mvs
     then halves.  Classic logarithmic search: ~8 * iters * log2(range) SADs
     per block instead of ``(2 * range + 1)**2``.
 
-    Only blocks whose clipped candidate actually differs from their current
-    best vector are gathered and reduced -- a candidate clipped back onto
+    Only blocks whose clamped candidate actually differs from their current
+    best vector are gathered and reduced -- a candidate clamped back onto
     the block's own position can never win (``sads < best_sads`` is strict),
     so evaluating it is pure waste.  As the field converges, the changed
     subset shrinks toward the few still-moving blocks.  The ``"sad"``
@@ -306,14 +329,15 @@ def _log_search(cur_blocks, padded, ys, xs, pad, bs, srange, max_iters, best_mvs
         for _ in range(max_iters):
             moved = False
             for off in offsets8 * step:
-                cand = np.clip(best_mvs + off, -srange, srange)
+                # Two in-place clamps: np.clip's Python wrapper cost more
+                # than the clamp itself at this call count.
+                cand = best_mvs + off
+                np.maximum(cand, -srange, out=cand)
+                np.minimum(cand, srange, out=cand)
                 idx = np.nonzero(np.any(cand != best_mvs, axis=1))[0]
                 if not idx.size:
                     continue
-                blocks_ref = _gather_windows(
-                    padded, ys[idx] + pad + cand[idx, 0], xs[idx] + pad + cand[idx, 1], bs, bs
-                )
-                sads = _sad(cur_blocks[idx], blocks_ref)
+                sads = _sad(cur_blocks[idx], view[ys[idx] + cand[idx, 0], xs[idx] + cand[idx, 1]])
                 counters.add("sad", idx.size)
                 better = sads < best_sads[idx]
                 if better.any():
@@ -329,54 +353,39 @@ def _log_search(cur_blocks, padded, ys, xs, pad, bs, srange, max_iters, best_mvs
     return best_mvs, best_sads
 
 
-def _subpel_refine(cur_blocks, padded, ys, xs, pad, bs, srange, int_mvs, best_sads, depth, counters):
+def _subpel_refine(cur_blocks, view, ys, xs, srange, int_mvs, best_sads16, depth, counters):
     """Refine to half-pel (depth 1) then quarter-pel (depth 2) precision.
 
     Each stage evaluates the 8 fractional neighbours of the current best
     vector, with candidate predictions built by bilinear interpolation --
     the same interpolator motion compensation uses, so refinement SADs
-    match the residuals the encoder will actually code.
+    match the residuals the encoder will actually code.  SADs are in
+    sixteenths of a pixel: the luma weights sum to 16, so a prediction is
+    ``N / 16`` for an integer numerator ``N`` and ``sum |16 * cur - N|`` is
+    16 times its float SAD, exactly.
     """
     n = cur_blocks.shape[0]
+    cur16 = cur_blocks * 16
     best_q = np.clip(int_mvs, -srange, srange) * 4
     limit = 4 * srange + 3
     steps = [2] if depth == 1 else [2, 1]
     for step in steps:
         improved_mvs = best_q.copy()
-        improved_sads = best_sads.copy()
+        improved_sads = best_sads16.copy()
         for hy in (-step, 0, step):
             for hx in (-step, 0, step):
                 if hy == 0 and hx == 0:
                     continue
                 cand = np.clip(best_q + (hy, hx), -limit, limit)
-                pred = _interp_windows(padded, pad, cand, ys, xs, bs)
-                sads = _sad(cur_blocks, pred)
+                sads = _sad(cur16, _bilinear(view, ys, xs, cand, 4))
                 counters.add("sad", n)
                 counters.add("interp_halfpel", n)
                 better = sads < improved_sads
                 improved_sads[better] = sads[better]
                 improved_mvs[better] = cand[better]
         best_q = improved_mvs
-        best_sads = improved_sads
-    return best_q, best_sads
-
-
-def _interp_windows(padded, pad, mvs_qpel, ys, xs, bs):
-    """Quarter-pel bilinear prediction for per-block vectors."""
-    mvs = np.asarray(mvs_qpel, dtype=np.int64)
-    int_y, frac_y = np.divmod(mvs[:, 0], 4)
-    int_x, frac_x = np.divmod(mvs[:, 1], 4)
-    window = _gather_windows(
-        padded, ys + pad + int_y, xs + pad + int_x, bs + 1, bs + 1
-    )
-    fy = frac_y[:, None, None].astype(np.float64)
-    fx = frac_x[:, None, None].astype(np.float64)
-    return (
-        (4 - fy) * (4 - fx) * window[:, :bs, :bs]
-        + (4 - fy) * fx * window[:, :bs, 1:]
-        + fy * (4 - fx) * window[:, 1:, :bs]
-        + fy * fx * window[:, 1:, 1:]
-    ) / 16.0
+        best_sads16 = improved_sads
+    return best_q, best_sads16
 
 
 def motion_compensate(
@@ -395,9 +404,9 @@ def motion_compensate(
     decoder both reach it through :mod:`repro.codec.reconstruct`, so it
     must be deterministic.
     """
-    pred = _interp_windows(
-        reference_padded, pad, mvs_qpel, ys, xs, block_size
-    )
+    mvs = np.asarray(mvs_qpel, dtype=np.int64)
+    view = sliding_window_view(reference_padded, (block_size + 1, block_size + 1))
+    pred = _bilinear(view, ys + pad, xs + pad, mvs, 4) / 16.0
     if counters is not None:
         counters.add("mc_blocks", len(pred))
     return pred
@@ -425,31 +434,13 @@ def motion_compensate_chroma(
     mvs = np.asarray(mvs_qpel, dtype=np.int64)
     if not subpel:
         chroma_mv = np.rint(mvs / 8.0).astype(np.int64)
-        pred = _gather_windows(
-            reference_padded,
-            ys + pad + chroma_mv[:, 0],
-            xs + pad + chroma_mv[:, 1],
-            block_size,
-            block_size,
-        )
+        view = sliding_window_view(reference_padded, (block_size, block_size))
+        pred = view[ys + pad + chroma_mv[:, 0], xs + pad + chroma_mv[:, 1]]
         if counters is not None:
             counters.add("mc_blocks", mvs.shape[0])
         return pred
-    int_y, frac_y = np.divmod(mvs[:, 0], 8)
-    int_x, frac_x = np.divmod(mvs[:, 1], 8)
-    window = _gather_windows(
-        reference_padded, ys + pad + int_y, xs + pad + int_x,
-        block_size + 1, block_size + 1,
-    )
-    fy = frac_y[:, None, None].astype(np.float64)
-    fx = frac_x[:, None, None].astype(np.float64)
-    bs = block_size
-    pred = (
-        (8 - fy) * (8 - fx) * window[:, :bs, :bs]
-        + (8 - fy) * fx * window[:, :bs, 1:]
-        + fy * (8 - fx) * window[:, 1:, :bs]
-        + fy * fx * window[:, 1:, 1:]
-    ) / 64.0
+    view = sliding_window_view(reference_padded, (block_size + 1, block_size + 1))
+    pred = _bilinear(view, ys + pad, xs + pad, mvs, 8) / 64.0
     if counters is not None:
         counters.add("mc_blocks", mvs.shape[0])
         counters.add("interp_halfpel", mvs.shape[0])

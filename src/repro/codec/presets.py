@@ -14,6 +14,7 @@ and wide search -- genuinely stronger tools, genuinely slower.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict
 
@@ -81,8 +82,12 @@ class EncoderConfig:
             raise ValueError(
                 f"container version must be 1 or 2, got {self.container_version}"
             )
-        if self.skip_bias <= 0:
-            raise ValueError(f"skip_bias must be positive, got {self.skip_bias}")
+        if not math.isfinite(self.skip_bias) or self.skip_bias <= 0:
+            raise ValueError(
+                f"skip_bias must be positive and finite, got {self.skip_bias}"
+            )
+        if math.isnan(self.scene_cut):
+            raise ValueError("scene_cut must be a number, got nan")
         if self.references not in (1, 2):
             raise ValueError(f"references must be 1 or 2, got {self.references}")
         if self.search_method not in ("none", "log", "full"):

@@ -15,16 +15,20 @@ from repro.codec.motion import (
 
 
 def _textured(rng, h, w):
-    """Smooth textured content: real video has a smooth SAD landscape.
+    """Smooth textured content on the 8-bit grid: real video has a smooth
+    SAD landscape.
 
     (Gradient-descent searches like the log search cannot find a global
     optimum hidden in iid noise -- neither can x264's; smoothness is what
-    makes hierarchical search work on natural content.)"""
+    makes hierarchical search work on natural content.)  The blur leaves
+    a standard deviation near 10 around 127.5; stretching it by 4 keeps
+    the contrast of real content."""
     from scipy import ndimage
 
-    return ndimage.gaussian_filter(
+    smooth = ndimage.gaussian_filter(
         rng.uniform(0, 255, size=(h, w)), sigma=2.0, mode="wrap"
-    ) * 4.0
+    )
+    return np.clip(np.rint((smooth - 127.5) * 4.0 + 127.5), 0, 255)
 
 
 def _shift(plane, dy, dx):
@@ -107,18 +111,61 @@ class TestIntegerSearch:
         # A reference padded for another plane: slices would truncate silently.
         with pytest.raises(ValueError, match=r"\(40, 40\).*\(40, 56\)"):
             estimate_motion(np.zeros((32, 48)), ref, 4, 16, search_range=2)
+        # Full search sums block rows in int16: 255 * 128 is the most it holds.
+        big = np.zeros((256, 256))
+        with pytest.raises(ValueError, match="block size"):
+            estimate_motion(big, pad_reference(big, 4), 4, 256, search_range=2)
+        # A wrong-shaped seed field is rejected on every path, not only
+        # where the search reads it: zero-motion only, and every block gated.
+        bad_seeds = np.zeros((3, 2), dtype=np.int64)  # the plane has 4 blocks
+        with pytest.raises(ValueError, match="init_mvs"):
+            estimate_motion(
+                np.zeros((32, 32)), ref, 4, 16, search_method="none",
+                search_range=2, init_mvs=bad_seeds,
+            )
+        with pytest.raises(ValueError, match="init_mvs"):
+            estimate_motion(
+                np.zeros((32, 32)), ref, 4, 16, search_range=2,
+                init_mvs=bad_seeds, skip_threshold=1e12,
+            )
+        # ``zero_sads >= nan`` is all False: the search and the gate both off.
+        for threshold in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="skip_threshold"):
+                estimate_motion(
+                    np.zeros((32, 32)), ref, 4, 16, search_range=2,
+                    skip_threshold=threshold,
+                )
+
+    @pytest.mark.parametrize("which", ["current", "reference_padded"])
+    @pytest.mark.parametrize("bad", [100.5, -1.0, 256.0, float("nan")])
+    def test_rejects_planes_off_the_8bit_grid(self, which, bad):
+        planes = {"current": np.full((32, 32), 100.0)}
+        planes["reference_padded"] = pad_reference(planes["current"], 4)
+        planes[which][5, 7] = bad
+        with pytest.raises(ValueError, match=f"^{which} is not on the 8-bit grid"):
+            estimate_motion(
+                planes["current"], planes["reference_padded"], 4, 16, search_range=2
+            )
+
+
+def _gather(plane, ys, xs, h, w):
+    """``(n, h, w)`` windows at per-block offsets, by an index grid."""
+    rows = ys[:, None, None] + np.arange(h)[None, :, None]
+    cols = xs[:, None, None] + np.arange(w)[None, None, :]
+    return plane[rows, cols]
 
 
 def _scan_full_search(current, padded, pad, bs, srange, active, best_mvs, best_sads, counters):
     """The sequential per-offset scan ``_full_search`` replaced: its oracle
     for values, raster-order tie-breaking and the ``sad`` count."""
+    current, padded = np.asarray(current, np.float64), np.asarray(padded, np.float64)
     ys, xs = (origin[active] for origin in block_positions(*current.shape, bs))
-    cur_blocks = motion._gather_windows(current, ys, xs, bs, bs)
+    cur_blocks = _gather(current, ys, xs, bs, bs)
     for dy in range(-srange, srange + 1):
         for dx in range(-srange, srange + 1):
             if dy == 0 and dx == 0:
                 continue
-            cand = motion._gather_windows(padded, ys + pad + dy, xs + pad + dx, bs, bs)
+            cand = _gather(padded, ys + pad + dy, xs + pad + dx, bs, bs)
             sads = np.abs(cur_blocks - cand).sum(axis=(1, 2))
             counters.add("sad", active.size)
             better = sads < best_sads
@@ -179,25 +226,6 @@ class TestFullSearchAgainstScan:
         assert tuple(new.mvs[4] // 4) == tuple(old.mvs[4] // 4) == (-4, -4)
         assert not np.any(np.delete(new.mvs, 4, axis=0))  # flat blocks stay put
 
-    def test_float_planes_run_the_same_search(self, monkeypatch):
-        # Seed picked so that on some static blocks the surface rounds the
-        # zero-vector SAD one ulp *below* ``zero_sads`` (it happens to ~15 %).
-        rng = np.random.default_rng(0)
-        ref = _textured(rng, 64, 96)
-        cur = _shift(ref, -3, 2)
-        cur[:, :48] = ref[:, :48]  # a static half ...
-        cur += rng.normal(0, 20.0, size=ref.shape)  # ... and a large zero-vector SAD
-        (new, new_counts), (old, old_counts) = _both_searches(
-            monkeypatch, cur, ref, 6, subpel_depth=0
-        )
-        np.testing.assert_array_equal(new.mvs, old.mvs)
-        np.testing.assert_allclose(new.sads, old.sads, rtol=1e-12)
-        assert new_counts == old_counts
-        # ... which must not leak out as a "better" zero vector.
-        unmoved = ~np.any(new.mvs, axis=1)
-        assert unmoved.any() and not unmoved.all()
-        np.testing.assert_array_equal(new.sads[unmoved], new.zero_sads[unmoved])
-
     def test_codec_planes_are_on_the_8bit_grid(self, rng, natural_video):
         """Where the integer path's precondition is produced."""
         from repro.codec.encoder import _CodingState
@@ -215,12 +243,221 @@ class TestFullSearchAgainstScan:
             assert motion._on_8bit_grid(plane)
 
 
+# -- the float64 search the integer one replaced, kept as its oracle ----------
+
+
+def _float_sad(a, b):
+    return np.abs(a - b).sum(axis=(1, 2))
+
+
+def _float_interp(padded, pad, mvs_qpel, ys, xs, bs):
+    """Quarter-pel bilinear prediction in float64."""
+    mvs = np.asarray(mvs_qpel, dtype=np.int64)
+    int_y, frac_y = np.divmod(mvs[:, 0], 4)
+    int_x, frac_x = np.divmod(mvs[:, 1], 4)
+    window = _gather(padded, ys + pad + int_y, xs + pad + int_x, bs + 1, bs + 1)
+    fy = frac_y[:, None, None].astype(np.float64)
+    fx = frac_x[:, None, None].astype(np.float64)
+    return (
+        (4 - fy) * (4 - fx) * window[:, :bs, :bs]
+        + (4 - fy) * fx * window[:, :bs, 1:]
+        + fy * (4 - fx) * window[:, 1:, :bs]
+        + fy * fx * window[:, 1:, 1:]
+    ) / 16.0
+
+
+def _float_log_search(cur_blocks, padded, ys, xs, pad, bs, srange, max_iters, best_mvs, best_sads, counters):
+    offsets8 = np.array(
+        [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)],
+        dtype=np.int64,
+    )
+    step = max(1, srange // 2)
+    while step >= 1:
+        for _ in range(max_iters):
+            moved = False
+            for off in offsets8 * step:
+                cand = np.clip(best_mvs + off, -srange, srange)
+                idx = np.nonzero(np.any(cand != best_mvs, axis=1))[0]
+                if not idx.size:
+                    continue
+                blocks_ref = _gather(
+                    padded, ys[idx] + pad + cand[idx, 0], xs[idx] + pad + cand[idx, 1], bs, bs
+                )
+                sads = _float_sad(cur_blocks[idx], blocks_ref)
+                counters.add("sad", idx.size)
+                better = sads < best_sads[idx]
+                if better.any():
+                    sel = idx[better]
+                    best_sads[sel] = sads[better]
+                    best_mvs[sel] = cand[sel]
+                    moved = True
+            if not moved:
+                break
+        if step == 1:
+            break
+        step //= 2
+    return best_mvs, best_sads
+
+
+def _float_subpel_refine(cur_blocks, padded, ys, xs, pad, bs, srange, int_mvs, best_sads, depth, counters):
+    n = cur_blocks.shape[0]
+    best_q = np.clip(int_mvs, -srange, srange) * 4
+    limit = 4 * srange + 3
+    for step in [2] if depth == 1 else [2, 1]:
+        improved_mvs = best_q.copy()
+        improved_sads = best_sads.copy()
+        for hy in (-step, 0, step):
+            for hx in (-step, 0, step):
+                if hy == 0 and hx == 0:
+                    continue
+                cand = np.clip(best_q + (hy, hx), -limit, limit)
+                sads = _float_sad(cur_blocks, _float_interp(padded, pad, cand, ys, xs, bs))
+                counters.add("sad", n)
+                counters.add("interp_halfpel", n)
+                better = sads < improved_sads
+                improved_sads[better] = sads[better]
+                improved_mvs[better] = cand[better]
+        best_q = improved_mvs
+        best_sads = improved_sads
+    return best_q, best_sads
+
+
+def _float_estimate_motion(
+    current, reference_padded, pad, block_size, search_method="log",
+    search_range=8, subpel_depth=1, refine_iterations=8, init_mvs=None,
+    skip_threshold=None, counters=None,
+):
+    """``estimate_motion`` as it ran in float64 on gathered windows."""
+    current = np.asarray(current, dtype=np.float64)
+    padded = np.asarray(reference_padded, dtype=np.float64)
+    height, width = current.shape
+    bs = block_size
+    ys, xs = block_positions(height, width, bs)
+    cur_blocks = _gather(current, ys, xs, bs, bs)
+    n = cur_blocks.shape[0]
+    zero_sads = _float_sad(cur_blocks, _gather(padded, ys + pad, xs + pad, bs, bs))
+    counters.add("sad", n)
+    best_mvs = np.zeros((n, 2), dtype=np.int64)
+    best_sads = zero_sads.copy()
+    if skip_threshold is not None:
+        active = np.nonzero(zero_sads >= skip_threshold)[0]
+    else:
+        active = np.arange(n)
+    if search_method != "none" and search_range > 0 and active.size:
+        a_blocks = cur_blocks[active]
+        a_ys, a_xs = ys[active], xs[active]
+        a_mvs = best_mvs[active]
+        a_sads = best_sads[active]
+        if init_mvs is not None:
+            seeds = np.clip(np.asarray(init_mvs, np.int64)[active], -search_range, search_range)
+            if np.any(seeds):
+                seed_blocks = _gather(
+                    padded, a_ys + pad + seeds[:, 0], a_xs + pad + seeds[:, 1], bs, bs
+                )
+                seed_sads = _float_sad(a_blocks, seed_blocks)
+                counters.add("sad", active.size)
+                better = seed_sads < a_sads
+                a_mvs[better] = seeds[better]
+                a_sads[better] = seed_sads[better]
+        if search_method == "full":
+            a_mvs, a_sads = _scan_full_search(
+                current, padded, pad, bs, search_range, active, a_mvs, a_sads, counters
+            )
+        else:
+            a_mvs, a_sads = _float_log_search(
+                a_blocks, padded, a_ys, a_xs, pad, bs, search_range,
+                refine_iterations, a_mvs, a_sads, counters,
+            )
+        best_mvs[active] = a_mvs
+        best_sads[active] = a_sads
+    mvs_qpel = best_mvs * 4
+    if subpel_depth > 0 and search_method != "none" and active.size:
+        a_qpel, a_sads = _float_subpel_refine(
+            cur_blocks[active], padded, ys[active], xs[active], pad, bs,
+            search_range, best_mvs[active], best_sads[active], subpel_depth, counters,
+        )
+        mvs_qpel[active] = a_qpel
+        best_sads[active] = a_sads
+    counters.add("me_blocks", n)
+    return motion.MotionField(mvs=mvs_qpel, sads=best_sads, zero_sads=zero_sads)
+
+
+class TestIntegerSearchAgainstFloat:
+    """On 8-bit planes the integer search is the float64 search, bit for bit:
+    the same vectors, SADs, zero-vector SADs and ordered counters."""
+
+    @staticmethod
+    def _planes(rng, h=48, w=80):
+        """Moving texture (3 x 5 macroblocks) with static, flat, plateau and
+        striped blocks, all on the 8-bit grid."""
+        ref = _textured(rng, h, w)
+        cur = np.clip(np.roll(ref, (2, -3), axis=(0, 1)) + rng.integers(-3, 4, (h, w)), 0, 255)
+        cur[32:, :32] = ref[32:, :32]  # static blocks: below the skip threshold
+        ref[:20, 60:] = 77.0  # flat around block 4, searched: its seed,
+        cur[:16, 64:] = 80.0  # like every nearby candidate, ties zero
+        ref[10:38, 10:38] = 120.0  # a plateau around block 6 ...
+        ref[16:32, 16:32] = 130.0
+        cur[16:32, 16:32] = 100.0  # ... whose escapes tie
+        ref[28:, 44:68] = np.tile([90.0, 110.0], (20, 12))  # stripes at block 13:
+        cur[32:, 48:64] = 100.0  # every integer vector ties, both half-pel columns win
+        return cur, ref
+
+    @staticmethod
+    def _run(search, cur, ref, pad, **kwargs):
+        counters = Counters()
+        mf = search(cur, pad_reference(ref, pad), pad, 16, counters=counters, **kwargs)
+        return mf, list(counters.as_dict().items())
+
+    @pytest.mark.parametrize("method", ["log", "full"])
+    @pytest.mark.parametrize("srange", [1, 4, 16])
+    @pytest.mark.parametrize("subpel_depth", [0, 1, 2])
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_8bit_planes_are_equal(self, rng, method, srange, subpel_depth, gated):
+        cur, ref = self._planes(rng)
+        kwargs = dict(
+            search_method=method, search_range=srange, subpel_depth=subpel_depth,
+            refine_iterations=3,
+        )
+        if gated:
+            seeds = rng.integers(-srange, srange + 1, size=(15, 2))
+            seeds[::2] = (2, -3)  # the true shift: lowers best_sads before the search
+            seeds[4] = (1, -1)  # inside the flat patch: a tie the zero vector keeps
+            kwargs.update(init_mvs=seeds, skip_threshold=16.0)
+        (new, new_counts), (old, old_counts) = (
+            self._run(search, cur, ref, srange + 2, **kwargs)
+            for search in (estimate_motion, _float_estimate_motion)
+        )
+        np.testing.assert_array_equal(new.mvs, old.mvs)
+        np.testing.assert_array_equal(new.sads, old.sads)
+        np.testing.assert_array_equal(new.zero_sads, old.zero_sads)
+        assert new.sads.dtype == new.zero_sads.dtype == np.float64
+        assert new_counts == old_counts
+        moved = np.any(new.mvs, axis=1)
+        assert moved.any() and not moved.all()
+
+    @pytest.mark.parametrize("subpel_depth", [1, 2])
+    def test_fractional_content(self, rng, subpel_depth):
+        """Sub-pel optima with fractional SADs: content displaced by a
+        quarter pixel, rounded back onto the grid."""
+        base = _textured(rng, 49, 81)
+        ref = base[:48, :80]
+        cur = np.rint(0.75 * base[:48, :80] + 0.25 * base[1:, 1:])
+        (new, new_counts), (old, old_counts) = (
+            self._run(search, cur, ref, 6, search_range=4, subpel_depth=subpel_depth)
+            for search in (estimate_motion, _float_estimate_motion)
+        )
+        np.testing.assert_array_equal(new.mvs, old.mvs)
+        np.testing.assert_array_equal(new.sads, old.sads)
+        assert new_counts == old_counts
+        assert np.any(new.mvs % 4) and np.any(new.sads % 1)
+
+
 class TestSubpel:
     def test_halfpel_improves_on_fractional_shift(self, rng):
         # Build a reference, then a current frame displaced by half a pixel.
         base = _textured(rng, 49, 65)
         ref = base[:48, :64]
-        half = (base[:48, :64] + base[:48, 1:65]) / 2.0  # shifted +0.5 in x
+        half = np.rint((base[:48, :64] + base[:48, 1:65]) / 2.0)  # shifted +0.5 in x
         padded = pad_reference(ref, 8)
         nosub = estimate_motion(
             half, padded, 8, 16, search_range=4, subpel_depth=0
@@ -233,7 +470,7 @@ class TestSubpel:
     def test_quarterpel_improves_further(self, rng):
         base = _textured(rng, 49, 65)
         ref = base[:48, :64]
-        quarter = 0.75 * base[:48, :64] + 0.25 * base[:48, 1:65]
+        quarter = np.rint(0.75 * base[:48, :64] + 0.25 * base[:48, 1:65])
         padded = pad_reference(ref, 8)
         half = estimate_motion(quarter, padded, 8, 16, search_range=4, subpel_depth=1)
         qpel = estimate_motion(quarter, padded, 8, 16, search_range=4, subpel_depth=2)

@@ -106,3 +106,86 @@ class TestDeblock:
         counters = Counters()
         deblock_plane(self._blocky(), 8, qp=30, counters=counters)
         assert counters.get("deblock_edge") > 0
+
+    @pytest.mark.parametrize("block_size", [1, 2, 3])
+    def test_rejects_blocks_narrower_than_the_filter(self, block_size):
+        """Below 4 px one edge's taps overlap the next edge's writes."""
+        with pytest.raises(ValueError, match="at least 4"):
+            deblock_plane(np.zeros((12, 12)), block_size, 30)
+
+
+def _deblock_edge_by_edge(plane, block_size, qp, activity):
+    """The per-edge loop ``deblock_plane`` replaced: its oracle for values,
+    the vertical-then-horizontal order and the ``deblock_edge`` count."""
+    from repro.codec.deblock import _min_step, _tc
+
+    out = np.asarray(plane, dtype=np.float64).copy()
+    height, width = out.shape
+    threshold = edge_threshold(qp)
+    edges = 0
+    for col_block in range(1, width // block_size):
+        x = col_block * block_size
+        p1, p0 = out[:, x - 2], out[:, x - 1]
+        q0, q1 = out[:, x], out[:, min(x + 1, width - 1)]
+        step = np.abs(p0 - q0)
+        mask = (step < threshold) & (step > _min_step())
+        if activity is not None:
+            strength = activity[:, col_block - 1] | activity[:, col_block]
+            mask &= np.repeat(strength, block_size)
+        if mask.any():
+            tc = _tc(qp)
+            dp = np.clip((p1 + 2.0 * p0 + q0) / 4.0 - p0, -tc, tc)
+            dq = np.clip((p0 + 2.0 * q0 + q1) / 4.0 - q0, -tc, tc)
+            out[:, x - 1] = np.where(mask, p0 + dp, p0)
+            out[:, x] = np.where(mask, q0 + dq, q0)
+        edges += int(mask.sum())
+    for row_block in range(1, height // block_size):
+        y = row_block * block_size
+        p1, p0 = out[y - 2, :], out[y - 1, :]
+        q0, q1 = out[y, :], out[min(y + 1, height - 1), :]
+        step = np.abs(p0 - q0)
+        mask = (step < threshold) & (step > _min_step())
+        if activity is not None:
+            strength = activity[row_block - 1, :] | activity[row_block, :]
+            mask &= np.repeat(strength, block_size)
+        if mask.any():
+            tc = _tc(qp)
+            dp = np.clip((p1 + 2.0 * p0 + q0) / 4.0 - p0, -tc, tc)
+            dq = np.clip((p0 + 2.0 * q0 + q1) / 4.0 - q0, -tc, tc)
+            out[y - 1, :] = np.where(mask, p0 + dp, p0)
+            out[y, :] = np.where(mask, q0 + dq, q0)
+        edges += int(mask.sum())
+    return out, edges
+
+
+class TestDeblockAgainstEdgeLoop:
+    """All edges of a direction at once must be the edge-by-edge filter,
+    bit for bit, with the same ``deblock_edge`` count."""
+
+    @pytest.mark.parametrize("block_size", [4, 8, 16])
+    @pytest.mark.parametrize("qp", [10, 28, 45])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_planes(self, block_size, qp, seed):
+        from repro.codec.instrumentation import Counters
+
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 5, size=2)
+        shape = (rows * block_size, cols * block_size + 2 * block_size)
+        # Flat blocks with small steps (filtered), big steps (left alone)
+        # and per-pixel noise, so edges of every kind meet.  Half-pixel
+        # values make steps land exactly on the thresholds (1.5, and an
+        # integer at these qps).
+        grid = (shape[0] // block_size, shape[1] // block_size)
+        blocks = rng.integers(100, 104 + qp, size=grid)
+        plane = np.kron(blocks, np.ones((block_size, block_size)))
+        plane += np.rint(rng.normal(0, 3.0, size=shape)) / 2.0
+        plane[rng.random(shape) < 0.05] += 60.0
+        filtered = []
+        for activity in (None, rng.random(grid) < 0.3):
+            counters = Counters()
+            out = deblock_plane(plane, block_size, qp, activity, counters)
+            want, edges = _deblock_edge_by_edge(plane, block_size, qp, activity)
+            np.testing.assert_array_equal(out, want)
+            assert counters.get("deblock_edge") == edges
+            filtered.append(edges)
+        assert filtered[0] >= filtered[1] > 0

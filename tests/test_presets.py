@@ -20,6 +20,9 @@ class TestConfigValidation:
             {"keyint": 0},
             {"subpel_depth": 3},
             {"skip_bias": 0},
+            {"skip_bias": float("nan")},  # would disable early skip
+            {"skip_bias": float("inf")},  # would skip every block
+            {"scene_cut": float("nan")},  # would never cut
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -2,6 +2,7 @@
 the codec's layering -- reconstruction has one owner."""
 
 import ast
+import functools
 import re
 import subprocess
 from pathlib import Path
@@ -65,13 +66,16 @@ def test_decoder_does_not_import_the_encoder():
     assert not [name for name in imported if "encoder" in name], imported
 
 
+@functools.lru_cache(maxsize=None)
 def _calls_in_src():
-    """``(path, node, called name)`` of every call expression under ``src/``."""
-    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                yield path, node, name
+    """``(path, node, called name)`` of every call expression under ``src/``
+    (parsed once: several guards read it)."""
+    return tuple(
+        (path, node, getattr(node.func, "id", getattr(node.func, "attr", None)))
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    )
 
 
 def test_reconstruction_kernels_have_one_caller():
@@ -94,6 +98,58 @@ def test_no_einsum_path_search_per_call():
         if name == "einsum" and any(kw.arg == "optimize" for kw in node.keywords)
     ]
     assert not offenders, offenders
+
+
+def _calls_in_function(path, function):
+    """``(node, called name)`` of every call inside one top-level function."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            span = range(node.lineno, node.end_lineno + 1)
+            break
+    else:
+        raise AssertionError(f"{function} not found in {path}")
+    return [
+        (call, name)
+        for call_path, call, name in _calls_in_src()
+        if call_path == path and call.lineno in span
+    ]
+
+
+@pytest.mark.parametrize(
+    "function", ["estimate_motion", "_full_search", "_log_search", "_subpel_refine"]
+)
+def test_motion_search_runs_in_integers(function):
+    """Codec planes are on the 8-bit grid, so every SAD is exact in int16
+    differences and int32 sums.  The float64 search it replaced gathered its
+    windows through a per-call int64 index grid (``_gather_windows``, also
+    under ``_interp_windows``): 1.73 of a 4.38 s cold scoring pass on a
+    2-core host."""
+    offenders = [
+        f"{node.lineno} {name}"
+        for node, name in _calls_in_function(CODEC / "motion.py", function)
+        if name in ("_gather_windows", "_interp_windows")
+        or any(getattr(sub, "id", getattr(sub, "attr", None)) == "float64"
+               for sub in ast.walk(node))
+    ]
+    assert not offenders, offenders
+
+
+def test_log_search_clamps_without_np_clip():
+    """``np.clip``'s Python-level wrapper ran 65 140 times in one cold
+    scoring pass; two in-place ``maximum``/``minimum`` calls do its work."""
+    calls = _calls_in_function(CODEC / "motion.py", "_log_search")
+    assert not [node.lineno for node, name in calls if name == "clip"]
+
+
+def test_loop_filter_has_no_per_edge_loop():
+    """Edges are at least 4 px apart, so one direction filters as one batch;
+    the per-edge Python loop was most of ``finish_frame``."""
+    loops = [
+        node.lineno
+        for node in ast.walk(ast.parse((CODEC / "deblock.py").read_text()))
+        if isinstance(node, (ast.For, ast.While))
+    ]
+    assert not loops, loops
 
 
 # -- traffic hot path ---------------------------------------------------------
