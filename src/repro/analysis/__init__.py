@@ -2,13 +2,12 @@
 
 PR 2 made byte-identical parallel/cached reports a hard contract and PR 1
 made chaos runs replayable; both rest on invariants -- fully seeded RNG
-streams, wall-clock reads quarantined to ``wall_seconds`` measurement,
-clip-guarded pixel math, pure pool workers, mirrored bitstream
-writers/readers -- that nothing enforced.  One unseeded ``default_rng()``
-or a ``perf_counter()`` value leaking into a cache key breaks
-reproducibility silently.  This package is an AST-based lint framework
-(stdlib :mod:`ast`, no dependencies) that makes those invariants fail the
-build instead.
+streams, no wall-clock reads, clip-guarded pixel math, pure pool
+workers, mirrored bitstream writers/readers -- that nothing enforced.
+One unseeded ``default_rng()`` or one ``perf_counter()`` read in the
+encode path breaks reproducibility silently.  This package is an
+AST-based lint framework (stdlib :mod:`ast`, no dependencies) that makes
+those invariants fail the build instead.
 
 Every run has two phases.  Phase 1 walks files independently (and in
 parallel) running the file rules and extracting a

@@ -20,9 +20,9 @@ every call site in the simulated-time scope and flags
 * calls whose *resolved callee* can reach a wall-clock read anywhere in
   its transitive call graph, with the offending chain in the message.
 
-Unlike VL001 (which sanctions ``perf_counter`` inside ``wall_seconds``
-measurement sites), there is no sanctioned wall-clock read here:
-simulated time means simulated time.
+VL001 bans direct ``time.time``/``time.perf_counter`` reads file by
+file; this rule adds the rest of the wall-clock set and the reads a
+helper in another module makes on the simulator's behalf.
 """
 
 from __future__ import annotations

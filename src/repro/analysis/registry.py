@@ -18,7 +18,7 @@ wall-clock reachability, dead exports).  Every lint run runs both kinds.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Type
 
@@ -42,7 +42,6 @@ class ModuleInfo:
     module: str  # dotted name, e.g. "repro.codec.encoder"
     tree: ast.Module
     source: str = ""
-    _parents: Optional[Dict[int, ast.AST]] = field(default=None, repr=False)
 
     @classmethod
     def from_path(cls, path: str, module: str) -> "ModuleInfo":
@@ -53,25 +52,6 @@ class ModuleInfo:
     @property
     def is_package_init(self) -> bool:
         return Path(self.path).name == "__init__.py"
-
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        """The syntactic parent of ``node`` (lazily computed once)."""
-        if self._parents is None:
-            parents: Dict[int, ast.AST] = {}
-            for outer in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(outer):
-                    parents[id(child)] = outer
-            self._parents = parents
-        return self._parents.get(id(node))
-
-    def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
-        """The nearest enclosing function def of ``node``, if any."""
-        current = self.parent(node)
-        while current is not None:
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return current
-            current = self.parent(current)
-        return None
 
 
 class Checker:

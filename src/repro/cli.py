@@ -11,7 +11,6 @@ script).  Commands:
 * ``decode``  -- decode a bitstream back to Y4M.
 * ``entropy`` -- measure a clip's entropy (CRF-18 bits/pixel/second).
 * ``analyze`` -- microarchitecture + SIMD profile of encoding a clip.
-* ``bench``   -- benchmark the repro codec itself (BENCH_codec.json).
 * ``chaos``   -- seeded fault-injection run of the transcoding farm.
 * ``traffic`` -- simulate a request stream against the farm; print SLOs.
 * ``sched``   -- compare EWMA vs predictor scheduling (BENCH_sched.json).
@@ -100,39 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("input", help="input .y4m path")
     analyze.add_argument("--preset", default="medium")
     analyze.add_argument("--crf", type=int, default=23)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark the repro codec (encode+decode, Mpixel/s)"
-    )
-    bench.add_argument("--preset", default="medium")
-    bench.add_argument("--content", default="natural")
-    bench.add_argument("--size", default="192x128", help="WxH, even dimensions")
-    bench.add_argument("--frames", type=int, default=12)
-    bench.add_argument("--fps", type=float, default=24.0)
-    bench.add_argument("--crf", type=int, default=28)
-    bench.add_argument("--seed", type=int, default=11)
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="encode/decode repetitions; the median wall time is reported",
-    )
-    bench.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-stable JSON record instead of text",
-    )
-    bench.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="omit timing metrics so repeated runs are byte-identical",
-    )
-    bench.add_argument(
-        "--bench-out",
-        metavar="FILE",
-        help="also write the deterministic benchmark record "
-        "(BENCH_codec.json)",
-    )
 
     chaos = sub.add_parser(
         "chaos", help="fault-injection experiment over the synthetic suite"
@@ -583,29 +549,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-@_emit
-def _cmd_bench(args):
-    from repro.bench import run_codec_bench
-
-    width, height = _parse_size(args.size)
-    result = run_codec_bench(
-        preset=args.preset,
-        content=args.content,
-        width=width,
-        height=height,
-        frames=args.frames,
-        fps=args.fps,
-        crf=args.crf,
-        seed=args.seed,
-        repeats=args.repeats,
-    )
-    return (
-        result.to_text(),
-        result.bench_dict(deterministic=args.deterministic),
-        result.bench_dict(deterministic=True),
-    )
-
-
 def _cmd_chaos(args) -> int:
     from repro.core.benchmark import vbench_suite
     from repro.encoders.registry import get_transcoder
@@ -876,7 +819,6 @@ _COMMANDS = {
     "decode": _cmd_decode,
     "entropy": _cmd_entropy,
     "analyze": _cmd_analyze,
-    "bench": _cmd_bench,
     "chaos": _cmd_chaos,
     "traffic": _cmd_traffic,
     "sched": _cmd_sched,

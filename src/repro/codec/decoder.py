@@ -12,7 +12,6 @@ input, and concealment.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -59,7 +58,6 @@ class DecodeResult:
     video: Video
     header: StreamHeader
     counters: Counters
-    wall_seconds: float
     concealed: List[bool] = field(default_factory=list)
 
     @property
@@ -105,7 +103,6 @@ class Decoder:
                 raise :class:`~repro.codec.errors.HeaderError`.  Fuzzers
                 use this to bound the work a crafted header can demand.
         """
-        start = time.perf_counter()
         counters = Counters()
         reader = BitReader(bitstream)
         header, version = read_container_header(reader)
@@ -174,7 +171,6 @@ class Decoder:
             video=video,
             header=header,
             counters=counters,
-            wall_seconds=time.perf_counter() - start,
             concealed=concealed,
         )
 

@@ -16,7 +16,6 @@ depends on previously reconstructed neighbours.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -77,7 +76,6 @@ class EncodeResult:
         stats: Per-frame statistics.
         counters: Kernel-work counters for the whole encode (both passes
             for two-pass encodes).
-        wall_seconds: Wall-clock time spent in the encoder.
         config: The configuration used.
     """
 
@@ -85,7 +83,6 @@ class EncodeResult:
     recon: Video
     stats: List[FrameStats]
     counters: Counters
-    wall_seconds: float
     config: EncoderConfig
 
     @property
@@ -118,7 +115,6 @@ class Encoder:
 
     def encode(self, video: Video, rate_control: RateControl) -> EncodeResult:
         """Encode ``video`` under ``rate_control``."""
-        start = time.perf_counter()
         cfg = self.config
         counters = Counters()
         writer = BitWriter()
@@ -184,7 +180,6 @@ class Encoder:
             recon=recon,
             stats=stats,
             counters=counters,
-            wall_seconds=time.perf_counter() - start,
             config=cfg,
         )
 
@@ -733,6 +728,5 @@ def encode(
         recon=second.recon,
         stats=second.stats,
         counters=merged,
-        wall_seconds=first.wall_seconds + second.wall_seconds,
         config=cfg,
     )

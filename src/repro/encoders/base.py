@@ -95,7 +95,6 @@ class TranscodeResult:
         compressed_bytes: Size of the produced stream.
         seconds: Modeled transcode time on the reference platform -- the
             deterministic quantity all speed ratios use.
-        wall_seconds: Actual wall-clock spent (diagnostics only).
         counters: Kernel-work counters (SIMD/uarch studies).
         backend: Name of the transcoder that produced this.
     """
@@ -104,7 +103,6 @@ class TranscodeResult:
     output: Video
     compressed_bytes: int
     seconds: float
-    wall_seconds: float
     counters: Counters
     backend: str
     _quality: Optional[_Quality] = field(default=None, compare=False, repr=False)

@@ -26,8 +26,6 @@ pass); requesting ``two_pass`` raises, mirroring the driver.
 
 from __future__ import annotations
 
-import time
-
 from repro.codec.encoder import encode
 from repro.codec.presets import EncoderConfig
 from repro.encoders.base import RateSpec, Transcoder, TranscodeResult
@@ -92,7 +90,6 @@ class HardwareTranscoder(Transcoder):
         return len(video) * per_frame
 
     def transcode(self, video: Video, rate: RateSpec) -> TranscodeResult:
-        start = time.perf_counter()
         if rate.two_pass:
             raise ValueError(
                 f"{self.name} is a fixed-function encoder: no two-pass mode"
@@ -106,7 +103,6 @@ class HardwareTranscoder(Transcoder):
             output=result.recon,
             compressed_bytes=len(result.bitstream),
             seconds=self.modeled_seconds(video),
-            wall_seconds=time.perf_counter() - start,
             counters=result.counters,
             backend=self.name,
         )

@@ -14,8 +14,6 @@ evaluated at AVX2, the reference machine's best ISA.
 
 from __future__ import annotations
 
-import time
-
 from repro.codec.encoder import encode
 from repro.codec.presets import EncoderConfig, preset
 from repro.encoders.base import RateSpec, Transcoder, TranscodeResult
@@ -52,7 +50,6 @@ class SoftwareTranscoder(Transcoder):
         self.isa = isa
 
     def transcode(self, video: Video, rate: RateSpec) -> TranscodeResult:
-        start = time.perf_counter()
         if rate.kind == "crf":
             result = encode(video, config=self.config, crf=rate.crf)
         else:
@@ -70,7 +67,6 @@ class SoftwareTranscoder(Transcoder):
             output=result.recon,
             compressed_bytes=len(result.bitstream),
             seconds=seconds,
-            wall_seconds=time.perf_counter() - start,
             counters=result.counters,
             backend=self.name,
         )

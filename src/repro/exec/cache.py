@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -270,8 +271,8 @@ def _serialize(result: TranscodeResult) -> bytes:
         "backend": result.backend,
         "compressed_bytes": result.compressed_bytes,
         "seconds": result.seconds,
-        # A replayed result spent no wall time, and the encode's own reading
-        # would make two stores of one request differ byte for byte.
+        # Format only, never read: CACHE_VERSION 1 entries carry this key,
+        # and dropping it would change every entry's bytes.
         "wall_seconds": 0.0,
         "counters": result.counters.as_dict(),
         "width": output.width,
@@ -311,7 +312,6 @@ def _deserialize(blob: bytes, source: Video) -> TranscodeResult:
         checksum = header["payload_sha256"]
         compressed_bytes = int(header["compressed_bytes"])
         seconds = float(header["seconds"])
-        wall_seconds = float(header["wall_seconds"])
         counter_dict = dict(header["counters"])
         nominal = tuple(header["nominal"])
     except (KeyError, TypeError, ValueError) as error:
@@ -323,8 +323,12 @@ def _deserialize(blob: bytes, source: Video) -> TranscodeResult:
             f"entry geometry {width}x{height}x{frames} does not match "
             f"source {source.resolution[0]}x{source.resolution[1]}x{len(source)}"
         )
-    if compressed_bytes < 0 or seconds < 0 or wall_seconds < 0:
-        raise CacheCorruptError("negative size or timing")
+    # The header is outside the payload checksum and json.loads accepts
+    # NaN/Infinity, so every number read from it must be finite.
+    if compressed_bytes < 0 or not (math.isfinite(seconds) and seconds >= 0):
+        raise CacheCorruptError(f"bad size or timing: {compressed_bytes}, {seconds}")
+    if not (math.isfinite(fps) and fps > 0):
+        raise CacheCorruptError(f"bad fps: {fps}")
     luma = width * height
     chroma = (width // 2) * (height // 2)
     per_frame = luma + 2 * chroma
@@ -335,6 +339,8 @@ def _deserialize(blob: bytes, source: Video) -> TranscodeResult:
     counters = Counters()
     try:
         for kernel, units in counter_dict.items():
+            if not math.isfinite(float(units)):
+                raise ValueError(f"{kernel} = {units}")
             counters.add(kernel, float(units))
     except (TypeError, ValueError) as error:
         raise CacheCorruptError(f"bad counters: {error}") from None
@@ -362,7 +368,6 @@ def _deserialize(blob: bytes, source: Video) -> TranscodeResult:
         output=output,
         compressed_bytes=compressed_bytes,
         seconds=seconds,
-        wall_seconds=wall_seconds,
         counters=counters,
         backend=str(header["backend"]),
     )

@@ -22,9 +22,9 @@ preset in the ladder, so extraction costs a small fraction of any real
 transcode the prediction will be used to schedule.
 
 Determinism is load-bearing (VL001/VL007 cover this package): the codec
-is a pure function of ``(video, config)``, every feature below is
-arithmetic over its integer statistics, and no feature ever reads the
-probe's diagnostic ``wall_seconds``.  The same video therefore always
+is a pure function of ``(video, config)`` that reads no clock, and every
+feature below is arithmetic over its integer statistics and modelled
+seconds.  The same video therefore always
 maps to the same feature vector, byte for byte.  The feature vector also
 avoids transcendental functions (no ``log``/``exp``), so training and
 inference stay bit-identical across platforms and libm versions.
@@ -119,8 +119,7 @@ class JobFeatures:
 def extract_features(video: Video) -> JobFeatures:
     """One ultrafast CRF-18 probe encode, reduced to a feature vector.
 
-    Pure in ``video``: the probe is deterministic and no wall-clock
-    value flows into any field (``wall_seconds`` is never read).
+    Pure in ``video``: the probe is deterministic and reads no clock.
     """
     result = Encoder(PROBE_PRESET).encode(video, RateControl.crf(PROBE_CRF))
     stats = result.stats

@@ -25,7 +25,7 @@ def wall_clock_read() -> float:
 
 
 def timing_without_wall_seconds() -> float:
-    start = time.perf_counter()  # VL001: no wall_seconds site
+    start = time.perf_counter()  # VL001: wall clock in deterministic code
     return start * 2.0
 
 
@@ -34,13 +34,13 @@ def cache_key(payload: bytes, stamp: float) -> str:
 
 
 def timing_into_cache_key(payload: bytes) -> str:
-    start = time.perf_counter()
+    start = time.perf_counter()  # VL001, as is the read below
     elapsed = time.perf_counter() - start
-    key = cache_key(payload, elapsed)  # VL001: timing flows into cache key
+    key = cache_key(payload, elapsed)
     return key
 
 
 def sanctioned_measurement(result_factory):
-    # NOT a violation: perf_counter feeds a wall_seconds= keyword.
+    # VL001 twice: once sanctioned, a clock read feeding wall_seconds=.
     start = time.perf_counter()
     return result_factory(wall_seconds=time.perf_counter() - start)

@@ -41,7 +41,6 @@ def _scripted_backend(qualities):
                 output=video,
                 compressed_bytes=int(rate.bitrate_bps),
                 seconds=1e-3,
-                wall_seconds=0.0,
                 counters=Counters(),
                 backend=self.name,
             )

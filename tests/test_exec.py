@@ -134,8 +134,7 @@ class TestTranscodeCache:
         assert replayed.source is natural_video
 
     def test_cold_stores_are_byte_identical(self, tmp_path, natural_video):
-        # Two cold runs of one request: the encodes take different wall
-        # time, the entries they leave behind must not show it.
+        # Two cold runs of one request leave byte-identical entries.
         rate = RateSpec.for_crf(28)
         blobs = []
         for root in (tmp_path / "a", tmp_path / "b"):
@@ -145,9 +144,25 @@ class TestTranscodeCache:
             (entry,) = root.glob("*/*.vbt")
             blobs.append((entry.name, entry.read_bytes()))
             assert cache.stats.bytes_written == len(blobs[-1][1])
-            replayed = cached.transcode(natural_video, rate)
-            assert replayed.wall_seconds == 0.0
         assert blobs[0] == blobs[1]
+
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        # Captured while results still carried a wall time: the header keeps
+        # its "wall_seconds": 0.0 key, so the CACHE_VERSION 1 layout holds.
+        import hashlib
+
+        from repro.encoders import get_transcoder
+        from repro.video.synthesis import synthesize
+
+        clip = synthesize("sports", 64, 48, 4, 24.0, seed=3)
+        cache = TranscodeCache(tmp_path)
+        cache.wrap(get_transcoder("x264:ultrafast")).transcode(
+            clip, RateSpec.for_crf(28)
+        )
+        (entry,) = tmp_path.glob("*/*.vbt")
+        assert hashlib.sha256(entry.read_bytes()).hexdigest() == (
+            "0264a113d65cc1cd312d15caccf3eb9909a2111c6a0702a83119c38c65145eb4"
+        )
 
     def test_persists_across_instances(self, tmp_path, natural_video):
         backend = X264Transcoder("veryfast")
@@ -219,6 +234,38 @@ class TestTranscodeCache:
         # Same entry looked up against a different source video.
         assert cache.load(key, sports_video) is None
         assert cache.stats.evictions == 1
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            {"seconds": float("nan")},
+            {"seconds": float("inf")},
+            {"fps": float("nan")},
+            {"fps": float("inf")},
+            {"fps": 0.0},
+            {"counters": {"sad": float("inf")}},
+        ],
+        ids=["seconds-nan", "seconds-inf", "fps-nan", "fps-inf", "fps-zero",
+             "counters-inf"],
+    )
+    def test_non_finite_header_evicted(self, tmp_path, natural_video, tamper):
+        # The header is outside the payload checksum, and json.loads reads
+        # NaN/Infinity; a re-packed entry must still be refused.
+        import json
+
+        cache, key, path = self._stored_entry(tmp_path, natural_video)
+        blob = path.read_bytes()
+        _, head_len = struct.unpack_from("<II", blob, 4)
+        header = json.loads(blob[12 : 12 + head_len])
+        header.update(tamper)
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(
+            blob[:4] + struct.pack("<II", CACHE_VERSION, len(head)) + head
+            + blob[12 + head_len :]
+        )
+        assert cache.load(key, natural_video) is None
+        assert cache.stats.evictions == 1
+        assert not path.exists()
 
     def test_entry_count(self, tmp_path, natural_video):
         cache, _, _ = self._stored_entry(tmp_path, natural_video)

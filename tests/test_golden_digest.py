@@ -29,6 +29,7 @@ import pytest
 from repro.codec.decoder import Decoder
 from repro.codec.encoder import encode
 from repro.codec.presets import EncoderConfig
+from repro.metrics.psnr import psnr
 from repro.video.synthesis import synthesize
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "golden_digests.json"
@@ -127,6 +128,18 @@ def test_matrix_has_skip_macroblocks():
     """Without them the pinned counts would not cover the skip copy."""
     result, _ = _encode("screencast-64x48x5", "medium")
     assert sum(stats.skip_blocks for stats in result.stats) > 0
+
+
+def test_medium_crf28_natural_192x128_pinned():
+    """One cell outside the matrix: more macroblocks and frames than any
+    matrix clip, pinned to size, digest and quality."""
+    clip = synthesize("natural", 192, 128, 12, 24.0, seed=11)
+    result = encode(clip, config="medium", crf=28)
+    assert len(result.bitstream) == 5422
+    assert hashlib.sha256(result.bitstream).hexdigest() == (
+        "b1afc315d00ce4ffb9fa1814acfbc20b75ae11431ab0cf84ab3ab50b0e2a5ec4"
+    )
+    assert round(psnr(clip, result.recon), 3) == 45.171
 
 
 def test_golden_fixture_covers_matrix():

@@ -1,5 +1,5 @@
-"""Repository hygiene: no tracked build artifacts (mirrors the CI gate), and
-the codec's layering -- reconstruction has one owner."""
+"""Repository hygiene: no tracked build artifacts (mirrors the CI gate), no
+clock in ``src/``, and the codec's layering -- reconstruction has one owner."""
 
 import ast
 import functools
@@ -76,6 +76,27 @@ def _calls_in_src():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
     )
+
+
+def test_src_reads_no_clock():
+    """Speed is the modelled ``seconds``; the code is timed from outside
+    (``benchmarks/perf``).  A ``time`` or ``datetime`` import is how a host
+    clock gets back in."""
+    offenders = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders.extend(
+                f"{path.relative_to(REPO_ROOT)}:{node.lineno} {module}"
+                for module in modules
+                if module.split(".")[0] in ("time", "datetime")
+            )
+    assert not offenders, offenders
 
 
 def test_reconstruction_kernels_have_one_caller():

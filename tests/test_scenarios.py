@@ -23,7 +23,6 @@ def _result(
         output=video,
         compressed_bytes=compressed_bytes,
         seconds=seconds,
-        wall_seconds=0.0,
         counters=Counters(),
         backend="test",
     )

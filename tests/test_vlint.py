@@ -159,17 +159,15 @@ class TestDeterminismRule:
         assert "without a seed" in messages
         assert "global random module" in messages
         assert "time.time()" in messages
-        assert "wall_seconds" in messages
-        assert "cache_key" in messages
+        assert "time.perf_counter()" in messages
 
-    def test_sanctioned_wall_seconds_site_not_flagged(self):
+    def test_perf_counter_feeding_wall_seconds_flagged(self):
         findings = lint(self.FIXTURE, ["VL001"])
         source = self.FIXTURE.read_text()
-        sanctioned_line = (
-            source[: source.index("def sanctioned_measurement")].count("\n")
-            + 1
-        )
-        assert all(f.line < sanctioned_line for f in findings)
+        start = source[: source.index("def sanctioned_measurement")].count("\n")
+        flagged = [f for f in findings if f.line > start]
+        assert len(flagged) == 2
+        assert all("time.perf_counter()" in f.message for f in flagged)
 
     def test_out_of_scope_module_ignored(self, tmp_path):
         # Same code outside repro.codec/exec/robust is not VL001's business.
@@ -514,17 +512,25 @@ SRC_FIXTURE_FINDINGS = [
      "clock (repro.robust.clock.SimClock) or pass timestamps in "
      "explicitly"),
     ("VL001", "src/repro/codec/bad_determinism.py", 28, 13, "error",
-     "time.perf_counter() outside a wall_seconds measurement site; "
-     "its value must only ever populate a wall_seconds= field"),
+     "time.perf_counter() read in deterministic code; use the simulated "
+     "clock (repro.robust.clock.SimClock) or pass timestamps in "
+     "explicitly"),
     ("VL001", "src/repro/codec/bad_determinism.py", 37, 13, "error",
-     "time.perf_counter() outside a wall_seconds measurement site; "
-     "its value must only ever populate a wall_seconds= field"),
+     "time.perf_counter() read in deterministic code; use the simulated "
+     "clock (repro.robust.clock.SimClock) or pass timestamps in "
+     "explicitly"),
     ("VL001", "src/repro/codec/bad_determinism.py", 38, 15, "error",
-     "time.perf_counter() outside a wall_seconds measurement site; "
-     "its value must only ever populate a wall_seconds= field"),
-    ("VL001", "src/repro/codec/bad_determinism.py", 39, 11, "error",
-     "perf_counter-derived value flows into cache_key(); measured "
-     "time in a cache key or score breaks content addressing"),
+     "time.perf_counter() read in deterministic code; use the simulated "
+     "clock (repro.robust.clock.SimClock) or pass timestamps in "
+     "explicitly"),
+    ("VL001", "src/repro/codec/bad_determinism.py", 45, 13, "error",
+     "time.perf_counter() read in deterministic code; use the simulated "
+     "clock (repro.robust.clock.SimClock) or pass timestamps in "
+     "explicitly"),
+    ("VL001", "src/repro/codec/bad_determinism.py", 46, 40, "error",
+     "time.perf_counter() read in deterministic code; use the simulated "
+     "clock (repro.robust.clock.SimClock) or pass timestamps in "
+     "explicitly"),
     ("VL002", "src/repro/codec/bad_dtype.py", 12, 12, "error",
      "arithmetic on uint8 array 'frame' wraps at 0/255; widen first "
      "with .astype(np.int16) or wider"),
