@@ -9,8 +9,10 @@ fault streams must derive from the plan seed) this rule bans:
 
 * ``np.random.default_rng()`` called without a seed;
 * draws from the global ``random`` module (``random.random()``,
-  ``random.randint(...)`` and friends) -- seeding calls (``random.seed``)
-  and explicitly constructed ``random.Random(seed)`` streams are fine;
+  ``random.randint(...)`` and friends) -- seeding the module and
+  explicitly constructed ``random.Random(seed)`` streams are not findings
+  here (``tests/test_repo_hygiene.py`` keeps both global streams out of
+  ``src/`` altogether);
 * ``time.time()`` and ``time.perf_counter()`` anywhere.  Speed is the
   modelled ``seconds``; the code is timed from outside
   (``benchmarks/perf``), never by reading a clock inside it.
@@ -159,7 +161,7 @@ class DeterminismChecker(Checker):
                             call,
                             "np.random.default_rng() without a seed: "
                             "derive the seed from the task identity "
-                            "(see repro.exec.runner.task_seed)",
+                            "(see repro.robust.faults.FaultPlan.rng_for)",
                         )
                     )
             elif kind == "random_draw":

@@ -1,14 +1,14 @@
 """VL003: fork-safety -- pool-dispatched workers must be pure & picklable.
 
-:mod:`repro.exec.runner` fans work out over a fork-based process pool.
-Fork makes two classes of bugs *appear* to work: a worker that mutates
-module globals mutates its own copy (silently wrong results when the code
-later runs serially or under spawn), and a worker that is a lambda, a
-nested closure, or a bound method may pickle under fork-with-inherited
-state but explode the moment the pool switches start methods.  This rule
-inspects every dispatch site (``executor.map/submit``, ``pool.map``, the
-runner's ``_execute`` helper) and the module-level worker functions they
-name:
+:func:`repro.core.benchmark.run_scenario` and the lint engine fan work
+out over a fork-based process pool.  Fork makes two classes of bugs
+*appear* to work: a worker that mutates module globals mutates its own
+copy (silently wrong results when the code later runs serially or under
+spawn), and a worker that is a lambda, a nested closure, or a bound
+method may pickle under fork-with-inherited state but explode the moment
+the pool switches start methods.  This rule inspects every dispatch site
+(``executor.map/submit``, ``pool.map``) and the module-level worker
+functions they name:
 
 * the dispatched callable must be a module-level function (no lambdas,
   nested defs, or ``self.method`` references);
@@ -31,7 +31,6 @@ __all__ = ["ForkSafetyChecker"]
 
 _DISPATCH_METHODS = {"map", "submit", "imap", "imap_unordered", "apply_async"}
 _DISPATCH_BASES = ("executor", "pool")
-_DISPATCH_HELPERS = {"_execute": 1}  # helper name -> index of the fn argument
 
 
 def _module_level_defs(tree: ast.Module) -> Dict[str, ast.FunctionDef]:
@@ -70,10 +69,6 @@ def _dispatched_callables(tree: ast.Module) -> List[ast.AST]:
             ):
                 if call.args:
                     out.append(call.args[0])
-        elif isinstance(func, ast.Name):
-            index = _DISPATCH_HELPERS.get(func.id)
-            if index is not None and len(call.args) > index:
-                out.append(call.args[index])
     return out
 
 

@@ -1,8 +1,9 @@
 """The lint engine: two phases, one deterministic report.
 
 **Phase 1** discovers files and walks them in parallel, one file at a
-time, mirroring the execution contract of :mod:`repro.exec.runner`: work
-fans out across a fork-based process pool, results are collected in
+time, mirroring the execution contract of
+:func:`repro.core.benchmark.run_scenario`: work fans out across a
+fork-based process pool, results are collected in
 deterministic order (sorted paths, then per-file findings sorted by
 location), and the serial and parallel paths produce byte-identical
 reports.  Each worker runs the file rules (``check``) and returns the

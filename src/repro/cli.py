@@ -427,9 +427,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_refs(args) -> int:
-    from repro.core.benchmark import vbench_suite
+    from repro.core.benchmark import prime_references, vbench_suite
     from repro.core.scenarios import Scenario
-    from repro.exec.runner import prime_references
 
     cache = _open_cache(args)
     scenarios = (

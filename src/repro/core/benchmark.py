@@ -6,28 +6,35 @@ selection re-measures entropy with real encodes).  ``run_scenario()``
 takes any backend through a scenario across the whole suite and returns a
 :class:`ScenarioReport` with the per-video ratios and scores the paper's
 reporting rules require (Section 4.3: report per video; do not average).
+
+Both ``run_scenario`` and ``prime_references`` map one per-video body
+over the suite: in-process against the suite's own reference store, or
+(``jobs > 1``) over a fork-based process pool -- Li et al. (PAPERS.md)
+show transcode farms live or die on parallel task scheduling.  Results
+come back in suite order and every encode is deterministic, so the two
+paths produce byte-identical reports.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.constants import SUITE_SELECTION_SEED
 from repro.corpus.synthetic import PROFILES, RenderProfile, SyntheticCorpus
 from repro.encoders.base import Transcoder, TranscodeResult
 from repro.encoders.registry import get_transcoder
+from repro.exec.cache import CacheStats, TranscodeCache
 from repro.simd.analysis import modeled_seconds
 from repro.simd.isa import IsaLevel
 from repro.video.video import Video
 
 from repro.core.harness import candidate_for_scenario
-from repro.core.reference import ReferenceStore
+from repro.core.reference import Reference, ReferenceStore
 from repro.core.scenarios import Scenario, ScenarioScore, score_scenario
 from repro.core.selection import SelectedVideo, select_suite_videos
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.exec.cache import CacheStats, TranscodeCache
 
 __all__ = [
     "SuiteVideo",
@@ -35,6 +42,7 @@ __all__ = [
     "ScenarioReport",
     "vbench_suite",
     "run_scenario",
+    "prime_references",
     "run_platform",
 ]
 
@@ -170,7 +178,7 @@ class ScenarioReport:
     scores: List[ScenarioScore]
     candidates: List[TranscodeResult]
     references: List[TranscodeResult]
-    cache: Optional["CacheStats"] = None
+    cache: Optional[CacheStats] = None
 
     def to_table(self) -> str:
         """ASCII table: one row per video, ratios and score (or '-')."""
@@ -197,68 +205,172 @@ class ScenarioReport:
         return self.cache.to_line()
 
 
+_VideoRun = Tuple[
+    Reference,
+    Optional[TranscodeResult],
+    Optional[ScenarioScore],
+    Optional[CacheStats],
+]
+
+
+def _run_video(
+    refs: ReferenceStore,
+    transcoder: Optional[Transcoder],
+    video: Video,
+    scenario: Scenario,
+    bisect_iterations: int,
+) -> _VideoRun:
+    """One suite video: its reference, then (unless ``transcoder`` is
+    ``None``) the candidate and its score, plus ``refs``' cache counters.
+    """
+    reference = refs.reference(video, scenario)
+    candidate = score = None
+    if transcoder is not None:
+        candidate = candidate_for_scenario(
+            transcoder, video, scenario, refs,
+            bisect_iterations=bisect_iterations,
+        )
+        score = score_scenario(scenario, candidate, reference.result)
+    stats = refs.cache.stats if refs.cache is not None else None
+    return reference, candidate, score, stats
+
+
+def _pool(jobs: int):
+    """A fork-based process pool (fork inherits the loaded interpreter,
+    so workers skip re-importing the package)."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        context = multiprocessing.get_context()
+    return ProcessPoolExecutor(max_workers=jobs, mp_context=context)
+
+
+def _map_suite(
+    suite: BenchmarkSuite,
+    transcoder: Optional[Transcoder],
+    tasks: Sequence[Tuple[Scenario, Video]],
+    bisect_iterations: int,
+    jobs: int,
+    cache: Optional[TranscodeCache],
+) -> Tuple[List[_VideoRun], Optional[CacheStats]]:
+    """:func:`_run_video` over ``tasks``, in order, ``jobs`` at a time, and
+    the cache counters of the whole map (``None`` without a cache).
+
+    In-process the body shares ``suite.references``.  Each pool task gets
+    a fresh store with its own handle on ``cache``'s directory; the parent
+    installs the references and merges the cache counters it returns.
+    """
+    if jobs < 1:
+        raise ValueError(f"need at least one job, got {jobs}")
+    if cache is not None:
+        suite.references.attach_cache(cache)
+        before = cache.stats.copy()
+    if jobs == 1:
+        runs = [
+            _run_video(
+                suite.references, transcoder, video, scenario, bisect_iterations
+            )
+            for scenario, video in tasks
+        ]
+    else:
+        stores = [ReferenceStore() for _ in tasks]
+        if cache is not None:
+            for store in stores:
+                store.attach_cache(TranscodeCache(cache.root))
+        with _pool(jobs) as executor:
+            runs = list(
+                executor.map(
+                    _run_video,
+                    stores,
+                    repeat(transcoder),
+                    [video for _, video in tasks],
+                    [scenario for scenario, _ in tasks],
+                    repeat(bisect_iterations),
+                )
+            )
+        for (scenario, video), (reference, _, _, stats) in zip(tasks, runs):
+            suite.references.install(video, scenario, reference)
+            if cache is not None:
+                cache.stats.merge(stats)
+    return runs, cache.stats.since(before) if cache is not None else None
+
+
 def run_scenario(
     suite: BenchmarkSuite,
     scenario: Scenario,
     backend: Union[str, Transcoder],
     bisect_iterations: int = 7,
     jobs: int = 1,
-    cache: Optional["TranscodeCache"] = None,
+    cache: Optional[TranscodeCache] = None,
 ) -> ScenarioReport:
     """Score ``backend`` under ``scenario`` on every suite video.
 
     Args:
         jobs: Videos scored concurrently.  ``jobs > 1`` fans out over a
-            process pool (:func:`repro.exec.runner.run_scenario_parallel`)
-            and produces a byte-identical report.
+            process pool and produces a byte-identical report.
         cache: Optional persistent transcode cache consulted (and filled)
             by every encode of the run -- candidate, bisection probes,
             and references alike.  The report's ``cache`` field carries
             this run's hit/miss/byte statistics.
     """
-    if jobs < 1:
-        raise ValueError(f"need at least one job, got {jobs}")
     if scenario is Scenario.PLATFORM:
         raise ValueError("use run_platform for the Platform scenario")
-    if jobs > 1:
-        from repro.exec.runner import run_scenario_parallel
-
-        return run_scenario_parallel(
-            suite,
-            scenario,
-            backend,
-            bisect_iterations=bisect_iterations,
-            jobs=jobs,
-            cache=cache,
-        )
     transcoder = (
         get_transcoder(backend) if isinstance(backend, str) else backend
     )
-    stats_before = None
-    if cache is not None:
-        suite.references.attach_cache(cache)
-        transcoder = cache.wrap(transcoder)
-        stats_before = cache.stats.copy()
-    scores: List[ScenarioScore] = []
-    candidates: List[TranscodeResult] = []
-    references: List[TranscodeResult] = []
-    for entry in suite:
-        reference = suite.references.reference(entry.video, scenario)
-        candidate = candidate_for_scenario(
-            transcoder, entry.video, scenario, suite.references,
-            bisect_iterations=bisect_iterations,
-        )
-        scores.append(score_scenario(scenario, candidate, reference.result))
-        candidates.append(candidate)
-        references.append(reference.result)
+    if jobs > 1:
+        try:
+            pickle.dumps(transcoder)
+        except Exception as error:
+            raise ValueError(
+                f"backend {backend!r} is not picklable; pass a registry "
+                f"spec (e.g. 'x264:medium') for parallel runs"
+            ) from error
+    runs, stats = _map_suite(
+        suite,
+        transcoder,
+        [(scenario, entry.video) for entry in suite],
+        bisect_iterations,
+        jobs,
+        cache,
+    )
     return ScenarioReport(
         scenario=scenario,
         backend=transcoder.name,
-        scores=scores,
-        candidates=candidates,
-        references=references,
-        cache=cache.stats.since(stats_before) if cache is not None else None,
+        scores=[score for _, _, score, _ in runs],
+        candidates=[candidate for _, candidate, _, _ in runs],
+        references=[reference.result for reference, _, _, _ in runs],
+        cache=stats,
     )
+
+
+def prime_references(
+    suite: BenchmarkSuite,
+    scenarios: Union[Scenario, Sequence[Scenario]],
+    jobs: int = 1,
+    cache: Optional[TranscodeCache] = None,
+) -> CacheStats:
+    """Generate scenario references for every suite video.
+
+    The references land in ``suite.references``, so a later run
+    re-encodes none of them; with a ``cache`` they are also persisted
+    for other processes and later runs.  Returns the priming pass's
+    cache statistics (all-zero when no cache was given).
+    """
+    if isinstance(scenarios, Scenario):
+        scenarios = [scenarios]
+    _, stats = _map_suite(
+        suite,
+        None,
+        [(scenario, entry.video) for scenario in scenarios for entry in suite],
+        0,
+        jobs,
+        cache,
+    )
+    return stats if stats is not None else CacheStats()
 
 
 def run_platform(

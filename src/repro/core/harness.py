@@ -16,37 +16,18 @@ for any backend:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.encoders.base import RateSpec, Transcoder, TranscodeResult
-from repro.encoders.hardware import HardwareTranscoder
+from repro.encoders.hardware import is_hardware
 from repro.video.video import Video
 
-from repro.core.reference import Reference, ReferenceStore
+from repro.core.reference import ReferenceStore
 from repro.core.scenarios import Scenario
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.exec.cache import TranscodeCache
 
 __all__ = ["bisect_to_quality", "candidate_for_scenario"]
 
 _UPLOAD_CRF = 18
-
-
-def _innermost(transcoder: Transcoder) -> Transcoder:
-    """Peel decorator layers (cache, fault injection) off a backend.
-
-    Capability checks -- "does this backend support two-pass?" -- must see
-    the real encoder, not whichever wrapper happens to be outermost.
-    """
-    seen = set()
-    while id(transcoder) not in seen:
-        seen.add(id(transcoder))
-        inner = getattr(transcoder, "inner", None)
-        if not isinstance(inner, Transcoder):
-            break
-        transcoder = inner
-    return transcoder
 
 
 def bisect_to_quality(
@@ -57,7 +38,6 @@ def bisect_to_quality(
     two_pass: bool = False,
     iterations: int = 7,
     margin_db: float = -0.01,
-    cache: Optional["TranscodeCache"] = None,
 ) -> TranscodeResult:
     """Find the smallest bitrate whose transcode meets ``target_db``.
 
@@ -77,8 +57,6 @@ def bisect_to_quality(
         )
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
-    if cache is not None:
-        transcoder = cache.wrap(transcoder)
 
     def run(bitrate: float) -> TranscodeResult:
         return transcoder.transcode(
@@ -142,18 +120,15 @@ def candidate_for_scenario(
     scenario: Scenario,
     refs: ReferenceStore,
     bisect_iterations: int = 7,
-    cache: Optional["TranscodeCache"] = None,
 ) -> TranscodeResult:
     """Run ``transcoder`` on ``video`` the way the scenario demands.
 
-    ``cache`` (or a cache already attached to ``refs``) routes every
-    candidate encode -- including each bisection probe -- through the
-    persistent transcode cache.
+    A cache attached to ``refs`` routes every candidate encode --
+    including each bisection probe -- through the persistent transcode
+    cache.
     """
-    if cache is None:
-        cache = refs.cache
-    if cache is not None:
-        transcoder = cache.wrap(transcoder)
+    if refs.cache is not None:
+        transcoder = refs.cache.wrap(transcoder)
     reference = refs.reference(video, scenario)
     if scenario is Scenario.UPLOAD:
         return transcoder.transcode(video, RateSpec.for_crf(_UPLOAD_CRF))
@@ -164,7 +139,7 @@ def candidate_for_scenario(
             video, RateSpec.for_bitrate(reference.rate.bitrate_bps)
         )
     if scenario in (Scenario.VOD, Scenario.POPULAR):
-        two_pass = not isinstance(_innermost(transcoder), HardwareTranscoder)
+        two_pass = not is_hardware(transcoder)
         return bisect_to_quality(
             transcoder,
             video,

@@ -98,10 +98,10 @@ class ReferenceStore:
     routed through, so reference work survives the process.
     """
 
-    def __init__(self, cache: Optional["TranscodeCache"] = None) -> None:
+    def __init__(self) -> None:
         self._targets: Dict[str, float] = {}
         self._refs: Dict[Tuple[str, Scenario], Reference] = {}
-        self._cache = cache
+        self._cache: Optional["TranscodeCache"] = None
 
     @property
     def cache(self) -> Optional["TranscodeCache"]:

@@ -31,7 +31,12 @@ from repro.codec.presets import EncoderConfig
 from repro.encoders.base import RateSpec, Transcoder, TranscodeResult
 from repro.video.video import Video
 
-__all__ = ["HardwareTranscoder", "NvencTranscoder", "QsvTranscoder"]
+__all__ = [
+    "HardwareTranscoder",
+    "NvencTranscoder",
+    "QsvTranscoder",
+    "is_hardware",
+]
 
 #: The fixed-function toolset: what survives the silicon-area budget.
 _HW_CONFIG = EncoderConfig(
@@ -106,6 +111,18 @@ class HardwareTranscoder(Transcoder):
             counters=result.counters,
             backend=self.name,
         )
+
+
+def is_hardware(transcoder: Transcoder) -> bool:
+    """Whether ``transcoder`` is a fixed-function encoder (no two-pass mode).
+
+    Decorator layers (cache, fault injection) expose the backend they wrap
+    as ``inner``; the capability belongs to the innermost one, not to
+    whichever wrapper happens to be outermost.
+    """
+    while isinstance(getattr(transcoder, "inner", None), Transcoder):
+        transcoder = transcoder.inner
+    return isinstance(transcoder, HardwareTranscoder)
 
 
 class NvencTranscoder(HardwareTranscoder):

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.corpus.popularity import PopularityModel
 from repro.encoders.base import RateSpec, Transcoder
-from repro.encoders.hardware import HardwareTranscoder
+from repro.encoders.hardware import is_hardware
 from repro.encoders.registry import get_transcoder
 from repro.pipeline.costs import CostModel, CostReport
 from repro.video.video import Video
@@ -126,7 +126,7 @@ class SharingService:
         universal = self.delivery.transcode(video, RateSpec.for_crf(cfg.upload_crf))
         self.costs.add_compute(universal.seconds)
         target = max(universal.bitrate * cfg.vod_bitrate_scale, 1000.0)
-        two_pass = not live and not isinstance(self.delivery, HardwareTranscoder)
+        two_pass = not live and not is_hardware(self.delivery)
         delivery = self.delivery.transcode(
             universal.output, RateSpec.for_bitrate(target, two_pass=two_pass)
         )
@@ -184,7 +184,7 @@ class SharingService:
             record.video,
             RateSpec.for_bitrate(
                 target,
-                two_pass=not isinstance(self.popular, HardwareTranscoder),
+                two_pass=not is_hardware(self.popular),
             ),
         )
         self.costs.add_compute(result.seconds)

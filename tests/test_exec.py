@@ -1,10 +1,16 @@
-"""The execution layer: persistent transcode cache + process-pool runner."""
+"""The execution layer: the persistent transcode cache, and suite runs
+in-process and over the process pool."""
 
 import struct
 
 import pytest
 
-from repro.core.benchmark import run_scenario, vbench_suite
+from repro.core.benchmark import (
+    ScenarioReport,
+    prime_references,
+    run_scenario,
+    vbench_suite,
+)
 from repro.core.scenarios import Scenario
 from repro.encoders.base import RateSpec, Transcoder, TranscodeResult
 from repro.encoders.software import X264Transcoder
@@ -17,7 +23,6 @@ from repro.exec.cache import (
     cache_key,
     video_digest,
 )
-from repro.exec.runner import prime_references, task_seed
 
 
 class CountingTranscoder(Transcoder):
@@ -315,13 +320,6 @@ class TestCacheStats:
 
 
 class TestRunner:
-    def test_task_seed_deterministic_and_distinct(self):
-        a = task_seed(2017, Scenario.VOD, "clip", 0)
-        assert a == task_seed(2017, Scenario.VOD, "clip", 0)
-        assert a != task_seed(2017, Scenario.VOD, "clip", 1)
-        assert a != task_seed(2017, Scenario.LIVE, "clip", 0)
-        assert a != task_seed(2018, Scenario.VOD, "clip", 0)
-
     def test_parallel_report_matches_serial(self, tmp_path):
         serial = run_scenario(
             vbench_suite(profile="tiny", k=2, seed=2017),
@@ -335,7 +333,26 @@ class TestRunner:
             jobs=2,
             cache=TranscodeCache(tmp_path),
         )
+        assert isinstance(parallel, ScenarioReport)
         assert parallel.to_table() == serial.to_table()
+
+    def test_parallel_run_installs_references(self):
+        suite = vbench_suite(profile="tiny", k=2, seed=2017)
+        run_scenario(suite, Scenario.UPLOAD, "x264:veryfast", jobs=2)
+        for entry in suite:
+            assert suite.references.has(entry.video, Scenario.UPLOAD)
+
+    def test_cold_serial_run_shares_suite_references(self, tmp_path):
+        # Pinned before the two runners merged: one reference and one
+        # candidate encode per video, nothing looked up twice, and the
+        # references stay in the suite's own store.
+        suite = vbench_suite(profile="tiny", k=2, seed=2017)
+        cache = TranscodeCache(tmp_path)
+        report = run_scenario(suite, Scenario.UPLOAD, "x264:veryfast", cache=cache)
+        assert (report.cache.misses, report.cache.hits) == (4, 0)
+        assert suite.references.cache is cache
+        for entry in suite:
+            assert suite.references.has(entry.video, Scenario.UPLOAD)
 
     def test_warm_cache_suite_run_reencodes_nothing(self, tmp_path):
         cache = TranscodeCache(tmp_path)

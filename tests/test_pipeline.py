@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.encoders import get_transcoder
+from repro.exec.cache import CachingTranscoder, MemoStore
 from repro.pipeline.costs import CostModel, CostReport
 from repro.pipeline.service import ServiceConfig, SharingService
 from repro.video.synthesis import synthesize
@@ -138,3 +140,25 @@ class TestComputeVsStorageTradeoff:
         sw.upload(clip)
         hw.upload(clip.with_name("clip"))
         assert hw.costs.compute_hours < sw.costs.compute_hours
+
+
+class TestWrappedHardwareBackend:
+    """Two-pass is a capability of the innermost backend: a cache wrapper
+    around a fixed-function encoder must not ask it for two passes."""
+
+    def test_memo_wrapped_delivery_uploads(self):
+        service = SharingService(
+            delivery_backend=CachingTranscoder(get_transcoder("nvenc"), MemoStore())
+        )
+        record = service.upload(
+            synthesize("natural", 48, 32, 4, 12.0, seed=5, name="hw-up")
+        )
+        assert record.delivery_bytes > 0
+
+    def test_memo_wrapped_popular_promotes(self):
+        service = SharingService(
+            popular_backend=CachingTranscoder(get_transcoder("qsv"), MemoStore()),
+            config=ServiceConfig(popular_threshold_views=5),
+        )
+        service.upload(synthesize("natural", 48, 32, 4, 12.0, seed=6, name="hw-pop"))
+        assert service.serve_views({"hw-pop": 5}) == ["hw-pop"]

@@ -1,5 +1,6 @@
 """Repository hygiene: no tracked build artifacts (mirrors the CI gate), no
-clock in ``src/``, and the codec's layering -- reconstruction has one owner."""
+clock or global RNG in ``src/``, and the codec's layering -- reconstruction
+has one owner."""
 
 import ast
 import functools
@@ -96,6 +97,47 @@ def test_src_reads_no_clock():
                 for module in modules
                 if module.split(".")[0] in ("time", "datetime")
             )
+    assert not offenders, offenders
+
+
+#: The only ``np.random`` names ``src/`` may call: seeded streams.
+_SEEDED_RNG = {"default_rng", "Generator", "SeedSequence"}
+
+
+def _dotted(node):
+    """``a.b.c`` for an attribute chain on a name, else ``""``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    return ".".join([node.id] + parts[::-1])
+
+
+def test_src_reads_no_global_rng():
+    """Every stream is an explicitly seeded ``default_rng``.  The global
+    numpy and stdlib streams are hidden state left by whatever ran before,
+    so nothing under ``src/`` draws from them -- or seeds them."""
+    offenders = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                head, _, leaf = _dotted(node.func).rpartition(".")
+                bad = head == "random" or (
+                    head in ("np.random", "numpy.random") and leaf not in _SEEDED_RNG
+                )
+            elif isinstance(node, ast.Import):
+                bad = any(alias.name == "random" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = node.module == "random" or (
+                    node.module == "numpy.random"
+                    and any(alias.name not in _SEEDED_RNG for alias in node.names)
+                )
+            else:
+                continue
+            if bad:
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
     assert not offenders, offenders
 
 

@@ -502,7 +502,7 @@ SRC_FIXTURE_FINDINGS = [
      "dead code it names, or add the missing caller"),
     ("VL001", "src/repro/codec/bad_determinism.py", 15, 11, "error",
      "np.random.default_rng() without a seed: derive the seed from "
-     "the task identity (see repro.exec.runner.task_seed)"),
+     "the task identity (see repro.robust.faults.FaultPlan.rng_for)"),
     ("VL001", "src/repro/codec/bad_determinism.py", 20, 12, "error",
      "draw from the global random module (random.randint) depends on "
      "hidden interpreter state; use a seeded np.random.Generator or "

@@ -15,7 +15,8 @@ stale.  This runner replaces the copies with data:
 * record-level assertions (the scheduler must beat EWMA, recovery must
   beat naive under chaos) live next to the smoke definition.
 
-Five smokes: ``vlint-parallel`` and ``fuzz`` compare stdout only;
+Six smokes: ``vlint-parallel``, ``suite-run`` (a scored suite run,
+serial against ``--jobs 2``) and ``fuzz`` compare stdout only;
 ``traffic``, ``chaos`` and ``sched`` also pin ``BENCH_traffic.json``,
 ``BENCH_chaos.json`` and ``BENCH_sched.json``.
 
@@ -43,6 +44,11 @@ REPO = Path(__file__).resolve().parent.parent
 _REPRO = (sys.executable, "-m", "repro")
 
 _VLINT = _REPRO + ("lint",)
+
+_SUITE_RUN = _REPRO + (
+    "run", "--profile", "tiny", "--k", "3", "--scenario", "vod",
+    "--backend", "nvenc", "--bisect-iterations", "3",
+)
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,11 @@ SMOKES = (
             _VLINT + ("--json", "src"),
             _VLINT + ("--jobs", "4", "--json", "src"),
         ),
+    ),
+    # A scored suite run renders identically in-process and on the pool.
+    Smoke(
+        name="suite-run",
+        variants=(_SUITE_RUN, _SUITE_RUN + ("--jobs", "2")),
     ),
     # Fixed-seed structured fuzzing: zero oracle violations, twice.
     Smoke(
