@@ -102,8 +102,6 @@ class DeadlineScheduler:
         cost_model: Prices for the cost tie-break.
         time_scale: Multiplier matching the farm's ``time_scale``, so
             predictions are compared against budgets on the same clock.
-        upload_factor: Upload's throughput target as a multiple of
-            realtime (see :data:`DEFAULT_UPLOAD_FACTOR`).
     """
 
     def __init__(
@@ -112,7 +110,6 @@ class DeadlineScheduler:
         candidates: Sequence[str] = DEFAULT_CANDIDATES,
         cost_model: Optional[CostModel] = None,
         time_scale: float = 1.0,
-        upload_factor: float = DEFAULT_UPLOAD_FACTOR,
     ) -> None:
         if not candidates:
             raise ValueError("the scheduler needs at least one candidate")
@@ -120,15 +117,10 @@ class DeadlineScheduler:
             raise ValueError(
                 f"time scale must be positive and finite, got {time_scale}"
             )
-        if not math.isfinite(upload_factor) or upload_factor <= 0:
-            raise ValueError(
-                f"upload factor must be positive and finite, got {upload_factor}"
-            )
         self.predictor = predictor if predictor is not None else default_predictor()
         self.candidates: Tuple[str, ...] = tuple(candidates)
         self.cost_model = cost_model or CostModel()
         self.time_scale = float(time_scale)
-        self.upload_factor = float(upload_factor)
         for spec in self.candidates:
             quality_rank(spec)  # validate eagerly, not mid-simulation
 
@@ -139,13 +131,13 @@ class DeadlineScheduler:
 
         Live and batch scenarios bring their deadline budget; Upload
         substitutes its throughput target: sustained ingest must keep up
-        with ``upload_factor`` times realtime, so one job may spend at
-        most that multiple of its duration.  Budgets are expressed on
+        with :data:`DEFAULT_UPLOAD_FACTOR` times realtime, so one job may
+        spend at most that multiple of its duration.  Budgets are expressed on
         the same (unscaled) clock as :class:`DeadlinePolicy` budgets;
         only predictions carry the time scale.
         """
         if scenario is Scenario.UPLOAD:
-            return video.duration * self.upload_factor
+            return video.duration * DEFAULT_UPLOAD_FACTOR
         return deadline_budget_s
 
     def choose(

@@ -39,6 +39,7 @@ from repro.codec.encoder import Encoder
 from repro.codec.ratecontrol import RateControl
 from repro.codec.types import FrameType
 from repro.simd.analysis import modeled_seconds
+from repro.video.entropy import steady_state_bpps
 from repro.video.video import Video
 
 __all__ = ["FEATURE_NAMES", "JobFeatures", "extract_features"]
@@ -123,16 +124,9 @@ def extract_features(video: Video) -> JobFeatures:
     """
     result = Encoder(PROBE_PRESET).encode(video, RateControl.crf(PROBE_CRF))
     stats = result.stats
-    # Steady-state entropy: exclude the leading I frame, exactly as
-    # repro.video.entropy.measure_entropy does (DESIGN.md: the one-time
-    # intra-refresh cost would dominate ~1 s stand-in clips).
-    if len(stats) > 1:
-        bits = sum(s.bits for s in stats[1:])
-        seconds = (len(stats) - 1) / video.fps
-    else:
-        bits = sum(s.bits for s in stats)
-        seconds = video.duration
-    entropy_bpps = bits / seconds / video.frame_pixels
+    # The paper's entropy measure, by its one rule (DESIGN.md: the
+    # one-time intra-refresh cost would dominate ~1 s stand-in clips).
+    entropy_bpps = steady_state_bpps(stats, video)
     p_total = sum(
         s.total_blocks for s in stats if s.frame_type is not FrameType.I
     )

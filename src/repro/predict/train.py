@@ -4,7 +4,7 @@ The whole procedure is pure in ``(corpus, seed)``:
 
 1. :func:`training_corpus` synthesizes a fixed slate of clips -- every
    content class the traffic catalog rotates through
-   (``_CONTENT_CYCLE``), at the traffic stand-in geometry plus one
+   (``CONTENT_CLASSES``), at the traffic stand-in geometry plus one
    larger geometry so the resolution terms have signal;
 2. ground truth is labeled by running each ``(spec, rate mode)``
    operating point through the real backends -- the label is the
@@ -32,7 +32,7 @@ from repro.predict.model import (
     TranscodeTimePredictor,
     rate_mode,
 )
-from repro.video.synthesis import synthesize
+from repro.video.synthesis import CONTENT_CLASSES, synthesize
 from repro.video.video import Video
 
 __all__ = [
@@ -53,22 +53,15 @@ TRAIN_SPECS = (
     "x264:veryslow",
 )
 
-#: Content classes the traffic catalog rotates through
-#: (``repro.traffic.simulator._CONTENT_CYCLE``; duplicated literal to
-#: keep this package importable without the traffic layer).
-_CONTENTS = (
-    "slideshow",
-    "screencast",
-    "animation",
-    "natural",
-    "gaming",
-    "sports",
-)
+#: Every content class, in the order the traffic catalog rotates
+#: through them.
+_CONTENTS = tuple(CONTENT_CLASSES)
 
 #: Corpus geometries: ``(width, height, frames, fps)``.  The first is
-#: the traffic simulator's stand-in clip; the second is larger in every
-#: dimension so the pixel/frame-count features are not collinear with
-#: the bias.
+#: the traffic simulator's stand-in clip (a test pins the two together:
+#: importing the traffic layer here would be a package cycle); the
+#: second is larger in every dimension so the pixel/frame-count features
+#: are not collinear with the bias.
 _GEOMETRIES = (
     (48, 32, 6, 12.0),
     (64, 48, 9, 18.0),
@@ -80,7 +73,8 @@ _GEOMETRIES = (
 DEFAULT_RIDGE = 1e-6
 
 #: Bitrate operating point for the abr labels, mirroring
-#: ``TranscodeFarm.job_rate`` (bits per pixel-second, with a floor).
+#: ``TranscodeFarm.job_rate`` (bits per pixel-second, with a floor; a
+#: test pins the two together).
 _BITS_PER_PIXEL_SECOND = 0.15
 _MIN_BITRATE_BPS = 1000.0
 

@@ -392,20 +392,23 @@ class FleetState:
         # form a time-to-recover sample (death -> replacement ready).
         self._pending_deaths: Deque[float] = deque()
         self.ttr_samples: List[float] = []
-        # Counters surfaced through FleetStats.
-        self.spawned = 0
-        self.lost = 0
+        # Counters surfaced through FleetStats; ``len(workers)`` is the
+        # spawn count and the three death causes sum to the losses.
         self.crashes = 0
         self.preemptions = 0
         self.outage_kills = 0
         self.reclaimed_busy = 0  # audit: must stay 0 (scale-down drains)
         self.wasted_compute_s = 0.0
-        # Availability ledger: worker-seconds the fleet *intended* to
-        # have (integral of the autoscaler target) vs worker-seconds
-        # lost to deaths (death -> replacement ready).
+        # Worker-second ledgers, integrated together by :meth:`accrue`.
+        # Availability: worker-seconds the fleet *intended* to have
+        # (integral of the autoscaler target) vs worker-seconds lost to
+        # deaths (death -> replacement ready).  Utilization: busy
+        # replicas vs capacity.
         self._accrued_to = 0.0
         self.intended_worker_s = 0.0
         self.unavailable_worker_s = 0.0
+        self.busy_worker_s = 0.0
+        self.capacity_worker_s = 0.0
 
     # -- census ---------------------------------------------------------------
 
@@ -441,6 +444,10 @@ class FleetState:
             )
         worker.detected = True
         self._live.pop(worker.wid, None)
+
+    def busy_count(self) -> int:
+        """Replicas running an attempt: every unresolved attempt has one."""
+        return sum(1 for w in self._live.values() if w.state == BUSY)
 
     def idle_worker(self) -> Optional[Worker]:
         """Lowest-id replica that can accept a job right now."""
@@ -483,7 +490,6 @@ class FleetState:
             worker.growth_cold = worker.state == COLD
         self.workers[wid] = worker
         self._live[wid] = worker
-        self.spawned += 1
         return worker
 
     def mark_ready(self, worker: Worker) -> None:
@@ -592,7 +598,6 @@ class FleetState:
         interrupted = worker.attempt_id
         worker.attempt_id = None
         worker.state = DEAD
-        self.lost += 1
         if anticipated:
             # The drain knew this was coming: the replacement went up at
             # the notice, so recovery time is only the part of its cold
@@ -644,28 +649,35 @@ class FleetState:
         self.wasted_compute_s += seconds
 
     def accrue(self, until: float, target: int) -> None:
-        """Integrate intended vs failure-lost worker-seconds to ``until``.
+        """Integrate every worker-second ledger to ``until`` in one scan.
 
-        The deficit at any instant is ``target`` minus the replicas that
-        can actually serve (ready, plus voluntary-growth replicas whose
-        cold start is in progress — booting for a scale-up is not an
-        outage).  Dead replicas — detected or not — and replacements
-        still cold-starting *are* deficit: that is the user-visible
-        capacity failure recovery exists to shrink.
+        Availability: the deficit at any instant is ``target`` minus the
+        replicas that can actually serve (ready, plus voluntary-growth
+        replicas whose cold start is in progress — booting for a
+        scale-up is not an outage).  Dead replicas — detected or not —
+        and replacements still cold-starting *are* deficit: that is the
+        user-visible capacity failure recovery exists to shrink.
+
+        Utilization: busy replicas over capacity, where capacity is the
+        target but never less than what is busy (a replica finishing its
+        job after a scale-down still exists until it drains).
         """
         dt = until - self._accrued_to
         if dt <= 0:
             return
         self._accrued_to = until
-        if target <= 0:
-            return
-        alive = sum(
-            1
-            for w in self._live.values()
-            if w.state in (IDLE, BUSY) or (w.state == COLD and w.growth_cold)
-        )
-        self.intended_worker_s += target * dt
-        self.unavailable_worker_s += max(target - alive, 0) * dt
+        alive = busy = 0
+        for w in self._live.values():
+            if w.state == BUSY:
+                busy += 1
+                alive += 1
+            elif w.state == IDLE or (w.state == COLD and w.growth_cold):
+                alive += 1
+        self.busy_worker_s += busy * dt
+        self.capacity_worker_s += max(target, busy) * dt
+        if target > 0:
+            self.intended_worker_s += target * dt
+            self.unavailable_worker_s += max(target - alive, 0) * dt
 
     @property
     def availability(self) -> float:

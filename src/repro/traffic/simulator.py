@@ -31,7 +31,10 @@ Determinism is the design constraint everything else bends around.  The
 loop runs on two clocks: the **event clock** only moves forward
 (:meth:`SimClock.advance_to`), popping events from an :class:`EventQueue`
 in ``(when, sequence)`` order, while the **farm clock** is seeked to each
-job's dispatch time exactly as the farm does for its own workers.  All
+job's dispatch time exactly as the farm does for its own workers.  An
+event is ``(handler, payload)``: the loop pops it, accrues the fleet's
+ledgers up to its time, and calls the handler; the sequence number
+breaks ties, so payloads are never compared.  All
 randomness lives in seeded substreams — the arrival schedule's, and
 under chaos each worker's own fault stream — while admission, scaling,
 detection, hedging, and dispatch are pure functions of observed state.
@@ -57,12 +60,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.scenarios import Scenario
 from repro.pipeline.farm import FarmConfig, JobTiming, TranscodeFarm
-from repro.pipeline.scheduler import (
-    DEFAULT_CANDIDATES,
-    DEFAULT_UPLOAD_FACTOR,
-    DeadlineScheduler,
-    ScheduleDecision,
-)
+from repro.pipeline.scheduler import DeadlineScheduler, ScheduleDecision
 from repro.predict.features import JobFeatures, extract_features
 from repro.robust.clock import EventQueue, SimClock
 from repro.traffic.admission import (
@@ -93,20 +91,18 @@ from repro.traffic.slo import (
     SLOReport,
     nearest_rank,
 )
-from repro.video.synthesis import synthesize
+from repro.video.synthesis import CONTENT_CLASSES, synthesize
 from repro.video.video import Video
 
 __all__ = ["TrafficConfig", "TrafficSimulator", "run_traffic"]
 
-#: Fixed catalog content rotation (explicit tuple, not dict order).
-_CONTENT_CYCLE = (
-    "slideshow",
-    "screencast",
-    "animation",
-    "natural",
-    "gaming",
-    "sports",
-)
+#: Every catalog title's stand-in clip, ``(width, height, frames, fps)``:
+#: tiny, so the catalog synthesizes in milliseconds.  Frames and fps set
+#: the clip duration and therefore Live's real-time deadline budget.
+_STANDIN_CLIP = (48, 32, 6, 12.0)
+
+#: Catalog content rotation (``CONTENT_CLASSES`` is insertion-ordered).
+_CONTENT_CYCLE = tuple(CONTENT_CLASSES)
 
 #: EWMA weight for the service-time estimator feeding admission control.
 _EWMA_ALPHA = 0.3
@@ -115,22 +111,14 @@ _EWMA_ALPHA = 0.3
 #: boot instantly.  Run under :data:`NAIVE_POLICY`, so hedging stays off.
 _IDEAL_PLAN = FleetFaultPlan(cold_start_s=0.0)
 
-# Event kinds, popped from the EventQueue.
-_ARRIVAL = "arrival"
-_COMPLETE = "complete"
-_TICK = "tick"
-_DEATH = "death"  # a worker crashes silently mid-job
-_DETECT = "detect"  # a silent death's lease expires
-_PREEMPT = "preempt"  # spot preemption notice
-_PREEMPT_KILL = "preempt-kill"  # the preemption actually lands
-_READY = "ready"  # a cold-started worker comes online
-_HEDGE = "hedge"  # a job ran past its hedge delay
-_OUTAGE = "outage"  # a correlated outage window opens
-
 
 @dataclass(frozen=True)
 class TrafficConfig:
     """Everything one traffic experiment is parameterized by.
+
+    The catalog's clip geometry and content rotation are module
+    constants, and the predictor arm schedules over the scheduler's
+    default candidates with its default Upload throughput target.
 
     Attributes:
         arrivals: The offered load (rates, shares, diurnal, spikes).
@@ -139,21 +127,11 @@ class TrafficConfig:
         catalog_size: Number of synthesized titles requests draw from.
         time_scale: Service-time multiplier (see module docstring);
             forwarded to :class:`~repro.pipeline.farm.FarmConfig`.
-        clip_width: Stand-in clip geometry (kept tiny so the catalog
-            synthesizes in milliseconds).
-        clip_height: See ``clip_width``.
-        clip_frames: Frames per stand-in clip.
-        clip_fps: Frame rate; with ``clip_frames`` this sets the clip
-            duration and therefore Live's real-time deadline budget.
         use_predictor: Replace the EWMA service-time estimator with the
             transcode-time predictor and schedule each job at the
             highest-quality operating point whose predicted time fits
             its remaining deadline budget (the predictor arm).  Off by
             default: the EWMA arm is the committed baseline.
-        scheduler_candidates: Operating points the predictor arm may
-            choose among (defaults to the delivery degradation ladder).
-        upload_factor: Upload's throughput target as a multiple of
-            realtime, used by the scheduler's Upload budget.
         fleet: The fleet fault plan, or ``None`` for ideal workers: the
             same :class:`~repro.traffic.fleet.FleetState` replicas under
             an all-zero plan with instant spawns and
@@ -171,13 +149,7 @@ class TrafficConfig:
     autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
     catalog_size: int = 12
     time_scale: float = 300.0
-    clip_width: int = 48
-    clip_height: int = 32
-    clip_frames: int = 6
-    clip_fps: float = 12.0
     use_predictor: bool = False
-    scheduler_candidates: Tuple[str, ...] = DEFAULT_CANDIDATES
-    upload_factor: float = DEFAULT_UPLOAD_FACTOR
     fleet: Optional[FleetFaultPlan] = None
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     chaos_profile: str = ""
@@ -190,15 +162,6 @@ class TrafficConfig:
         if not math.isfinite(self.time_scale) or self.time_scale <= 0:
             raise ValueError(
                 f"time scale must be positive and finite, got {self.time_scale}"
-            )
-        if self.clip_frames < 1:
-            raise ValueError(f"clips need >= 1 frame, got {self.clip_frames}")
-        if not math.isfinite(self.clip_fps) or self.clip_fps <= 0:
-            raise ValueError(f"clip fps must be positive, got {self.clip_fps}")
-        if not math.isfinite(self.upload_factor) or self.upload_factor <= 0:
-            raise ValueError(
-                "upload factor must be positive and finite, got "
-                f"{self.upload_factor}"
             )
 
 
@@ -217,7 +180,6 @@ class _Job:
     deliveries: int = 0
     done: bool = False
     queued: bool = True
-    pending_detects: int = 0
     attempts: List["_Attempt"] = field(default_factory=list)
 
     def live_attempts(self) -> List["_Attempt"]:
@@ -226,22 +188,22 @@ class _Job:
 
 @dataclass
 class _Attempt:
-    """One dispatch of a job onto one worker."""
+    """One dispatch of a job onto one worker.
+
+    When it started, at which rung and against which prediction are the
+    farm's :class:`JobTiming`; a hedge of it replays those.
+    """
 
     aid: int
     job: _Job
     wid: int  # the replica it runs on (``FleetState.workers`` key)
     timing: JobTiming
-    started_s: float
     delivery: int
     is_hedge: bool = False
     stretched: bool = False
-    crashed: bool = False
     drain_protected: bool = False
     resolved: bool = False
-    spec: Optional[str] = None
     budget_override: Optional[float] = None
-    expected_s: float = 0.0
 
 
 class TrafficSimulator:
@@ -285,7 +247,8 @@ class TrafficSimulator:
         self.clock = SimClock()  # The global event clock; only moves forward.
         self.events = EventQueue()
         self.queue: Deque[_Job] = deque()
-        self.busy = 0  # in-flight attempts (== busy workers)
+        # One ledger and one set of sample lists per traffic class, in
+        # report order.
         self.stats: Dict[str, ScenarioStats] = {}
         self._wait_samples: Dict[str, List[float]] = {}
         self._e2e_samples: Dict[str, List[float]] = {}
@@ -293,26 +256,29 @@ class TrafficSimulator:
         # Clean first-delivery service times per scenario, kept sorted
         # ascending: the sample pool the p99 hedge delay derives from.
         self._service_samples: Dict[str, List[float]] = {}
+        for scenario in (Scenario.UPLOAD, Scenario.LIVE, Scenario.VOD):
+            name = scenario.value
+            self.stats[name] = ScenarioStats(scenario=name)
+            self._wait_samples[name] = []
+            self._e2e_samples[name] = []
+            self._pred_samples[name] = []
+            self._service_samples[name] = []
         self._attempts: Dict[int, _Attempt] = {}
         self._next_aid = 0
-        # Fleet-level counters folded into FleetStats at finalize.
+        # The fleet facts no other ledger holds; everything else in
+        # FleetStats is read off the fleet, the scenario ledgers and the
+        # farm's dead letters.
         self._interruptions = 0
-        self._redeliveries = 0
-        self._redelivery_dead_letters = 0
         self._hedges_launched = 0
         self._hedge_wins = 0
-        self._hedge_cancelled = 0
-        self._outage_count = 0
         # Service-time estimation for admission's wait predictions: the
         # EWMA arm learns only from completions; the predictor arm seeds
         # cold starts from the committed transcode-time models.
         self.scheduler: Optional[DeadlineScheduler] = None
         if self.config.use_predictor:
             self.scheduler = DeadlineScheduler(
-                candidates=self.config.scheduler_candidates,
                 cost_model=self.farm.costs.model,
                 time_scale=self.config.time_scale,
-                upload_factor=self.config.upload_factor,
             )
         self.estimator = ServiceTimeEstimator(
             alpha=_EWMA_ALPHA,
@@ -323,11 +289,6 @@ class TrafficSimulator:
         # is deterministic, so these supersede model predictions for
         # repeat jobs (known-trumps-estimated, same as the estimator).
         self._measured: Dict[Tuple[Scenario, int, str], float] = {}
-        # Capacity accounting for the utilization number.
-        self._accrued_to = 0.0
-        self._busy_worker_s = 0.0
-        self._capacity_s = 0.0
-        self._makespan = 0.0
 
     # -- setup ----------------------------------------------------------------
 
@@ -335,42 +296,15 @@ class TrafficSimulator:
         content = _CONTENT_CYCLE[(rank - 1) % len(_CONTENT_CYCLE)]
         return synthesize(
             content,
-            self.config.clip_width,
-            self.config.clip_height,
-            self.config.clip_frames,
-            self.config.clip_fps,
+            *_STANDIN_CLIP,
             seed=self.seed * 1009 + rank,
             name=f"title-{rank:04d}-{content}",
         )
-
-    def _stats_for(self, scenario: Scenario) -> ScenarioStats:
-        name = scenario.value
-        if name not in self.stats:
-            self.stats[name] = ScenarioStats(scenario=name)
-            self._wait_samples[name] = []
-            self._e2e_samples[name] = []
-            self._service_samples[name] = []
-        return self.stats[name]
 
     def _video_for(self, request: Request) -> Video:
         return self.catalog[(request.rank - 1) % len(self.catalog)]
 
     # -- service-time estimation ----------------------------------------------
-
-    def _expected_service_s(self, request: Request) -> float:
-        """Best estimate of this request's service time.
-
-        Delegates to the :class:`ServiceTimeEstimator`: exact once this
-        (scenario, rank) has completed before (the farm is
-        deterministic, so a repeat costs what it cost last time); then
-        the predictor (predictor arm only); then the scenario's own
-        EWMA; then the optimistic 0.0 prior, so the first requests of an
-        unseeded cold run are admitted rather than guessed away.
-        """
-        return self.estimator.expected(request.scenario, request.rank)
-
-    def _observe_service(self, request: Request, service_s: float) -> None:
-        self.estimator.observe(request.scenario, request.rank, service_s)
 
     def _features_for(self, request: Request) -> JobFeatures:
         """Probe features of the request's title, extracted once."""
@@ -413,7 +347,7 @@ class TrafficSimulator:
     def _expected_wait_s(self, request: Request) -> float:
         """Predicted queue wait if this request were admitted now."""
         depth = len(self.queue)
-        service = self._expected_service_s(request)
+        service = self.estimator.expected(request.scenario, request.rank)
         workers = max(self.scaler.active, 1)
         wait = depth / workers * service
         if self.scaler.active == 0:
@@ -431,7 +365,7 @@ class TrafficSimulator:
         """
         if not self.policy.hedge_enabled:
             return None
-        samples = self._service_samples.get(scenario.value, [])
+        samples = self._service_samples[scenario.value]
         if len(samples) < self.policy.hedge_min_samples:
             return None
         return nearest_rank(samples, 99.0) * self.policy.hedge_p99_multiplier
@@ -443,64 +377,32 @@ class TrafficSimulator:
         requests = generate_arrivals(
             self.config.arrivals, self.config.catalog_size, self.seed
         )
-        for scenario in (Scenario.UPLOAD, Scenario.LIVE, Scenario.VOD):
-            self._stats_for(scenario)
-        self.events.schedule(0.0, (_TICK, None))
+        self.events.schedule(0.0, (self._handle_tick, None))
         for request in requests:
-            self._stats_for(request.scenario).arrived += 1
-            self.events.schedule(request.arrival_s, (_ARRIVAL, (request, 1)))
-        for window in generate_outages(
+            self.stats[request.scenario.value].arrived += 1
+            self.events.schedule(
+                request.arrival_s, (self._handle_arrival, (request, 1))
+            )
+        outages = generate_outages(
             self.fleet.plan, self.config.arrivals.duration_s
-        ):
-            self.events.schedule(window.at_s, (_OUTAGE, window))
+        )
+        for window in outages:
+            self.events.schedule(window.at_s, (self._handle_outage, window))
         while self.events:
-            when, (kind, payload) = self.events.pop()
-            self._accrue(when)
-            self.clock.advance_to(when)
-            now = self.clock.now
-            self._makespan = max(self._makespan, now)
-            if kind == _ARRIVAL:
-                request, attempt = payload
-                self._handle_arrival(now, request, attempt)
-            elif kind == _COMPLETE:
-                self._handle_complete(now, payload)
-            elif kind == _TICK:
-                self._handle_tick(now)
-            elif kind == _DEATH:
-                self._handle_death(now, payload)
-            elif kind == _DETECT:
-                self._handle_detect(now, payload)
-            elif kind == _PREEMPT:
-                self._handle_preempt(now, payload)
-            elif kind == _PREEMPT_KILL:
-                self._handle_preempt_kill(now, payload)
-            elif kind == _READY:
-                self._handle_ready(now, payload)
-            elif kind == _HEDGE:
-                self._handle_hedge(now, payload)
-            elif kind == _OUTAGE:
-                self._handle_outage(now, payload)
-            else:  # pragma: no cover - the loop schedules only known kinds
-                raise RuntimeError(f"unknown event kind {kind!r}")
-        return self._finalize()
+            when, (handle, payload) = self.events.pop()
+            self.fleet.accrue(when, self.scaler.active)
+            handle(self.clock.advance_to(when), payload)
+        # Every scheduled outage pops, so the schedule is the count.
+        return self._finalize(len(outages))
 
-    def _accrue(self, until: float) -> None:
-        """Integrate busy/capacity worker-seconds up to ``until``."""
-        self.fleet.accrue(until, self.scaler.active)
-        dt = until - self._accrued_to
-        if dt <= 0:
-            return
-        self._busy_worker_s += self.busy * dt
-        # Workers finishing jobs after a scale-down still exist until they
-        # drain, so capacity is never less than what is actually busy.
-        self._capacity_s += max(self.scaler.active, self.busy) * dt
-        self._accrued_to = until
-
-    def _handle_arrival(self, now: float, request: Request, attempt: int) -> None:
-        stats = self._stats_for(request.scenario)
+    def _handle_arrival(
+        self, now: float, payload: Tuple[Request, int]
+    ) -> None:
+        request, attempt = payload
+        stats = self.stats[request.scenario.value]
         video = self._video_for(request)
         budget = self.farm.config.deadlines.budget_s(video, request.scenario)
-        slack = budget - self._expected_service_s(request)
+        slack = budget - self.estimator.expected(request.scenario, request.rank)
         decision = self.admission.decide(
             request.scenario,
             depth=len(self.queue),
@@ -517,7 +419,8 @@ class TrafficSimulator:
         elif decision.verdict == "retry":
             stats.backpressure_retries += 1
             self.events.schedule(
-                now + decision.retry_delay_s, (_ARRIVAL, (request, attempt + 1))
+                now + decision.retry_delay_s,
+                (self._handle_arrival, (request, attempt + 1)),
             )
         else:
             stats.shed += 1
@@ -542,61 +445,44 @@ class TrafficSimulator:
         """Dispatch the job's next delivery onto ``worker``, or time the
         job out as stale (leaving the replica idle)."""
         request = job.request
-        stats = self._stats_for(request.scenario)
-        wait = now - job.enqueued_s
+        realtime = request.scenario.realtime
         elapsed = now - request.arrival_s
-        delivery = job.deliveries + 1
-        self._wait_samples[request.scenario.value].append(wait)
-        video = self._video_for(request)
+        self._wait_samples[request.scenario.value].append(now - job.enqueued_s)
         budget = job.budget_s
         spec: Optional[str] = None
         budget_override: Optional[float] = None
-        if self.scheduler is not None:
-            decision = self._full_budget_decision(request)
-            if request.scenario.realtime:
-                if delivery == 1:
-                    # Queue wait already spent part of the budget; pick
-                    # the best operating point that fits what is *left*,
-                    # and hand the farm that remaining budget so its
-                    # retry policy respects it too.
-                    remaining = max(budget - wait, 0.0)
-                    if remaining < budget:
-                        decision = self.scheduler.choose(
-                            self._features_for(request),
-                            self.farm.job_rate(video, request.scenario),
-                            remaining,
-                            measured_s=self._measured_for(request),
-                        )
-                    budget_override = remaining
-                else:
-                    # A redelivery's deadline clock never stopped: the
-                    # wait already served and the wasted attempt are
-                    # sunk, so re-plan against what is left (falling
-                    # back to the fastest rung when nothing fits).
-                    decision = self.scheduler.choose_remaining(
-                        self._features_for(request),
-                        self.farm.job_rate(video, request.scenario),
-                        budget,
-                        elapsed,
-                        measured_s=self._measured_for(request),
-                    )
-                    budget_override = max(budget - elapsed, 0.0)
+        if self.scheduler is None:
+            expected = self.estimator.expected(request.scenario, request.rank)
+        else:
+            if realtime:
+                # A realtime deadline runs from arrival: backpressure
+                # delay, queue wait and any wasted attempt are sunk, so
+                # plan against what is left (the fastest rung when
+                # nothing fits), and hand the farm that remaining budget
+                # so its retry policy respects it too.
+                video = self._video_for(request)
+                decision = self.scheduler.choose_remaining(
+                    self._features_for(request),
+                    self.farm.job_rate(video, request.scenario),
+                    budget,
+                    elapsed,
+                    measured_s=self._measured_for(request),
+                )
+                budget_override = max(budget - elapsed, 0.0)
+            else:
+                decision = self._full_budget_decision(request)
             spec = decision.spec
             expected = decision.predicted_s
-        else:
-            expected = self._expected_service_s(request)
-        staleness = wait if delivery == 1 else elapsed
-        if request.scenario.realtime and staleness + expected > budget:
+        if realtime and elapsed + expected > budget:
             # Too stale to bother: starting it now would only waste a
             # worker on a stream that has already moved on.
-            stats.timed_out += 1
+            self.stats[request.scenario.value].timed_out += 1
             job.done = True
             return
         self._launch(
             now,
             job,
             worker,
-            delivery,
             spec=spec,
             budget_override=budget_override,
             expected=expected,
@@ -608,7 +494,6 @@ class TrafficSimulator:
         now: float,
         job: _Job,
         worker: Worker,
-        delivery: int,
         spec: Optional[str],
         budget_override: Optional[float],
         expected: float,
@@ -617,7 +502,6 @@ class TrafficSimulator:
         """Run one attempt on the idle ``worker`` and schedule its outcome."""
         request = job.request
         video = self._video_for(request)
-        self.busy += 1
         timing = self.farm.execute_job(
             video,
             request.scenario,
@@ -634,12 +518,9 @@ class TrafficSimulator:
             job=job,
             wid=worker.wid,
             timing=timing,
-            started_s=now,
-            delivery=delivery,
+            delivery=job.deliveries + 1,
             is_hedge=is_hedge,
-            spec=spec,
             budget_override=budget_override,
-            expected_s=expected,
         )
         self._attempts[aid] = attempt
         job.attempts.append(attempt)
@@ -649,21 +530,24 @@ class TrafficSimulator:
         if fault.kind == "crash" and timing.completed:
             # The worker dies partway through; nothing completes, nobody
             # notices until the lease expires.
-            attempt.crashed = True
             self.events.schedule(
-                now + fault.crash_after_s, (_DEATH, (worker.wid, aid))
+                now + fault.crash_after_s,
+                (self._handle_death, (worker.wid, aid)),
             )
         elif fault.kind == "straggle":
             attempt.stretched = True
             self.events.schedule(
-                now + timing.service_s * fault.factor, (_COMPLETE, aid)
+                now + timing.service_s * fault.factor,
+                (self._handle_complete, aid),
             )
         else:
-            self.events.schedule(timing.finished_s, (_COMPLETE, aid))
+            self.events.schedule(
+                timing.finished_s, (self._handle_complete, aid)
+            )
         if not is_hedge:
             delay = self._hedge_delay_s(request.scenario)
             if delay is not None:
-                self.events.schedule(now + delay, (_HEDGE, aid))
+                self.events.schedule(now + delay, (self._handle_hedge, aid))
 
     # -- attempt resolution ---------------------------------------------------
 
@@ -675,10 +559,8 @@ class TrafficSimulator:
     def _cancel_attempt(self, attempt: _Attempt, now: float) -> None:
         """A racing duplicate lost: free its worker, book the waste."""
         attempt.resolved = True
-        self.busy -= 1
-        self._hedge_cancelled += 1
-        self._stats_for(attempt.job.request.scenario).hedge_cancelled += 1
-        self.fleet.book_waste(now - attempt.started_s)
+        self.stats[attempt.job.request.scenario.value].hedge_cancelled += 1
+        self.fleet.book_waste(now - attempt.timing.started_s)
         self._release_worker(attempt)
 
     def _interrupt(
@@ -694,26 +576,35 @@ class TrafficSimulator:
         if attempt.resolved:  # pragma: no cover - kills resolve first
             return
         attempt.resolved = True
-        self.busy -= 1
         self._interruptions += 1
-        self.fleet.book_waste(now - attempt.started_s)
+        self.fleet.book_waste(now - attempt.timing.started_s)
         job = attempt.job
         if silent:
-            if not job.done:
-                job.pending_detects += 1
-            self.events.schedule(
-                self.policy.detection_s(worker.ready_s, now),
-                (_DETECT, (worker.wid, aid if not job.done else None)),
-            )
+            self._schedule_detect(now, worker, None if job.done else aid)
         elif not job.done:
             self._redeliver_or_dead_letter(now, job)
 
+    def _schedule_detect(
+        self, now: float, worker: Worker, aid: Optional[int]
+    ) -> None:
+        """A silent death is noticed when the replica's lease expires.
+
+        A replica killed mid-boot "dies" at its would-be registration
+        time: its absence is noticeable only once it should have
+        heartbeat at all.  ``aid`` names the attempt to redeliver, if
+        the death cost a job that is still owed an answer.
+        """
+        died = max(now, worker.ready_s)
+        self.events.schedule(
+            self.policy.detection_s(worker.ready_s, died),
+            (self._handle_detect, (worker.wid, aid)),
+        )
+
     def _redeliver_or_dead_letter(self, now: float, job: _Job) -> None:
         """Bounded redelivery: re-queue the job or give up on it."""
-        stats = self._stats_for(job.request.scenario)
+        stats = self.stats[job.request.scenario.value]
         if job.deliveries < self.policy.max_deliveries:
             stats.redelivered += 1
-            self._redeliveries += 1
             job.enqueued_s = now
             job.queued = True
             self.queue.append(job)
@@ -721,7 +612,6 @@ class TrafficSimulator:
         else:
             job.done = True
             stats.dead_lettered += 1
-            self._redelivery_dead_letters += 1
             self.farm.dead_letter(
                 f"req-{job.request.rid:06d}",
                 "fleet",
@@ -734,9 +624,9 @@ class TrafficSimulator:
             return  # cancelled loser or interrupted attempt; already booked
         job = attempt.job
         request = job.request
-        stats = self._stats_for(request.scenario)
+        name = request.scenario.value
+        stats = self.stats[name]
         attempt.resolved = True
-        self.busy -= 1
         self._release_worker(attempt)
         timing = attempt.timing
         clean = timing.completed and not attempt.stretched
@@ -745,8 +635,8 @@ class TrafficSimulator:
             # Only successful first-delivery runs teach the estimator
             # and the hedge-delay pool: a crashed, stretched, or hedged
             # duplicate's time says nothing about a healthy service.
-            self._observe_service(request, timing.service_s)
-            insort(self._service_samples[request.scenario.value], timing.service_s)
+            self.estimator.observe(request.scenario, request.rank, timing.service_s)
+            insort(self._service_samples[name], timing.service_s)
         if timing.spec:
             stats.scheduled_specs[timing.spec] = (
                 stats.scheduled_specs.get(timing.spec, 0) + 1
@@ -759,12 +649,10 @@ class TrafficSimulator:
         job.done = True
         if timing.completed:
             stats.completed += 1
-            experienced = now - attempt.started_s
-            self._pred_samples.setdefault(request.scenario.value, []).append(
-                (timing.predicted_s, experienced)
-            )
+            experienced = now - timing.started_s
+            self._pred_samples[name].append((timing.predicted_s, experienced))
             e2e = now - request.arrival_s
-            self._e2e_samples[request.scenario.value].append(e2e)
+            self._e2e_samples[name].append(e2e)
             if e2e > job.budget_s:
                 stats.slo_violations += 1
             else:
@@ -786,7 +674,9 @@ class TrafficSimulator:
         a busy replica (the scale-down invariant; audited in CI)."""
         for worker in self.fleet.reconcile(now, self.scaler.active):
             if worker.state == COLD:
-                self.events.schedule(worker.ready_s, (_READY, worker.wid))
+                self.events.schedule(
+                    worker.ready_s, (self._handle_ready, worker.wid)
+                )
             if (
                 worker.preempt_at_s is not None
                 and worker.preempt_at_s <= self.config.arrivals.duration_s
@@ -795,7 +685,7 @@ class TrafficSimulator:
                 # a preemption drawn past it never fires, so the drain
                 # phase terminates.
                 self.events.schedule(
-                    worker.preempt_at_s, (_PREEMPT, worker.wid)
+                    worker.preempt_at_s, (self._handle_preempt, worker.wid)
                 )
 
     def _handle_death(self, now: float, payload: Tuple[int, int]) -> None:
@@ -826,7 +716,6 @@ class TrafficSimulator:
         if aid is None:
             return  # an idle replica died; no job to redeliver
         job = self._attempts[aid].job
-        job.pending_detects -= 1
         if job.done or job.queued or job.live_attempts():
             return  # someone else (a hedge, usually) already owns it
         self._redeliver_or_dead_letter(now, job)
@@ -843,7 +732,8 @@ class TrafficSimulator:
             # proactively so the cold start overlaps the notice window.
             self._reconcile(now)
         self.events.schedule(
-            now + self.fleet.plan.preempt_notice_s, (_PREEMPT_KILL, wid)
+            now + self.fleet.plan.preempt_notice_s,
+            (self._handle_preempt_kill, wid),
         )
 
     def _handle_preempt_kill(self, now: float, wid: int) -> None:
@@ -858,10 +748,7 @@ class TrafficSimulator:
         elif not anticipated:
             # An idle replica vanished without notice being heeded; the
             # control plane only learns at lease expiry.
-            self.events.schedule(
-                self.policy.detection_s(worker.ready_s, now),
-                (_DETECT, (wid, None)),
-            )
+            self._schedule_detect(now, worker, None)
 
     def _handle_ready(self, now: float, wid: int) -> None:
         self.fleet.mark_ready(self.fleet.workers[wid])
@@ -882,15 +769,13 @@ class TrafficSimulator:
             now,
             job,
             worker,
-            job.deliveries + 1,
-            spec=attempt.spec,
+            spec=attempt.timing.spec,
             budget_override=attempt.budget_override,
-            expected=attempt.expected_s,
+            expected=attempt.timing.predicted_s,
             is_hedge=True,
         )
 
     def _handle_outage(self, now: float, window: OutageWindow) -> None:
-        self._outage_count += 1
         for worker in self.fleet.domain_members(window.domain):
             aid = worker.attempt_id
             self.fleet.kill(worker, now, "outage")
@@ -899,79 +784,86 @@ class TrafficSimulator:
             else:
                 # Idle and cold replicas die too; each is detected by
                 # its own lease, because the outage itself is silent.
-                # A replica killed mid-boot "dies" at its would-be
-                # registration time — its absence is noticeable only
-                # once it should have heartbeat at all.
-                died = max(now, worker.ready_s)
-                self.events.schedule(
-                    self.policy.detection_s(worker.ready_s, died),
-                    (_DETECT, (worker.wid, None)),
-                )
+                self._schedule_detect(now, worker, None)
 
-    def _handle_tick(self, now: float) -> None:
-        self.scaler.evaluate(now, depth=len(self.queue), busy=self.busy)
+    def _handle_tick(self, now: float, _payload: None) -> None:
+        busy = self.fleet.busy_count()
+        self.scaler.evaluate(now, depth=len(self.queue), busy=busy)
         self._reconcile(now)
         self._dispatch(now)
-        next_tick = now + self.config.autoscaler.poll_interval_s
+        # Reconciling never frees a busy replica, and a job the dispatch
+        # just started has its outcome event queued, so ``busy`` needs
+        # no recount here.
         if (
             now < self.config.arrivals.duration_s
             or self.queue
-            or self.busy > 0
+            or busy > 0
             or self.events
             or self.scaler.active > self.config.autoscaler.min_workers
         ):
-            self.events.schedule(next_tick, (_TICK, None))
+            self.events.schedule(
+                now + self.config.autoscaler.poll_interval_s,
+                (self._handle_tick, None),
+            )
 
     # -- reporting ------------------------------------------------------------
 
-    def _finalize(self) -> SLOReport:
+    def _finalize(self, outages: int) -> SLOReport:
         for name, stats in self.stats.items():
             stats.queue_wait = LatencySummary.from_samples(self._wait_samples[name])
             stats.e2e = LatencySummary.from_samples(self._e2e_samples[name])
             stats.prediction = PredictionStats.from_samples(
-                self._pred_samples.get(name, [])
+                self._pred_samples[name]
             )
+        fleet = self.fleet
         utilization = (
-            self._busy_worker_s / self._capacity_s if self._capacity_s > 0 else 0.0
+            fleet.busy_worker_s / fleet.capacity_worker_s
+            if fleet.capacity_worker_s > 0
+            else 0.0
         )
-        fleet_stats: Optional[FleetStats] = FleetStats(
-            workers_spawned=self.fleet.spawned,
-            workers_lost=self.fleet.lost,
-            crashes=self.fleet.crashes,
-            preemptions=self.fleet.preemptions,
-            outage_kills=self.fleet.outage_kills,
-            outages=self._outage_count,
-            interruptions=self._interruptions,
-            redeliveries=self._redeliveries,
-            redelivery_dead_letters=self._redelivery_dead_letters,
-            hedges_launched=self._hedges_launched,
-            hedge_wins=self._hedge_wins,
-            hedge_cancelled=self._hedge_cancelled,
-            reclaimed_busy=self.fleet.reclaimed_busy,
-            availability=self.fleet.availability,
-            time_to_recover=LatencySummary.from_samples(
-                self.fleet.ttr_samples
-            ),
-            wasted_compute_s=self.fleet.wasted_compute_s,
-            wasted_cost_usd=self.farm.costs.model.compute_dollars(
-                self.fleet.wasted_compute_s
-            ),
-        )
-        if self.config.fleet is None:
-            # Schema v3: a run with no configured plan reports no fleet
-            # block, so every committed no-chaos digest stays put.
-            fleet_stats = None
+        # Schema v3: a run with no configured plan reports no fleet
+        # block, so every committed no-chaos digest stays put.
+        fleet_stats: Optional[FleetStats] = None
+        if self.config.fleet is not None:
+            scenarios = self.stats.values()
+            fleet_stats = FleetStats(
+                workers_spawned=len(fleet.workers),
+                workers_lost=fleet.crashes + fleet.preemptions + fleet.outage_kills,
+                crashes=fleet.crashes,
+                preemptions=fleet.preemptions,
+                outage_kills=fleet.outage_kills,
+                outages=outages,
+                interruptions=self._interruptions,
+                redeliveries=sum(s.redelivered for s in scenarios),
+                redelivery_dead_letters=sum(
+                    1
+                    for letter in self.farm.report.dead_letters
+                    if letter.stage == "fleet"
+                ),
+                hedges_launched=self._hedges_launched,
+                hedge_wins=self._hedge_wins,
+                hedge_cancelled=sum(s.hedge_cancelled for s in scenarios),
+                reclaimed_busy=fleet.reclaimed_busy,
+                availability=fleet.availability,
+                time_to_recover=LatencySummary.from_samples(fleet.ttr_samples),
+                wasted_compute_s=fleet.wasted_compute_s,
+                wasted_cost_usd=self.farm.costs.model.compute_dollars(
+                    fleet.wasted_compute_s
+                ),
+            )
         return SLOReport(
             seed=self.seed,
             duration_s=self.config.arrivals.duration_s,
-            makespan_s=self._makespan,
+            # The event clock is monotone: where it stopped is the last
+            # event's time.
+            makespan_s=self.clock.now,
             scenarios=self.stats,
             scale_events=list(self.scaler.events),
             min_workers=self.config.autoscaler.min_workers,
             max_workers=self.config.autoscaler.max_workers,
             peak_workers=self.scaler.peak,
             utilization=utilization,
-            busy_worker_s=self._busy_worker_s,
+            busy_worker_s=fleet.busy_worker_s,
             catalog_size=self.config.catalog_size,
             predictor_enabled=self.scheduler is not None,
             compute_hours=self.farm.costs.compute_hours,

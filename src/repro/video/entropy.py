@@ -18,20 +18,23 @@ so the measure excludes the leading I frame (documented in DESIGN.md).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.video.video import Video
 
-__all__ = ["measure_entropy"]
+__all__ = ["measure_entropy", "steady_state_bpps"]
 
 #: CRF 18 is the "visually lossless" constant-quality point (Section 4.1).
 ENTROPY_CRF = 18
 
 
-def measure_entropy(video: Video, preset: str = "medium") -> float:
-    """Entropy of ``video`` in bits/pixel/second (steady-state CRF-18 rate)."""
-    from repro.codec.encoder import encode
+def steady_state_bpps(stats: Sequence, video: Video) -> float:
+    """Bits/pixel/second of an encode of ``video``, leading I frame skipped.
 
-    result = encode(video, config=preset, crf=ENTROPY_CRF)
-    stats = result.stats
+    ``stats`` are the encode's per-frame
+    :class:`~repro.codec.types.FrameStats`.  A single-frame encode has
+    no steady state, so it is measured whole.
+    """
     if len(stats) > 1:
         bits = sum(s.bits for s in stats[1:])
         seconds = (len(stats) - 1) / video.fps
@@ -39,3 +42,11 @@ def measure_entropy(video: Video, preset: str = "medium") -> float:
         bits = sum(s.bits for s in stats)
         seconds = video.duration
     return bits / seconds / video.frame_pixels
+
+
+def measure_entropy(video: Video, preset: str = "medium") -> float:
+    """Entropy of ``video`` in bits/pixel/second (steady-state CRF-18 rate)."""
+    from repro.codec.encoder import encode
+
+    result = encode(video, config=preset, crf=ENTROPY_CRF)
+    return steady_state_bpps(result.stats, video)

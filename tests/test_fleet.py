@@ -193,7 +193,7 @@ class TestFleetLifecycle:
         with pytest.raises(ValueError, match="gremlins"):
             fleet.kill(worker, 5.0, "gremlins")
         assert worker.state == BUSY and worker.attempt_id == 4
-        assert fleet.lost == 0
+        assert fleet.crashes + fleet.preemptions + fleet.outage_kills == 0
         fleet.spawn(10.0)  # no phantom death to pair a replacement with
         assert fleet.ttr_samples == []
 
@@ -337,6 +337,8 @@ def _check_census(fleet, now):
         if _serving(w) or (w.state == DEAD and not w.detected)
     ]
     assert fleet.capacity_count() == len(believed)
+    busy = sum(w.state == BUSY for w in everyone)
+    assert fleet.busy_count() == busy
     idle = [w for w in everyone if w.state == IDLE and _serving(w)]
     assert fleet.idle_worker() is (idle[0] if idle else None)
     for domain in range(DOMAINS):
@@ -349,15 +351,18 @@ def _check_census(fleet, now):
         if w.state != RETIRED and not (w.state == DEAD and w.detected)
     ]
     assert list(fleet._live.items()) == [(w.wid, w) for w in live]
-    # accrue's alive count, read back off one whole second of deficit at
-    # a target no fleet here reaches (integral floats: exact).
+    # accrue's alive and busy counts, read back off one whole second of
+    # deficit and of busy time at a target no fleet here reaches
+    # (integral floats: exact).
     alive = sum(
         1 for w in everyone
         if w.state in (IDLE, BUSY) or (w.state == COLD and w.growth_cold)
     )
     before = fleet.unavailable_worker_s
+    busy_before = fleet.busy_worker_s
     fleet.accrue(now, target=100)
     assert fleet.unavailable_worker_s - before == 100 - alive
+    assert fleet.busy_worker_s - busy_before == busy
 
 
 _OPS = (

@@ -18,6 +18,7 @@ from repro.encoders.base import RateSpec
 from repro.pipeline.costs import CostModel
 from repro.pipeline.scheduler import (
     DEFAULT_CANDIDATES,
+    DEFAULT_UPLOAD_FACTOR,
     DeadlineScheduler,
     ScheduleDecision,
     quality_rank,
@@ -157,6 +158,21 @@ class TestTraining:
         committed = coefficients_path().read_text(encoding="utf-8")
         assert trained_predictor.to_json() == committed
 
+    def test_corpus_is_what_the_traffic_catalog_serves(self):
+        # repro.predict cannot import the traffic or pipeline layers (a
+        # package cycle), so the rules it shares with them are pinned
+        # here: the stand-in clip and the abr operating point the farm
+        # runs VOD jobs at.
+        from repro.pipeline.farm import TranscodeFarm
+        from repro.predict import train
+        from repro.traffic import simulator
+
+        assert train._GEOMETRIES[0] == simulator._STANDIN_CLIP
+        farm = TranscodeFarm()
+        for video in training_corpus(0):
+            rate = farm.job_rate(video, Scenario.VOD)
+            assert train._abr_target(video) == rate.bitrate_bps
+
     def test_fit_is_accurate_on_the_corpus(self):
         predictor = default_predictor()
         errors = []
@@ -245,10 +261,10 @@ class TestDeadlineScheduler:
         assert with_measured.predicted_s == tight
 
     def test_upload_budget_is_throughput_not_deadline(self, features):
-        scheduler = DeadlineScheduler(upload_factor=4.0)
+        scheduler = DeadlineScheduler()
         video = _clip()
         assert scheduler.budget_for(video, Scenario.UPLOAD, 0.5) == (
-            pytest.approx(video.duration * 4.0)
+            video.duration * DEFAULT_UPLOAD_FACTOR
         )
         assert scheduler.budget_for(video, Scenario.LIVE, 0.5) == 0.5
 
@@ -283,8 +299,6 @@ class TestDeadlineScheduler:
             DeadlineScheduler(candidates=())
         with pytest.raises(ValueError):
             DeadlineScheduler(time_scale=0.0)
-        with pytest.raises(ValueError):
-            DeadlineScheduler(upload_factor=-1.0)
         with pytest.raises(ValueError):
             DeadlineScheduler().choose_remaining(
                 extract_features(_clip("natural")),
