@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.codec.entropy_coding.bitio import BitReader, BitWriter
+from repro.codec.entropy_coding.bitio import BitReader, BitWriter, walk_chain
 from repro.codec.errors import CorruptPayload, raise_deferred
 from repro.codec.entropy_coding.expgolomb import (
     MAX_UE_ZEROS,
@@ -86,10 +86,6 @@ def encode_levels_cavlc(writer: BitWriter, levels: np.ndarray) -> int:
     return out_total
 
 
-#: Symbols decoded per speculative batch while parsing the residual section.
-_CHUNK = 256
-
-
 def _block_positions(
     syms_arr: np.ndarray, starts: np.ndarray, run_counts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,6 +147,21 @@ def _earliest_coeff_error(
     return index, CorruptPayload(f"corrupt stream: zero level in block {block}")
 
 
+def _block_heads(syms: np.ndarray, n_blocks: int, max_pos: int) -> np.ndarray:
+    """Symbol index of each block's nnz code, ``[0, h_1, h_2, ...]``.
+
+    Block ``b + 1`` starts ``1 + 2 * nnz_b`` symbols after block ``b``.  The
+    walk has at most ``n_blocks + 1`` entries (the last is the end of the
+    last block) and stops early at the first block whose nnz exceeds
+    ``max_pos`` or whose codes run past the decoded symbols.
+    """
+    n = syms.size
+    after = np.arange(1, n + 1) + 2 * syms
+    step = np.full(n + 2, n + 1, dtype=np.int64)
+    step[:n] = np.where((syms <= max_pos) & (after <= n), after, n + 1)
+    return walk_chain(step, n_blocks)
+
+
 def decode_levels_cavlc(
     reader: BitReader, n_blocks: int, size: int
 ) -> np.ndarray:
@@ -158,9 +169,9 @@ def decode_levels_cavlc(
 
     The residual section is one homogeneous sequence of Exp-Golomb
     codewords (nnz, then run/level pairs, per block), so symbols are
-    decoded speculatively in vectorized chunks and the block structure is
-    parsed over the decoded values; the reader is rewound to the exact end
-    of the last symbol the symbol-at-a-time parser would have consumed.
+    decoded speculatively by vectorized scans and the block structure is
+    walked over the decoded values; the reader is rewound to the exact
+    end of the last symbol the symbol-at-a-time parser would have consumed.
     Errors -- stream damage and semantic violations alike -- are raised
     with the same type and message, for the earliest offending symbol in
     stream order, exactly as the scalar loop raised them.
@@ -177,49 +188,51 @@ def decode_levels_cavlc(
         return out.reshape(n_blocks, size, size)
 
     chain_start = reader.position
-    syms: list = []
+    # A block codes its nnz and at most 2 * max_pos more symbols.  When the
+    # bits left cannot hold more codewords than that (a frame payload),
+    # they are scanned in one call.  A reader over a whole stream starts at
+    # one symbol per block and doubles on demand, so each frame scans a
+    # small multiple of its own bits, not the rest of the stream.
+    want = reader.remaining
+    if want > n_blocks * (1 + 2 * max_pos):
+        want = n_blocks
+    syms = np.zeros(0, dtype=np.int64)
     deferred: Optional[Exception] = None
-
-    def _ensure(n: int) -> int:
-        nonlocal deferred
-        while len(syms) < n and deferred is None:
+    while True:
+        if want > syms.size and deferred is None:
             values, deferred = reader.scan_ue_array(
-                max(_CHUNK, n - len(syms)), MAX_UE_ZEROS
+                want - syms.size, MAX_UE_ZEROS
             )
-            syms.extend(values.tolist())
-        return len(syms)
+            syms = np.concatenate((syms, values))
+        heads = _block_heads(syms, n_blocks, max_pos)
+        done = heads.size - 1  # blocks with every code decoded
+        head = int(heads[-1])
+        if done == n_blocks:
+            break
+        nnz = int(syms[head]) if head < syms.size else 0
+        if nnz > max_pos or deferred is not None:
+            break
+        # Ask for at least the stuck block and one symbol per later block,
+        # and at least double what is decoded.
+        want = max(head + 1 + 2 * nnz + n_blocks - done - 1, 2 * syms.size)
 
-    starts_l: list = []  # symbol index of each block's first run code
-    nnz_l: list = []
-    caps_l: list = []  # coefficient symbols actually available per block
+    complete = heads[:done]
+    starts = complete + 1  # symbol index of each block's first run code
+    caps = 2 * syms[complete]  # coefficient symbols available per block
     pending: Optional[Exception] = None
     pending_idx = 0
-    ptr = 0
-    for b in range(n_blocks):
-        if _ensure(ptr + 1) < ptr + 1:
-            pending, pending_idx = deferred, len(syms)
-            break
-        nnz = syms[ptr]
-        ptr += 1
+    if done < n_blocks:
         if nnz > max_pos:
             pending = CorruptPayload(
-                f"corrupt stream: {nnz} coefficients in block {b}"
+                f"corrupt stream: {nnz} coefficients in block {done}"
             )
-            pending_idx = ptr - 1
-            break
-        starts_l.append(ptr)
-        nnz_l.append(nnz)
-        have = min(_ensure(ptr + 2 * nnz), ptr + 2 * nnz) - ptr
-        caps_l.append(have)
-        if have < 2 * nnz:
-            pending, pending_idx = deferred, len(syms)
-            break
-        ptr += 2 * nnz
-
-    syms_arr = np.array(syms, dtype=np.int64)
-    starts = np.array(starts_l, dtype=np.int64)
-    caps = np.array(caps_l, dtype=np.int64)
-    coeff_error = _earliest_coeff_error(syms_arr, starts, caps, max_pos)
+            pending_idx = head
+        else:
+            pending, pending_idx = deferred, syms.size
+            if head < syms.size:  # a block cut short by the failed symbol
+                starts = np.append(starts, head + 1)
+                caps = np.append(caps, syms.size - head - 1)
+    coeff_error = _earliest_coeff_error(syms, starts, caps, max_pos)
     if coeff_error is not None and (pending is None or coeff_error[0] < pending_idx):
         raise_deferred(coeff_error[1])
     if pending is not None:
@@ -228,13 +241,13 @@ def decode_levels_cavlc(
     # All blocks parsed clean: scatter the levels and rewind the reader to
     # the end of the last consumed symbol (codeword lengths follow from
     # the values, since the code is self-delimiting).
-    nnzs = np.array(nnz_l, dtype=np.int64)
+    nnzs = caps // 2
     if nnzs.sum():
-        blk, run_idx, pos = _block_positions(syms_arr, starts, nnzs)
-        index = syms_arr[run_idx + 1]
+        blk, run_idx, pos = _block_positions(syms, starts, nnzs)
+        index = syms[run_idx + 1]
         out[blk, scan[pos]] = np.where(index % 2, (index + 1) // 2, -(index // 2))
-    if ptr < len(syms):
-        used = syms_arr[:ptr] + 1
+    if head < syms.size:
+        used = syms[:head] + 1
         nbits = np.frexp(used.astype(np.float64))[1].astype(np.int64)
         reader.seek(chain_start + int((2 * nbits - 1).sum()))
     return out.reshape(n_blocks, size, size)

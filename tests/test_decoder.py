@@ -5,6 +5,7 @@ import pytest
 
 from repro.codec.decoder import DecodeResult, Decoder, decode
 from repro.codec.encoder import encode
+from repro.codec.entropy_coding.bitio import BitReader
 from repro.codec.errors import BitstreamError, CorruptPayload, HeaderError
 from repro.codec.presets import preset
 from repro.fuzz.mutators import packet_table
@@ -188,6 +189,36 @@ class TestV1BackCompat:
 
     def test_v1_has_no_packet_framing(self, v1_encode):
         assert packet_table(v1_encode.bitstream) == []
+
+    def test_v1_decode_examines_linear_bits(self, monkeypatch):
+        """One reader spans a whole v1 stream, so a residual scan must not
+        run on through the frames after its own: over 30 frames the
+        Exp-Golomb scan windows (and every other slice of the reader's
+        bits) add up to a small multiple of the stream, not ~20x it."""
+
+        class CountedBits(np.ndarray):
+            examined = 0
+
+            def __getitem__(self, key):
+                view = np.asarray(self)[key]
+                if isinstance(key, slice):
+                    CountedBits.examined += view.size
+                return view
+
+        unpatched = BitReader.__init__
+
+        def counting_init(reader, data):
+            unpatched(reader, data)
+            reader._bits = reader._bits.view(CountedBits)
+
+        result = encode(
+            _tiny_clip(n_frames=30),
+            preset("ultrafast").derived(container_version=1),
+            crf=30,
+        )
+        monkeypatch.setattr(BitReader, "__init__", counting_init)
+        assert decode(result.bitstream) == result.recon
+        assert CountedBits.examined <= 4 * 8 * len(result.bitstream)
 
     def test_v1_corruption_conceals_the_tail(self, v1_encode):
         """v1 has no resync framing: the first damaged frame and every

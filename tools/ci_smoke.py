@@ -15,10 +15,11 @@ stale.  This runner replaces the copies with data:
 * record-level assertions (the scheduler must beat EWMA, recovery must
   beat naive under chaos) live next to the smoke definition.
 
-Six smokes: ``vlint-parallel``, ``suite-run`` (a scored suite run,
-serial against ``--jobs 2``) and ``fuzz`` compare stdout only;
-``traffic``, ``chaos`` and ``sched`` also pin ``BENCH_traffic.json``,
-``BENCH_chaos.json`` and ``BENCH_sched.json``.
+Six smokes: ``vlint-parallel`` and ``suite-run`` (a scored suite run,
+serial against ``--jobs 2``) compare stdout only; ``fuzz`` also pins its
+stdout, the campaign's verdict counts, to the expectation in its table
+entry; ``traffic``, ``chaos`` and ``sched`` also pin
+``BENCH_traffic.json``, ``BENCH_chaos.json`` and ``BENCH_sched.json``.
 
 Usage::
 
@@ -64,12 +65,14 @@ class Smoke:
             0 gets ``--bench-out <scratch>/<baseline>`` appended, and
             the emitted file must byte-match the committed one.
         checks: Extra assertions over the parsed benchmark record.
+        stdout: Committed stdout that variant 0 must print exactly.
     """
 
     name: str
     variants: Tuple[Tuple[str, ...], ...]
     baseline: Optional[str] = None
     checks: Optional[Callable[[dict], None]] = None
+    stdout: Optional[str] = None
 
 
 def _check_traffic(record: dict) -> None:
@@ -135,12 +138,21 @@ SMOKES = (
         name="suite-run",
         variants=(_SUITE_RUN, _SUITE_RUN + ("--jobs", "2")),
     ),
-    # Fixed-seed structured fuzzing: zero oracle violations, twice.
+    # Fixed-seed structured fuzzing: zero oracle violations, twice, and
+    # the verdict counts pinned: a parser change that moves a mutant
+    # between ok, concealed and rejected shows up here.
     Smoke(
         name="fuzz",
         variants=(
             _REPRO + ("fuzz", "--seed", "0", "--budget", "500"),
             _REPRO + ("fuzz", "--seed", "0", "--budget", "500"),
+        ),
+        stdout=(
+            "fuzz campaign: seed=0 budget=500\n"
+            "  outcomes: ok=54 concealed=404 rejected=42 violation=0\n"
+            "  cases by mutator: bit_flip=77 byte_set=90 header_field=91 "
+            "payload_crc_fixed=83 splice=77 truncate=82\n"
+            "  no oracle violations\n"
         ),
     ),
     # Traffic SLO report: byte-stable across runs AND pinned to the
@@ -238,6 +250,14 @@ def run_smoke(smoke: Smoke) -> None:
                     f"{smoke.name}: variant {index} stdout differs from "
                     "variant 0 -- the run is not deterministic"
                 )
+        if smoke.stdout is not None and outputs[0] != smoke.stdout.encode("utf-8"):
+            raise SystemExit(
+                f"{smoke.name}: stdout drifted from the committed "
+                f"expectation; if the change is intentional, update the "
+                f"smoke's stdout and explain the drift in the PR.\n"
+                f"expected:\n{smoke.stdout}got:\n"
+                f"{outputs[0].decode('utf-8', 'replace')}"
+            )
         if smoke.baseline:
             fresh = (scratch / smoke.baseline).read_bytes()
             committed_path = REPO / smoke.baseline
@@ -272,6 +292,8 @@ def main(argv=None) -> int:
     if args.list:
         for smoke in SMOKES:
             pinned = f" [pins {smoke.baseline}]" if smoke.baseline else ""
+            if smoke.stdout is not None:
+                pinned += " [pins stdout]"
             print(f"{smoke.name}: {len(smoke.variants)} variants{pinned}")
         return 0
     unknown = [name for name in args.names if name not in by_name]
