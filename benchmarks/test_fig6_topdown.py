@@ -11,11 +11,7 @@ observation.
 import numpy as np
 from conftest import emit
 
-from repro.codec.encoder import Encoder
-from repro.codec.instrumentation import TraceRecorder
-from repro.codec.ratecontrol import RateControl
-from repro.simd.analysis import modeled_instructions
-from repro.uarch.cpu import CpuModel
+from repro.uarch.cpu import profile_encode
 from repro.uarch.topdown import top_down
 
 BUCKETS = ("FE", "BAD", "BE/Mem", "BE/Core", "RET")
@@ -24,14 +20,8 @@ BUCKETS = ("FE", "BAD", "BE/Mem", "BE/Core", "RET")
 def _compute(suite):
     rows = []
     for entry in suite:
-        trace = TraceRecorder()
-        result = Encoder("medium", trace=trace).encode(
-            entry.video, RateControl.crf(23)
-        )
-        profile = CpuModel().run_trace(
-            trace, modeled_instructions(result.counters)
-        )
-        breakdown = top_down(result.counters, profile).as_dict()
+        profile = profile_encode(entry.video, config="medium", crf=23)
+        breakdown = top_down(profile.counters, profile).as_dict()
         rows.append((entry.name, entry.entropy, breakdown))
     return rows
 

@@ -1,7 +1,8 @@
 """Sharing-service simulation: Figure 3 end to end, with costs.
 
-Uploads a small catalog, serves power-law-distributed views, watches the
-hot videos earn their high-effort Popular re-transcode, and prints the
+Runs the service on a fault-free ``TranscodeFarm``: uploads a small
+catalog, serves power-law-distributed views, watches the hot videos earn
+their high-effort Popular re-transcode, and prints the
 storage/network/compute cost split -- then re-runs the same traffic with
 a GPU delivery backend to show the compute-vs-egress shift of
 Section 5.3.
@@ -10,17 +11,17 @@ Section 5.3.
 """
 
 from repro.corpus.popularity import PopularityModel
-from repro.pipeline.service import ServiceConfig, SharingService
+from repro.pipeline import ServiceConfig, TranscodeFarm
 from repro.video.synthesis import synthesize
 
 CONTENT = ["screencast", "animation", "natural", "gaming", "sports", "slideshow"]
 
 
-def build_service(delivery: str) -> SharingService:
-    service = SharingService(
+def build_service(delivery: str) -> TranscodeFarm:
+    service = TranscodeFarm(
         delivery_backend=delivery,
         popular_backend="x265",
-        config=ServiceConfig(popular_threshold_views=120),
+        service_config=ServiceConfig(popular_threshold_views=120),
     )
     for i, content in enumerate(CONTENT):
         clip = synthesize(

@@ -8,17 +8,13 @@ benchmark must expose.
     python examples/uarch_study.py
 """
 
-from repro.codec.encoder import Encoder
-from repro.codec.instrumentation import TraceRecorder
-from repro.codec.ratecontrol import RateControl
 from repro.simd.analysis import (
     amdahl_speedup_bound,
-    modeled_instructions,
     scalar_fraction,
     vector_fraction_by_isa,
 )
 from repro.simd.isa import IsaLevel
-from repro.uarch.cpu import CpuModel
+from repro.uarch.cpu import profile_encode
 from repro.uarch.topdown import top_down
 from repro.video.entropy import measure_entropy
 from repro.video.synthesis import CONTENT_CLASSES, synthesize
@@ -32,22 +28,19 @@ def main() -> None:
     for content in sorted(CONTENT_CLASSES):
         clip = synthesize(content, 112, 64, 14, 30.0, seed=9)
         entropy = measure_entropy(clip)
-        trace = TraceRecorder()
-        result = Encoder("medium", trace=trace).encode(clip, RateControl.crf(23))
-        profile = CpuModel().run_trace(
-            trace, modeled_instructions(result.counters)
-        )
-        breakdown = top_down(result.counters, profile)
-        fractions = vector_fraction_by_isa(result.counters)
+        profile = profile_encode(clip, config="medium", crf=23)
+        counters = profile.counters
+        breakdown = top_down(counters, profile)
+        fractions = vector_fraction_by_isa(counters)
         print(
             f"{content:<11} {entropy:>8.2f} {profile.icache_mpki:>7.2f} "
             f"{profile.branch_mpki:>7.2f} {profile.llc_mpki:>8.3f} "
             f"{breakdown.frontend:>6.3f} {breakdown.retiring:>6.3f} "
-            f"{scalar_fraction(result.counters):>7.3f} "
+            f"{scalar_fraction(counters):>7.3f} "
             f"{fractions[IsaLevel.AVX2]:>6.3f}"
         )
         if content == sorted(CONTENT_CLASSES)[-1]:
-            bound = amdahl_speedup_bound(result.counters)
+            bound = amdahl_speedup_bound(counters)
             print(
                 f"\nAmdahl bound for 2x wider AVX2 on the last clip: "
                 f"{bound:.3f}x (the paper's '<10%' wall)"

@@ -513,29 +513,22 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from repro.codec.encoder import Encoder
-    from repro.codec.instrumentation import TraceRecorder
-    from repro.codec.ratecontrol import RateControl
     from repro.simd.analysis import (
-        modeled_instructions,
         modeled_seconds,
         scalar_fraction,
         vector_fraction_by_isa,
     )
     from repro.simd.isa import IsaLevel
-    from repro.uarch.cpu import CpuModel
+    from repro.uarch.cpu import profile_encode
     from repro.uarch.topdown import top_down
     from repro.video.io import load_video
 
     video = load_video(args.input)
-    trace = TraceRecorder()
-    result = Encoder(args.preset, trace=trace).encode(
-        video, RateControl.crf(args.crf)
-    )
-    profile = CpuModel().run_trace(trace, modeled_instructions(result.counters))
-    breakdown = top_down(result.counters, profile)
-    fractions = vector_fraction_by_isa(result.counters)
-    seconds = modeled_seconds(result.counters)
+    profile = profile_encode(video, config=args.preset, crf=args.crf)
+    counters = profile.counters
+    breakdown = top_down(counters, profile)
+    fractions = vector_fraction_by_isa(counters)
+    seconds = modeled_seconds(counters)
     print(f"modeled time     {seconds * 1e3:10.3f} ms "
           f"({video.pixels / seconds / 1e6:.2f} Mpx/s)")
     print(f"icache MPKI      {profile.icache_mpki:10.2f}")
@@ -543,7 +536,7 @@ def _cmd_analyze(args) -> int:
     print(f"LLC MPKI         {profile.llc_mpki:10.3f}")
     for bucket, value in breakdown.as_dict().items():
         print(f"topdown {bucket:<8} {value:10.3f}")
-    print(f"scalar fraction  {scalar_fraction(result.counters):10.3f}")
+    print(f"scalar fraction  {scalar_fraction(counters):10.3f}")
     print(f"avx2 fraction    {fractions[IsaLevel.AVX2]:10.3f}")
     return 0
 

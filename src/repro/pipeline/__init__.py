@@ -7,9 +7,11 @@ high-effort re-transcode whose cost is amortized over their many
 playbacks.  A storage/network/compute cost model quantifies the tradeoffs
 the paper's scenarios encode.
 
-:mod:`repro.pipeline.farm` adds the production layer: a fault-tolerant
-worker farm (retries, circuit breakers, deadlines, graceful degradation,
-dead-letter queue) driving the same service under injected chaos.
+:class:`~repro.pipeline.farm.TranscodeFarm` is that service: a worker
+farm that runs every pass through retries, circuit breakers, deadlines,
+graceful degradation and a dead-letter queue.  Fault-free (no
+``fault_plan``) it is the plain Figure 3 pipeline; with one it is the
+same pipeline under injected chaos.
 """
 
 from repro.pipeline.costs import CostModel, CostReport
@@ -17,12 +19,11 @@ from repro.pipeline.farm import (
     DeadLetter,
     FarmConfig,
     FarmJobError,
-    ResilientTranscoder,
     RobustnessReport,
     TranscodeFarm,
 )
 from repro.pipeline.ladder import LadderRung, build_ladder
-from repro.pipeline.service import ServiceConfig, SharingService, VideoRecord
+from repro.pipeline.service import ServiceConfig, VideoRecord
 
 __all__ = [
     "CostModel",
@@ -31,10 +32,8 @@ __all__ = [
     "FarmConfig",
     "FarmJobError",
     "LadderRung",
-    "ResilientTranscoder",
     "RobustnessReport",
     "ServiceConfig",
-    "SharingService",
     "TranscodeFarm",
     "VideoRecord",
     "build_ladder",

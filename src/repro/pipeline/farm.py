@@ -1,18 +1,21 @@
-"""A fault-tolerant transcoding farm over the sharing service.
+"""The sharing service of Figure 3, run by a fault-tolerant transcoding farm.
 
-:class:`TranscodeFarm` simulates N workers driving
-:class:`~repro.pipeline.service.SharingService` uploads and Popular
-promotions through the full robustness stack of :mod:`repro.robust`:
+:class:`TranscodeFarm` *is* the service: it owns the catalog, runs every
+upload's universal and delivery transcodes on the least-busy of N
+simulated workers, serves views, and re-transcodes a video once its
+views cross the popularity threshold.  Every one of those transcodes
+walks a degradation ladder (:meth:`TranscodeFarm._run_ladder`) through
+the robustness stack of :mod:`repro.robust`:
 
-* every transcode runs behind :class:`ResilientTranscoder` — retries with
-  capped, jittered backoff; per-backend circuit breakers; per-scenario
-  deadline budgets (Live's real-time constraint is a hard deadline: a
-  retry that would blow the budget is never attempted); and the graceful
-  degradation ladder down to faster presets and finally the hardware
-  model;
+* retries with capped, jittered backoff; per-backend circuit breakers;
+  a per-call deadline budget (Live's real-time constraint is a hard
+  deadline: a retry that would blow the budget is never attempted); and
+  the graceful degradation ladder down to faster presets and finally
+  the hardware model, which has no two-pass mode and so runs single
+  pass;
 * compute wasted on crashed and corrupted attempts is booked into the
-  service's :class:`~repro.pipeline.costs.CostReport` — chaos is not
-  free, and the cost report shows exactly what it cost;
+  farm's :class:`~repro.pipeline.costs.CostReport` — chaos is not free,
+  and the cost report shows exactly what it cost;
 * jobs that exhaust the entire ladder land in a dead-letter queue instead
   of raising, so one poisoned upload cannot take down the batch;
 * everything observable lands in a :class:`RobustnessReport` whose text
@@ -29,7 +32,10 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.scenarios import Scenario
+from repro.corpus.popularity import PopularityModel
 from repro.encoders.base import (
     RateSpec,
     ScaledTranscoder,
@@ -38,7 +44,7 @@ from repro.encoders.base import (
 )
 from repro.encoders.registry import HARDWARE_BACKENDS, get_transcoder
 from repro.pipeline.costs import CostModel, CostReport
-from repro.pipeline.service import ServiceConfig, SharingService, VideoRecord
+from repro.pipeline.service import ServiceConfig, VideoRecord
 from repro.robust.breaker import BreakerState, CircuitBreaker
 from repro.robust.clock import SimClock
 from repro.robust.degrade import (
@@ -64,7 +70,6 @@ __all__ = [
     "FarmConfig",
     "FarmJobError",
     "JobTiming",
-    "ResilientTranscoder",
     "RobustnessReport",
     "TranscodeFarm",
 ]
@@ -293,177 +298,22 @@ class RobustnessReport:
         return "\n".join(lines)
 
 
-class ResilientTranscoder(Transcoder):
-    """Retry + breaker + degradation around a ladder of backends.
-
-    Implements the plain :class:`Transcoder` interface, so it drops into
-    :class:`SharingService` unchanged.  Each ``transcode`` call is one
-    *job attempt stream*: rung by rung down the ladder, with per-rung
-    retries, a deadline budget shared across the whole call, and wasted
-    compute booked into ``costs``.
-
-    Args:
-        ladder: Backend specs, most-preferred first.
-        pool: Shared spec -> transcoder instances (fault-wrapped or not).
-        breakers: Shared spec -> circuit breaker.
-        clock: The farm clock.
-        retry: Backoff policy.
-        report: The farm's report (mutated in place).
-        config: Farm policy (quality floor, outage cost).
-        costs: The ledger wasted compute is booked into.
-    """
-
-    def __init__(
-        self,
-        ladder: Sequence[str],
-        pool: Dict[str, Transcoder],
-        breakers: Dict[str, CircuitBreaker],
-        clock: SimClock,
-        retry: RetryPolicy,
-        report: RobustnessReport,
-        config: FarmConfig,
-        costs: CostReport,
-    ) -> None:
-        if not ladder:
-            raise ValueError("a resilient transcoder needs at least one rung")
-        self.ladder = list(ladder)
-        self.pool = pool
-        self.breakers = breakers
-        self.clock = clock
-        self.retry = retry
-        self.report = report
-        self.config = config
-        self.costs = costs
-        self.name = f"resilient({self.ladder[0]})"
-        self._budget_s: Optional[float] = None
-
-    def set_budget(self, budget_s: Optional[float]) -> None:
-        """Deadline budget applied to each subsequent ``transcode`` call."""
-        self._budget_s = budget_s
-
-    # -- internals ------------------------------------------------------------
-
-    def _book_waste(self, seconds: float) -> None:
-        self.report.wasted_compute_s += seconds
-        self.costs.add_compute(seconds)
-
-    def _adapt_rate(self, spec: str, rate: RateSpec) -> RateSpec:
-        """Hardware rungs have no two-pass mode; fall back to single pass."""
-        backend = spec.partition(":")[0]
-        if backend in HARDWARE_BACKENDS and rate.two_pass:
-            return RateSpec.for_bitrate(rate.bitrate_bps, two_pass=False)
-        return rate
-
-    def _downgrade(self, job: str, index: int, reason: str) -> None:
-        """Record the fall from rung ``index`` to the next one."""
-        self.report.downgrades.append(
-            DowngradeEvent(
-                job=job,
-                from_spec=self.ladder[index],
-                to_spec=self.ladder[index + 1],
-                reason=reason,
-            )
-        )
-
-    # -- the resilient call ----------------------------------------------------
-
-    def transcode(self, video: Video, rate: RateSpec) -> TranscodeResult:
-        budget = DeadlineBudget(self.clock, self._budget_s)
-        last_reason = "no rung admitted the job"
-        for index, spec in enumerate(self.ladder):
-            last_rung = index == len(self.ladder) - 1
-            breaker = self.breakers[spec]
-            # The final rung is the last resort: it runs even through an
-            # open breaker, because refusing it means losing the job.
-            if not last_rung and not breaker.allow(self.clock.now):
-                self._downgrade(video.name, index, "breaker-open")
-                last_reason = f"{spec}: circuit open"
-                continue
-            transcoder = self.pool[spec]
-            adapted = self._adapt_rate(spec, rate)
-            failures = 0
-            while True:
-                self.report.attempts += 1
-                try:
-                    result = transcoder.transcode(video, adapted)
-                except BackendOutage as fault:
-                    self.clock.advance(self.config.outage_detect_s)
-                    breaker.record_failure(self.clock.now)
-                    self.report.outage_failures += 1
-                    last_reason = str(fault)
-                except TransientFault as fault:
-                    self.clock.advance(fault.wasted_seconds)
-                    self._book_waste(fault.wasted_seconds)
-                    breaker.record_failure(self.clock.now)
-                    self.report.transient_failures += 1
-                    last_reason = str(fault)
-                else:
-                    self.clock.advance(result.seconds)
-                    if result.quality_db < self.config.quality_floor_db:
-                        # Corrupted output: the compute is spent, the
-                        # bytes are garbage.
-                        self._book_waste(result.seconds)
-                        breaker.record_failure(self.clock.now)
-                        self.report.corrupt_detected += 1
-                        last_reason = (
-                            f"{spec}: output quality "
-                            f"{result.quality_db:.1f} dB below floor"
-                        )
-                    else:
-                        breaker.record_success()
-                        if budget.exceeded:
-                            self.report.deadline_misses += 1
-                        return result
-                failures += 1
-                if failures >= self.retry.max_attempts:
-                    if not last_rung:
-                        self._downgrade(video.name, index, "retries-exhausted")
-                    break
-                delay = self.retry.backoff_s(failures, key=spec)
-                if not budget.allows(delay):
-                    self.report.deadline_retry_skips += 1
-                    if not last_rung:
-                        self._downgrade(video.name, index, "deadline")
-                    break
-                self.clock.advance(delay)
-                self.report.retries += 1
-        raise FarmJobError(video.name, last_reason)
-
-
-class _FarmService(SharingService):
-    """Sharing service whose Popular promotions survive backend failure.
-
-    A failed promotion is dead-lettered and the record stays unpromoted
-    (it will be retried the next time its view count crosses the
-    threshold check), instead of aborting the whole view batch.
-    """
-
-    def __init__(self, farm: "TranscodeFarm", **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._farm = farm
-        # One ledger: the farm made it first, so that its adapters could
-        # be built holding it, and the service books into the same one.
-        self.costs = farm.costs
-
-    def _promote(self, record: VideoRecord) -> None:
-        farm = self._farm
-        farm._popular.set_budget(
-            farm.config.deadlines.budget_s(record.video, Scenario.POPULAR)
-        )
-        try:
-            super()._promote(record)
-        except FarmJobError as error:
-            farm.dead_letter(record.name, "promote", error.reason)
-
-    def serve_views(self, views_by_name: Dict[str, int]) -> List[str]:
-        promoted = super().serve_views(views_by_name)
-        # A swallowed promotion failure leaves the record unpromoted; only
-        # report the promotions that actually happened.
-        return [name for name in promoted if self.catalog[name].popular]
+def _adapt_rate(spec: str, rate: RateSpec) -> RateSpec:
+    """Hardware rungs have no two-pass mode; fall back to single pass."""
+    backend = spec.partition(":")[0]
+    if backend in HARDWARE_BACKENDS and rate.two_pass:
+        return RateSpec.for_bitrate(rate.bitrate_bps, two_pass=False)
+    return rate
 
 
 class TranscodeFarm:
-    """N simulated workers running the sharing service with fault tolerance.
+    """The sharing service, run by N simulated workers with fault tolerance.
+
+    Uploads take the universal and delivery transcodes on the least-busy
+    worker, views egress each video's delivery copy, and crossing the
+    popularity threshold earns the Popular re-transcode.  Each transcode
+    walks the degradation ladder that starts at its configured backend;
+    one that exhausts it is dead-lettered, never raised.
 
     Args:
         delivery_backend: Preferred backend spec for universal + delivery
@@ -498,6 +348,7 @@ class TranscodeFarm:
         memoize: bool = False,
     ) -> None:
         self.config = config or FarmConfig()
+        self.service_config = service_config or ServiceConfig()
         self.fault_plan = fault_plan
         self.cache = cache
         self._cache_stats_before: Optional["CacheStats"] = (
@@ -506,19 +357,18 @@ class TranscodeFarm:
         self.clock = SimClock()
         self.report = RobustnessReport()
         self.costs = CostReport(model=cost_model or CostModel())
+        self.catalog: Dict[str, VideoRecord] = {}
         self._memoize = memoize
         self.pool: Dict[str, Transcoder] = {}
         self.breakers: Dict[str, CircuitBreaker] = {}
-        # Every resilient adapter, keyed by its ladder's starting rung.
-        self._adapters: Dict[str, ResilientTranscoder] = {}
-        self._delivery = self._job_adapter(delivery_backend)
-        self._popular = self._job_adapter(popular_backend)
-        self.service = _FarmService(
-            farm=self,
-            delivery_backend=self._delivery,
-            popular_backend=self._popular,
-            config=service_config,
-        )
+        # Every degradation ladder, keyed by its starting rung.
+        self._ladders: Dict[str, List[str]] = {}
+        self.delivery_backend = delivery_backend
+        self.popular_backend = popular_backend
+        # Admitted up front: a bad spec fails here, and the report lists
+        # both ladders' breakers even when no Popular job ever runs.
+        self._ladder(delivery_backend)
+        self._ladder(popular_backend)
         self._workers = [0.0] * self.config.workers
 
     def _make_backend(self, spec: str) -> Transcoder:
@@ -545,72 +395,191 @@ class TranscodeFarm:
             backend = FaultyTranscoder(backend, self.fault_plan, key=spec)
         return backend
 
-    def _ensure_spec(self, spec: str) -> None:
-        """Admit ``spec`` (and its breaker) into the shared pool."""
-        if spec in self.pool:
-            return
-        self.pool[spec] = self._make_backend(spec)
-        self.breakers[spec] = CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            cooldown_s=self.config.breaker_cooldown_s,
-            half_open_probes=self.config.breaker_half_open_probes,
-        )
+    def _ladder(self, spec: str) -> List[str]:
+        """The degradation ladder starting at ``spec``, every rung admitted.
 
-    def _job_adapter(self, spec: str) -> ResilientTranscoder:
-        """The resilient adapter whose ladder starts at ``spec``.
-
-        Every adapter shares the farm-wide pool, breakers and ledger, so
-        a scheduler-chosen rung sees the same circuit state and fault
-        plan as the configured delivery and Popular backends; only the
-        ladder's starting rung differs.
+        Each rung's backend and breaker join the farm-wide pool on first
+        use, so a scheduler-chosen rung sees the same circuit state and
+        fault plan as the configured delivery and Popular backends; only
+        the ladder's starting rung differs.
         """
-        adapter = self._adapters.get(spec)
-        if adapter is None:
+        ladder = self._ladders.get(spec)
+        if ladder is None:
             ladder = degradation_ladder(
                 spec,
                 self.config.preset_fallbacks,
                 self.config.hardware_fallback,
             )
             for rung in ladder:
-                self._ensure_spec(rung)
-            adapter = self._adapters[spec] = ResilientTranscoder(
-                ladder=ladder,
-                pool=self.pool,
-                breakers=self.breakers,
-                clock=self.clock,
-                retry=self.config.retry,
-                report=self.report,
-                config=self.config,
-                costs=self.costs,
-            )
-        return adapter
+                if rung not in self.pool:
+                    self.pool[rung] = self._make_backend(rung)
+                    self.breakers[rung] = CircuitBreaker(
+                        failure_threshold=self.config.breaker_failure_threshold,
+                        cooldown_s=self.config.breaker_cooldown_s,
+                        half_open_probes=self.config.breaker_half_open_probes,
+                    )
+            self._ladders[spec] = ladder
+        return ladder
 
-    @property
-    def catalog(self) -> Dict[str, VideoRecord]:
-        return self.service.catalog
+    # -- the resilient call ----------------------------------------------------
+
+    def _book_waste(self, seconds: float) -> None:
+        self.report.wasted_compute_s += seconds
+        self.costs.add_compute(seconds)
+
+    def _run_ladder(
+        self,
+        spec: str,
+        video: Video,
+        rate: RateSpec,
+        budget_s: Optional[float],
+    ) -> TranscodeResult:
+        """Transcode ``video`` down the ladder that starts at ``spec``.
+
+        Rung by rung: per-rung retries, one deadline budget of
+        ``budget_s`` shared across the whole call, and wasted compute
+        booked into the cost report.  The successful attempt's compute
+        is the caller's to book.
+
+        Raises:
+            FarmJobError: every rung failed.
+        """
+        ladder = self._ladder(spec)
+        report, clock, retry = self.report, self.clock, self.config.retry
+        budget = DeadlineBudget(clock, budget_s)
+        last_reason = "no rung admitted the job"
+        for index, rung in enumerate(ladder):
+            last_rung = index == len(ladder) - 1
+            breaker = self.breakers[rung]
+            # The final rung is the last resort: it runs even through an
+            # open breaker, because refusing it means losing the job.
+            if not last_rung and not breaker.allow(clock.now):
+                self._downgrade(video.name, ladder, index, "breaker-open")
+                last_reason = f"{rung}: circuit open"
+                continue
+            transcoder = self.pool[rung]
+            adapted = _adapt_rate(rung, rate)
+            failures = 0
+            while True:
+                report.attempts += 1
+                try:
+                    result = transcoder.transcode(video, adapted)
+                except BackendOutage as fault:
+                    clock.advance(self.config.outage_detect_s)
+                    breaker.record_failure(clock.now)
+                    report.outage_failures += 1
+                    last_reason = str(fault)
+                except TransientFault as fault:
+                    clock.advance(fault.wasted_seconds)
+                    self._book_waste(fault.wasted_seconds)
+                    breaker.record_failure(clock.now)
+                    report.transient_failures += 1
+                    last_reason = str(fault)
+                else:
+                    clock.advance(result.seconds)
+                    if result.quality_db < self.config.quality_floor_db:
+                        # Corrupted output: the compute is spent, the
+                        # bytes are garbage.
+                        self._book_waste(result.seconds)
+                        breaker.record_failure(clock.now)
+                        report.corrupt_detected += 1
+                        last_reason = (
+                            f"{rung}: output quality "
+                            f"{result.quality_db:.1f} dB below floor"
+                        )
+                    else:
+                        breaker.record_success()
+                        if budget.exceeded:
+                            report.deadline_misses += 1
+                        return result
+                failures += 1
+                if failures >= retry.max_attempts:
+                    if not last_rung:
+                        self._downgrade(
+                            video.name, ladder, index, "retries-exhausted"
+                        )
+                    break
+                delay = retry.backoff_s(failures, key=rung)
+                if not budget.allows(delay):
+                    report.deadline_retry_skips += 1
+                    if not last_rung:
+                        self._downgrade(video.name, ladder, index, "deadline")
+                    break
+                clock.advance(delay)
+                report.retries += 1
+        raise FarmJobError(video.name, last_reason)
+
+    def _downgrade(
+        self, job: str, ladder: List[str], index: int, reason: str
+    ) -> None:
+        """Record the fall from rung ``index`` to the next one."""
+        self.report.downgrades.append(
+            DowngradeEvent(
+                job=job,
+                from_spec=ladder[index],
+                to_spec=ladder[index + 1],
+                reason=reason,
+            )
+        )
 
     # -- ingest ---------------------------------------------------------------
 
     def upload(self, video: Video, live: bool = False) -> Optional[VideoRecord]:
         """Ingest one video on the least-busy worker.
 
-        Returns the catalog record, or ``None`` if the job exhausted its
-        ladder and was dead-lettered (the farm never raises for a fault).
+        The universal transcode normalizes the upload at the service's
+        constant-quality point; the delivery transcode then targets a
+        fraction of its bitrate, single pass for ``live`` and two-pass
+        for VOD.  Returns the catalog record, or ``None`` if either
+        transcode exhausted its ladder and the job was dead-lettered (the
+        farm never raises for a fault).
+
+        Raises:
+            ValueError: the video is unnamed or already in the catalog;
+                it takes no worker and is not counted as a job.
         """
+        if not video.name:
+            raise ValueError("uploads must be named")
+        if video.name in self.catalog:
+            raise ValueError(f"duplicate upload {video.name!r}")
         worker = min(range(len(self._workers)), key=self._workers.__getitem__)
         self.clock.seek(self._workers[worker])
         self.report.jobs_total += 1
+        cfg = self.service_config
         scenario = Scenario.LIVE if live else Scenario.VOD
-        self._delivery.set_budget(self.config.deadlines.budget_s(video, scenario))
+        budget_s = self.config.deadlines.budget_s(video, scenario)
         try:
-            record = self.service.upload(video, live=live)
-            self.report.jobs_completed += 1
-            return record
+            universal = self._run_ladder(
+                self.delivery_backend,
+                video,
+                RateSpec.for_crf(cfg.upload_crf),
+                budget_s,
+            )
+            self.costs.add_compute(universal.seconds)
+            target = max(universal.bitrate * cfg.vod_bitrate_scale, 1000.0)
+            delivery = self._run_ladder(
+                self.delivery_backend,
+                universal.output,
+                RateSpec.for_bitrate(target, two_pass=not live),
+                budget_s,
+            )
         except FarmJobError as error:
             self.dead_letter(video.name, "upload", error.reason)
             return None
         finally:
             self._workers[worker] = self.clock.now
+        self.costs.add_compute(delivery.seconds)
+        self.costs.add_storage(
+            delivery.compressed_bytes, months=cfg.retention_months
+        )
+        record = VideoRecord(
+            name=video.name,
+            video=universal.output,
+            delivery_bytes=delivery.compressed_bytes,
+        )
+        self.catalog[video.name] = record
+        self.report.jobs_completed += 1
+        return record
 
     def upload_all(
         self, videos: Sequence[Video], live: bool = False
@@ -636,7 +605,7 @@ class TranscodeFarm:
         a real-time budget); VOD and Popular jobs afford two-pass.
         """
         if scenario is Scenario.UPLOAD:
-            return RateSpec.for_crf(self.service.config.upload_crf)
+            return RateSpec.for_crf(self.service_config.upload_crf)
         target = max(
             self.JOB_BITS_PER_PIXEL_SECOND * video.frame_pixels * video.fps,
             self.JOB_MIN_BITRATE_BPS,
@@ -671,25 +640,23 @@ class TranscodeFarm:
         wait, instead of the scenario's full budget), and
         ``predicted_s`` (recorded on the timing for error accounting).
         Successful compute is booked into the cost report here; wasted
-        attempts are booked inside the resilient adapter either way.
+        attempts are booked inside the ladder walk either way.
         """
         label = job if job is not None else video.name
+        if spec is None:
+            spec = (
+                self.popular_backend
+                if scenario is Scenario.POPULAR
+                else self.delivery_backend
+            )
+        self._ladder(spec)  # an unknown spec raises before the job counts
         self.clock.seek(at_s)
         self.report.jobs_total += 1
-        if spec is not None:
-            adapter = self._job_adapter(spec)
-        else:
-            adapter = (
-                self._popular if scenario is Scenario.POPULAR else self._delivery
-            )
-        adapter.set_budget(
-            budget_s
-            if budget_s is not None
-            else self.config.deadlines.budget_s(video, scenario)
-        )
+        if budget_s is None:
+            budget_s = self.config.deadlines.budget_s(video, scenario)
         rate_spec = rate if rate is not None else self.job_rate(video, scenario)
         try:
-            result = adapter.transcode(video, rate_spec)
+            result = self._run_ladder(spec, video, rate_spec, budget_s)
         except FarmJobError as error:
             completed, reason = False, error.reason
             self.dead_letter(label, "job", reason)
@@ -704,7 +671,7 @@ class TranscodeFarm:
             finished_s=self.clock.now,
             completed=completed,
             reason=reason,
-            spec=adapter.ladder[0],
+            spec=spec,
             predicted_s=predicted_s,
         )
 
@@ -725,12 +692,88 @@ class TranscodeFarm:
     # -- viewing --------------------------------------------------------------
 
     def serve_views(self, views_by_name: Dict[str, int]) -> List[str]:
-        """Serve playbacks; failed promotions dead-letter, views survive."""
-        return self.service.serve_views(views_by_name)
+        """Serve playbacks; returns names newly promoted to popular.
 
-    def simulate_views(self, total_views: int, seed: int = 0) -> List[str]:
-        """Draw views from the popularity model over the catalog."""
-        return self.service.simulate_views(total_views, seed=seed)
+        Each view egresses the delivery copy.  Crossing the popularity
+        threshold triggers the Popular re-transcode: smaller bytes for
+        every later view, storage for one more replica, compute once.  A
+        promotion that exhausts its ladder is dead-lettered and the video
+        stays unpromoted (the next batch retries it); the views survive.
+
+        The batch is validated up front: a negative count or unknown name
+        rejects the whole request before any record is mutated or any cost
+        is booked, so a bad entry cannot leave the catalog half-updated.
+        """
+        for name, views in views_by_name.items():
+            if views < 0:
+                raise ValueError(f"negative views for {name!r}")
+            if name not in self.catalog:
+                raise KeyError(f"unknown video {name!r}")
+        promoted: List[str] = []
+        for name, views in views_by_name.items():
+            record = self.catalog[name]
+            record.views += views
+            egress = views * record.delivery_bytes
+            record.egress_bytes += egress
+            self.costs.add_egress(egress)
+            if (
+                not record.popular
+                and record.views >= self.service_config.popular_threshold_views
+                and self._promote(record)
+            ):
+                promoted.append(name)
+        return promoted
+
+    def _promote(self, record: VideoRecord) -> bool:
+        """Run the Popular re-transcode; returns whether it succeeded.
+
+        Popular always affords two passes; a hardware rung runs single
+        pass like every other.
+        """
+        target = max(
+            record.delivery_bytes * 8.0 / record.video.duration * 0.9, 1000.0
+        )
+        try:
+            result = self._run_ladder(
+                self.popular_backend,
+                record.video,
+                RateSpec.for_bitrate(target, two_pass=True),
+                self.config.deadlines.budget_s(record.video, Scenario.POPULAR),
+            )
+        except FarmJobError as error:
+            self.dead_letter(record.name, "promote", error.reason)
+            return False
+        self.costs.add_compute(result.seconds)
+        self.costs.add_storage(
+            result.compressed_bytes, months=self.service_config.retention_months
+        )
+        if result.compressed_bytes < record.delivery_bytes:
+            record.delivery_bytes = result.compressed_bytes
+        record.popular = True
+        return True
+
+    def simulate_views(
+        self,
+        total_views: int,
+        popularity: Optional[PopularityModel] = None,
+        seed: int = 0,
+    ) -> List[str]:
+        """Draw ``total_views`` from a popularity model over the catalog.
+
+        Videos are ranked by upload order; returns the promoted names.
+        """
+        if not self.catalog:
+            raise ValueError("no videos uploaded")
+        if total_views < 0:
+            raise ValueError("total_views must be non-negative")
+        names = list(self.catalog)
+        model = popularity or PopularityModel()
+        rng = np.random.default_rng(seed)
+        ranks = model.sample_ranks(total_views, len(names), rng)
+        counts = np.bincount(ranks - 1, minlength=len(names))
+        return self.serve_views(
+            {name: int(c) for name, c in zip(names, counts) if c}
+        )
 
     # -- reporting ------------------------------------------------------------
 

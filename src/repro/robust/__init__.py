@@ -9,11 +9,11 @@ simulated clock, so chaos experiments replay byte-identically:
 * :mod:`repro.robust.breaker` — per-backend circuit breakers.
 * :mod:`repro.robust.degrade` — the graceful-degradation ladder.
 
-:class:`repro.pipeline.farm.TranscodeFarm` composes them into a worker
-farm over the sharing service.
+:class:`repro.pipeline.farm.TranscodeFarm` composes them into the
+sharing service's worker farm.
 """
 
-from repro.robust.breaker import BreakerOpen, BreakerState, CircuitBreaker
+from repro.robust.breaker import BreakerState, CircuitBreaker
 from repro.robust.clock import EventQueue, SimClock
 from repro.robust.degrade import DowngradeEvent, degradation_ladder
 from repro.robust.faults import (
@@ -28,7 +28,6 @@ from repro.robust.retry import DeadlineBudget, DeadlinePolicy, RetryPolicy
 
 __all__ = [
     "BackendOutage",
-    "BreakerOpen",
     "BreakerState",
     "CircuitBreaker",
     "DeadlineBudget",

@@ -22,17 +22,13 @@ from __future__ import annotations
 import enum
 import math
 
-__all__ = ["BreakerOpen", "BreakerState", "CircuitBreaker"]
+__all__ = ["BreakerState", "CircuitBreaker"]
 
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half-open"
-
-
-class BreakerOpen(RuntimeError):
-    """Raised by :meth:`CircuitBreaker.check` when admission is refused."""
 
 
 class CircuitBreaker:
@@ -93,13 +89,6 @@ class CircuitBreaker:
             self._probes_admitted += 1
             return True
         return False
-
-    def check(self, now: float) -> None:
-        """Like :meth:`allow`, but raises :class:`BreakerOpen` on refusal."""
-        if not self.allow(now):
-            raise BreakerOpen(
-                f"circuit open ({self._consecutive_failures} consecutive failures)"
-            )
 
     def record_success(self) -> None:
         """A call admitted by :meth:`allow` succeeded."""

@@ -9,8 +9,9 @@ what complex video produces) therefore thrashes the I-cache in a way a
 frame of uniform skips cannot; that is the mechanism behind Figure 5's
 I$-vs-entropy trend, reproduced rather than asserted.
 
-``profile_encode`` is the one-call entry point used by the Figure 5/6
-benchmarks: encode a clip with tracing enabled and return MPKI numbers.
+``profile_encode`` is the one traced-encode path, used by the Figure 5/6
+benchmarks, ``repro analyze`` and the uarch example: encode a clip with
+tracing enabled and return MPKI numbers alongside the encode's counters.
 
 Scale note: LLC capacity defaults to 1/64 of the paper machine's 8 MiB,
 matching the benchmark's 1/8-linear-scale stand-in frames so the
@@ -19,13 +20,13 @@ frames-to-cache ratio of the full-size system is preserved (DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.codec.encoder import Encoder
-from repro.codec.instrumentation import KERNELS, TraceRecorder
+from repro.codec.instrumentation import KERNELS, Counters, TraceRecorder
 from repro.codec.presets import EncoderConfig, preset
 from repro.codec.ratecontrol import RateControl
 from repro.simd.analysis import modeled_instructions
@@ -72,6 +73,9 @@ class UarchProfile:
     """Per-encode microarchitectural counters, MPKI-normalized.
 
     Attributes mirror Figure 5's three panels plus the raw inputs.
+    ``counters`` holds the encode's own counters (the Top-Down and SIMD
+    models' input) when the profile came from :func:`profile_encode`;
+    a bare :meth:`CpuModel.run_trace` replay leaves it ``None``.
     """
 
     instructions: float
@@ -81,6 +85,7 @@ class UarchProfile:
     icache_accesses: int
     branch_count: int
     llc_accesses: int
+    counters: Optional[Counters] = field(default=None, compare=False, repr=False)
 
     def _mpki(self, events: int) -> float:
         if self.instructions <= 0:
@@ -205,4 +210,4 @@ def profile_encode(
     result = encoder.encode(video, rate)
     instructions = modeled_instructions(result.counters)
     model = cpu or CpuModel()
-    return model.run_trace(trace, instructions)
+    return replace(model.run_trace(trace, instructions), counters=result.counters)

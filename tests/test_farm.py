@@ -6,7 +6,6 @@ from repro.pipeline.farm import (
     DeadLetter,
     FarmConfig,
     FarmJobError,
-    ResilientTranscoder,
     RobustnessReport,
     TranscodeFarm,
 )
@@ -103,7 +102,6 @@ class TestChaosSurvival:
     def test_faults_were_actually_injected_and_handled(self, chaotic):
         report = chaotic.report
         assert isinstance(report, RobustnessReport)
-        assert isinstance(chaotic.service.delivery, ResilientTranscoder)
         assert report.outage_failures > 0
         assert report.transient_failures + report.corrupt_detected > 0
         assert report.downgrades  # the dead rung forced degradation
@@ -189,6 +187,27 @@ class TestDeadLetters:
         assert all(isinstance(l, DeadLetter) for l in report.dead_letters)
         assert farm.catalog == {}  # nothing half-ingested
         assert all(l.stage == "upload" for l in report.dead_letters)
+
+    def test_rejected_input_is_not_a_job(self):
+        """An unnamed or duplicate upload, or a job on an unknown spec,
+        raises before it takes a worker or moves the clock, so the
+        report's jobs still partition into completed and dead-lettered."""
+        from repro.core.scenarios import Scenario
+
+        farm = TranscodeFarm(config=FarmConfig(workers=1))
+        clip = make_clips()[0]
+        assert farm.upload(clip) is not None
+        frontier = farm.clock.now
+        with pytest.raises(ValueError, match="duplicate"):
+            farm.upload(clip)
+        with pytest.raises(ValueError, match="named"):
+            farm.upload(clip.with_name(""))
+        with pytest.raises(ValueError, match="unknown preset"):
+            farm.execute_job(clip, Scenario.VOD, at_s=1e6, spec="x264:warp9")
+        report = farm.finalize()
+        assert report.jobs_total == report.jobs_completed == 1
+        assert report.jobs_dead_lettered == 0
+        assert report.makespan_s == frontier
 
     def test_promotion_failure_is_dead_lettered_not_raised(self):
         # Delivery rides an x265 ladder (alive); the entire x264 popular
@@ -410,14 +429,17 @@ class TestJobStream:
         assert all(timing.completed for timing in timings)
         assert report.attempts == len(timings) + report.corrupt_detected
 
-    def test_configured_and_scheduled_specs_share_one_adapter(self):
+    def test_configured_and_scheduled_specs_share_one_ladder(self):
         from repro.core.scenarios import Scenario
 
         farm = TranscodeFarm(
             delivery_backend="x264:medium", popular_backend="x264:slow"
         )
-        assert farm._job_adapter("x264:medium") is farm.service.delivery
-        assert farm._job_adapter("x264:slow") is farm.service.popular
+        # Both configured ladders are admitted up front; a scheduler that
+        # names a configured spec gets the very same ladder back.
+        medium, slow = farm._ladder("x264:medium"), farm._ladder("x264:slow")
+        assert set(farm.pool) == set(farm.breakers) == set(medium) | set(slow)
+        assert farm._ladder("x264:medium") is medium
         clip = make_clips()[0]
         static = farm.execute_job(clip, Scenario.VOD, at_s=0.0)
         chosen = farm.execute_job(clip, Scenario.VOD, at_s=0.0, spec="x264:medium")
@@ -437,13 +459,13 @@ class TestJobStream:
         timing = farm.execute_job(make_clips()[0], Scenario.VOD, at_s=0.0)
         assert not timing.completed
         assert timing.reason
-        # Calling the resilient layer directly surfaces the same
-        # exhaustion as the typed error the farm dead-letters on.
+        # Walking the ladder directly surfaces the same exhaustion as the
+        # typed error the farm dead-letters on.
         from repro.encoders.base import RateSpec
 
         with pytest.raises(FarmJobError, match="exhausted its ladder"):
-            farm.service.delivery.transcode(
-                make_clips()[0], RateSpec.for_crf(28)
+            farm._run_ladder(
+                "x264:medium", make_clips()[0], RateSpec.for_crf(28), None
             )
         letters = [l for l in farm.report.dead_letters if l.stage == "job"]
         assert len(letters) == 1

@@ -1,11 +1,11 @@
-"""Sharing-service simulation: costs, uploads, popularity promotion."""
+"""Sharing-service simulation on a fault-free farm: costs, uploads,
+popularity promotion."""
 
 import pytest
 
-from repro.encoders import get_transcoder
-from repro.exec.cache import CachingTranscoder, MemoStore
 from repro.pipeline.costs import CostModel, CostReport
-from repro.pipeline.service import ServiceConfig, SharingService
+from repro.pipeline.farm import TranscodeFarm
+from repro.pipeline.service import ServiceConfig
 from repro.video.synthesis import synthesize
 
 
@@ -56,10 +56,10 @@ class TestServiceConfig:
 
 @pytest.fixture(scope="module")
 def service():
-    svc = SharingService(
+    svc = TranscodeFarm(
         delivery_backend="x264:veryfast",
         popular_backend="x264:medium",
-        config=ServiceConfig(popular_threshold_views=50),
+        service_config=ServiceConfig(popular_threshold_views=50),
     )
     for i, content in enumerate(["screencast", "natural", "gaming"]):
         clip = synthesize(content, 48, 32, 6, 12.0, seed=40 + i, name=f"up{i}")
@@ -121,7 +121,7 @@ class TestService:
         assert sum(r.views for r in service.catalog.values()) > 0
 
     def test_simulate_requires_catalog(self):
-        empty = SharingService()
+        empty = TranscodeFarm()
         with pytest.raises(ValueError):
             empty.simulate_views(10)
 
@@ -135,30 +135,29 @@ class TestComputeVsStorageTradeoff:
         clip = synthesize(
             "natural", 48, 32, 6, 12.0, seed=77, name="clip"
         ).with_nominal_resolution(1280, 720)
-        sw = SharingService("x264:medium", config=config)
-        hw = SharingService("nvenc", config=config)
+        sw = TranscodeFarm("x264:medium", service_config=config)
+        hw = TranscodeFarm("nvenc", service_config=config)
         sw.upload(clip)
         hw.upload(clip.with_name("clip"))
         assert hw.costs.compute_hours < sw.costs.compute_hours
 
 
 class TestWrappedHardwareBackend:
-    """Two-pass is a capability of the innermost backend: a cache wrapper
-    around a fixed-function encoder must not ask it for two passes."""
+    """Two-pass is a capability of each rung's backend: a memo-wrapped
+    fixed-function encoder is never asked for two passes."""
 
     def test_memo_wrapped_delivery_uploads(self):
-        service = SharingService(
-            delivery_backend=CachingTranscoder(get_transcoder("nvenc"), MemoStore())
-        )
+        service = TranscodeFarm(delivery_backend="nvenc", memoize=True)
         record = service.upload(
             synthesize("natural", 48, 32, 4, 12.0, seed=5, name="hw-up")
         )
         assert record.delivery_bytes > 0
 
     def test_memo_wrapped_popular_promotes(self):
-        service = SharingService(
-            popular_backend=CachingTranscoder(get_transcoder("qsv"), MemoStore()),
-            config=ServiceConfig(popular_threshold_views=5),
+        service = TranscodeFarm(
+            popular_backend="qsv",
+            service_config=ServiceConfig(popular_threshold_views=5),
+            memoize=True,
         )
         service.upload(synthesize("natural", 48, 32, 4, 12.0, seed=6, name="hw-pop"))
         assert service.serve_views({"hw-pop": 5}) == ["hw-pop"]

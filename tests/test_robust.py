@@ -5,7 +5,7 @@ import pytest
 from repro.encoders.base import RateSpec
 from repro.encoders.registry import get_transcoder
 from repro.metrics.psnr import psnr
-from repro.robust.breaker import BreakerOpen, BreakerState, CircuitBreaker
+from repro.robust.breaker import BreakerState, CircuitBreaker
 from repro.robust.clock import EventQueue, SimClock
 from repro.robust.degrade import degradation_ladder
 from repro.robust.faults import (
@@ -352,12 +352,6 @@ class TestCircuitBreaker:
         breaker.record_failure(now=0.0)
         breaker.record_success()
         assert breaker.consecutive_failures == 0
-
-    def test_check_raises(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=10.0)
-        breaker.record_failure(now=0.0)
-        with pytest.raises(BreakerOpen):
-            breaker.check(now=1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

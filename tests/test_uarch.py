@@ -87,8 +87,12 @@ class TestPredictors:
 
 class TestCpuModel:
     def test_profile_encode(self, natural_video):
+        from repro.simd.analysis import modeled_instructions
+
         profile = profile_encode(natural_video, config="veryfast", crf=28)
         assert profile.instructions > 0
+        # The encode's counters ride along: the instruction count is theirs.
+        assert profile.instructions == modeled_instructions(profile.counters)
         assert profile.icache_accesses > 0
         assert profile.branch_count > 0
         assert profile.icache_mpki >= 0
@@ -126,17 +130,8 @@ class TestCpuModel:
 
 class TestTopDown:
     def test_fractions_sum_to_one(self, natural_video):
-        from repro.codec.encoder import Encoder
-        from repro.codec.instrumentation import TraceRecorder
-        from repro.codec.ratecontrol import RateControl
-        from repro.simd.analysis import modeled_instructions
-
-        trace = TraceRecorder()
-        result = Encoder("veryfast", trace=trace).encode(
-            natural_video, RateControl.crf(28)
-        )
-        profile = CpuModel().run_trace(trace, modeled_instructions(result.counters))
-        breakdown = top_down(result.counters, profile)
+        profile = profile_encode(natural_video, config="veryfast", crf=28)
+        breakdown = top_down(profile.counters, profile)
         assert isinstance(breakdown, TopDownBreakdown)
         assert sum(breakdown.as_dict().values()) == pytest.approx(1.0)
         assert breakdown.retiring > 0.3  # the paper's dominant bucket

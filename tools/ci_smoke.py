@@ -15,11 +15,13 @@ stale.  This runner replaces the copies with data:
 * record-level assertions (the scheduler must beat EWMA, recovery must
   beat naive under chaos) live next to the smoke definition.
 
-Six smokes: ``vlint-parallel`` and ``suite-run`` (a scored suite run,
+Seven smokes: ``vlint-parallel`` and ``suite-run`` (a scored suite run,
 serial against ``--jobs 2``) compare stdout only; ``fuzz`` also pins its
 stdout, the campaign's verdict counts, to the expectation in its table
-entry; ``traffic``, ``chaos`` and ``sched`` also pin
-``BENCH_traffic.json``, ``BENCH_chaos.json`` and ``BENCH_sched.json``.
+entry; ``farm-chaos`` runs the sharing-service farm under chaos once and
+pins its report and costs the same way; ``traffic``, ``chaos`` and
+``sched`` also pin ``BENCH_traffic.json``, ``BENCH_chaos.json`` and
+``BENCH_sched.json``.
 
 Usage::
 
@@ -153,6 +155,55 @@ SMOKES = (
             "  cases by mutator: bit_flip=77 byte_set=90 header_field=91 "
             "payload_crc_fixed=83 splice=77 truncate=82\n"
             "  no oracle violations\n"
+        ),
+    ),
+    # The Figure 3 service on the fault-tolerant farm: live uploads,
+    # stream corruption, crashes, a dead Popular rung and promotions.
+    # The pinned report catches drift as well as nondeterminism, so one
+    # run is enough.
+    Smoke(
+        name="farm-chaos",
+        variants=(
+            _REPRO
+            + (
+                "chaos", "--k", "4", "--dead", "x264:veryslow",
+                "--live-every", "2", "--corrupt-stream-rate", "0.2",
+                "--crash-rate", "0.3",
+            ),
+        ),
+        stdout=(
+            "RobustnessReport\n"
+            "  jobs:            4 total, 4 completed, 0 dead-lettered\n"
+            "  attempts:        17 (6 retries, 0 retries skipped by deadline)\n"
+            "  faults seen:     transient=3 outage=4 corrupt=0\n"
+            "  deadline misses: 0\n"
+            "  wasted compute:  0.002861 s\n"
+            "  makespan:        0.437485 s\n"
+            "  downgrades (2):\n"
+            "    slides: x264:veryslow -> x264:medium [retries-exhausted]\n"
+            "    lecture: x264:veryslow -> x264:medium [breaker-open]\n"
+            "  breakers:\n"
+            "    qsv: closed (0 consecutive failures)\n"
+            "    x264:medium: closed (0 consecutive failures)\n"
+            "    x264:ultrafast: closed (0 consecutive failures)\n"
+            "    x264:veryfast: closed (0 consecutive failures)\n"
+            "    x264:veryslow: open (4 consecutive failures)\n"
+            "  injected faults:\n"
+            "    qsv: crashes=0 stragglers=0 corruptions=0 outages=0\n"
+            "    x264:medium: crashes=3 stragglers=1 corruptions=0 outages=0 "
+            "stream_corruptions=4\n"
+            "    x264:ultrafast: crashes=0 stragglers=0 corruptions=0 outages=0\n"
+            "    x264:veryfast: crashes=0 stragglers=0 corruptions=0 outages=0\n"
+            "    x264:veryslow: crashes=0 stragglers=0 corruptions=0 outages=4\n"
+            "  stream damage:   4 streams, 4/32 frames concealed "
+            "(decodable fraction 0.875)\n"
+            "  dead letters (0):\n"
+            "costs:\n"
+            "  compute  $0.000001\n"
+            "  network  $0.000394\n"
+            "  storage  $0.000000\n"
+            "  total    $0.000396\n"
+            "  compute-hours 0.000034751\n"
         ),
     ),
     # Traffic SLO report: byte-stable across runs AND pinned to the
