@@ -9,8 +9,8 @@ SSIM anyway so users can report both.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
+from repro.video.filters import gaussian_blur
 from repro.video.video import Video
 
 __all__ = ["ssim", "ssim_video"]
@@ -35,17 +35,14 @@ def ssim(reference: np.ndarray, test: np.ndarray, sigma: float = 1.5) -> float:
     if ref.ndim != 2:
         raise ValueError(f"SSIM operates on 2-D planes, got shape {ref.shape}")
 
-    def blur(arr: np.ndarray) -> np.ndarray:
-        return ndimage.gaussian_filter(arr, sigma=sigma, mode="reflect")
-
-    mu_x = blur(ref)
-    mu_y = blur(out)
+    mu_x = gaussian_blur(ref, sigma)
+    mu_y = gaussian_blur(out, sigma)
     mu_xx = mu_x * mu_x
     mu_yy = mu_y * mu_y
     mu_xy = mu_x * mu_y
-    sigma_xx = blur(ref * ref) - mu_xx
-    sigma_yy = blur(out * out) - mu_yy
-    sigma_xy = blur(ref * out) - mu_xy
+    sigma_xx = gaussian_blur(ref * ref, sigma) - mu_xx
+    sigma_yy = gaussian_blur(out * out, sigma) - mu_yy
+    sigma_xy = gaussian_blur(ref * out, sigma) - mu_xy
     numerator = (2.0 * mu_xy + _C1) * (2.0 * sigma_xy + _C2)
     denominator = (mu_xx + mu_yy + _C1) * (sigma_xx + sigma_yy + _C2)
     return float(np.mean(numerator / denominator))

@@ -524,6 +524,15 @@ class TranscodeFarm:
 
     # -- ingest ---------------------------------------------------------------
 
+    def _start_job(self) -> int:
+        """Count a job and seek the clock to the least-busy worker's
+        frontier; returns that worker, whose frontier the caller writes
+        back once the job is over, finished or dead-lettered."""
+        worker = min(range(len(self._workers)), key=self._workers.__getitem__)
+        self.clock.seek(self._workers[worker])
+        self.report.jobs_total += 1
+        return worker
+
     def upload(self, video: Video, live: bool = False) -> Optional[VideoRecord]:
         """Ingest one video on the least-busy worker.
 
@@ -542,9 +551,7 @@ class TranscodeFarm:
             raise ValueError("uploads must be named")
         if video.name in self.catalog:
             raise ValueError(f"duplicate upload {video.name!r}")
-        worker = min(range(len(self._workers)), key=self._workers.__getitem__)
-        self.clock.seek(self._workers[worker])
-        self.report.jobs_total += 1
+        worker = self._start_job()
         cfg = self.service_config
         scenario = Scenario.LIVE if live else Scenario.VOD
         budget_s = self.config.deadlines.budget_s(video, scenario)
@@ -727,12 +734,15 @@ class TranscodeFarm:
     def _promote(self, record: VideoRecord) -> bool:
         """Run the Popular re-transcode; returns whether it succeeded.
 
-        Popular always affords two passes; a hardware rung runs single
-        pass like every other.
+        A promotion is a job like an upload: it runs on the least-busy
+        worker and ends completed or dead-lettered.  Popular always
+        affords two passes; a hardware rung runs single pass like every
+        other.
         """
         target = max(
             record.delivery_bytes * 8.0 / record.video.duration * 0.9, 1000.0
         )
+        worker = self._start_job()
         try:
             result = self._run_ladder(
                 self.popular_backend,
@@ -743,6 +753,9 @@ class TranscodeFarm:
         except FarmJobError as error:
             self.dead_letter(record.name, "promote", error.reason)
             return False
+        finally:
+            self._workers[worker] = self.clock.now
+        self.report.jobs_completed += 1
         self.costs.add_compute(result.seconds)
         self.costs.add_storage(
             result.compressed_bytes, months=self.service_config.retention_months

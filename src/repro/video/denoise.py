@@ -17,8 +17,8 @@ deploy it.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
+from repro.video.filters import gaussian_blur
 from repro.video.frame import Frame
 from repro.video.video import Video
 
@@ -35,7 +35,7 @@ def denoise_plane(
     """Filter one plane; ``previous`` is the already-filtered predecessor."""
     out = np.asarray(plane, dtype=np.float64)
     if spatial_sigma > 0:
-        out = ndimage.gaussian_filter(out, sigma=spatial_sigma, mode="reflect")
+        out = gaussian_blur(out, spatial_sigma)
     if previous is not None and temporal_strength > 0:
         prev = np.asarray(previous, dtype=np.float64)
         if prev.shape != out.shape:

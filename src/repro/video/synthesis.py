@@ -24,8 +24,8 @@ import math
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
-from scipy import ndimage
 
+from repro.video.filters import zoom_linear
 from repro.video.frame import Frame
 from repro.video.video import Video
 
@@ -56,7 +56,7 @@ def _value_noise(
     grid_h = max(2, -(-height // cell) + 1)
     grid_w = max(2, -(-width // cell) + 1)
     coarse = rng.uniform(low, high, size=(grid_h, grid_w))
-    zoomed = ndimage.zoom(coarse, (height / grid_h, width / grid_w), order=1)
+    zoomed = zoom_linear(coarse, (height / grid_h, width / grid_w))
     return zoomed[:height, :width]
 
 

@@ -60,10 +60,14 @@ def chaotic():
     return run_farm(fault_plan=CHAOS_PLAN)
 
 
+def promotions(farm):
+    return sum(1 for record in farm.catalog.values() if record.popular)
+
+
 class TestFaultFreeFarm:
     def test_all_jobs_complete_cleanly(self, fault_free):
         report = fault_free.report
-        assert report.jobs_total == len(CONTENTS)
+        assert report.jobs_total == len(CONTENTS) + promotions(fault_free)
         assert report.jobs_completed == report.jobs_total
         assert report.retries == 0
         assert report.downgrades == []
@@ -73,10 +77,10 @@ class TestFaultFreeFarm:
     def test_attempts_equal_transcodes(self, fault_free):
         # Two transcodes per upload (universal + delivery) plus one per
         # promotion: no attempt is ever wasted fault-free.
-        promotions = sum(
-            1 for record in fault_free.catalog.values() if record.popular
+        assert (
+            fault_free.report.attempts
+            == 2 * len(CONTENTS) + promotions(fault_free)
         )
-        assert fault_free.report.attempts == 2 * len(CONTENTS) + promotions
 
     def test_breakers_stay_closed(self, fault_free):
         assert set(fault_free.report.breaker_states.values()) == {"closed"}
@@ -85,14 +89,39 @@ class TestFaultFreeFarm:
         # Two workers: the farm finishes faster than the serial sum.
         assert 0 < fault_free.report.makespan_s < fault_free.costs.compute_hours * 3600
 
+    def test_promotions_are_jobs_on_the_least_busy_workers(self):
+        """Each Popular re-transcode takes the least-busy worker, counts
+        as a job and advances that worker's frontier, so two promotions
+        in one batch run side by side, not back to back on the clock the
+        last upload left."""
+        farm = TranscodeFarm(
+            delivery_backend="x264:veryfast",
+            config=FarmConfig(workers=4),
+            service_config=ServiceConfig(popular_threshold_views=10),
+        )
+        farm.upload_all(make_clips()[:3])
+        uploaded = list(farm._workers)
+        assert farm.serve_views({"v0": 10, "v1": 10}) == ["v0", "v1"]
+        report = farm.finalize()
+        assert report.jobs_total == report.jobs_completed == 5
+        moved = [i for i, t in enumerate(uploaded) if farm._workers[i] != t]
+        assert len(moved) == 2
+        back_to_back = max(uploaded) + sum(
+            farm._workers[i] - uploaded[i] for i in moved
+        )
+        assert report.makespan_s < back_to_back
+
 
 class TestChaosSurvival:
     """The acceptance criteria: survive 30% transients + a dead backend."""
 
     def test_all_uploads_complete(self, chaotic):
         report = chaotic.report
-        assert report.jobs_completed == report.jobs_total == len(CONTENTS)
         assert not any(l.stage == "upload" for l in report.dead_letters)
+        assert report.jobs_completed == len(CONTENTS) + promotions(chaotic)
+        assert report.jobs_total == (
+            report.jobs_completed + report.jobs_dead_lettered
+        )
         assert set(chaotic.catalog) == {f"v{i}" for i in range(len(CONTENTS))}
 
     def test_dead_backend_breaker_ends_open(self, chaotic):

@@ -4,8 +4,10 @@ has one owner."""
 
 import ast
 import functools
+import os
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,11 +81,8 @@ def _calls_in_src():
     )
 
 
-def test_src_reads_no_clock():
-    """Speed is the modelled ``seconds``; the code is timed from outside
-    (``benchmarks/perf``).  A ``time`` or ``datetime`` import is how a host
-    clock gets back in."""
-    offenders = []
+def _imports_in_src():
+    """``(path:line, module)`` of every import statement under ``src/``."""
     for path in sorted((REPO_ROOT / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -92,12 +91,63 @@ def test_src_reads_no_clock():
                 modules = [node.module or ""]
             else:
                 continue
-            offenders.extend(
-                f"{path.relative_to(REPO_ROOT)}:{node.lineno} {module}"
-                for module in modules
-                if module.split(".")[0] in ("time", "datetime")
-            )
+            for module in modules:
+                yield f"{path.relative_to(REPO_ROOT)}:{node.lineno}", module
+
+
+def test_src_reads_no_clock():
+    """Speed is the modelled ``seconds``; the code is timed from outside
+    (``benchmarks/perf``).  A ``time`` or ``datetime`` import is how a host
+    clock gets back in."""
+    offenders = [
+        f"{where} {module}"
+        for where, module in _imports_in_src()
+        if module.split(".")[0] in ("time", "datetime")
+    ]
     assert not offenders, offenders
+
+
+def test_src_imports_no_scipy():
+    """The package needs numpy only: its two image filters are numpy ports
+    (``video/filters.py``), and importing scipy cost most of every run's
+    start-up.  scipy is the tests' oracle, not a dependency."""
+    offenders = [
+        f"{where} {module}"
+        for where, module in _imports_in_src()
+        if module.split(".")[0] == "scipy"
+    ]
+    assert not offenders, offenders
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any ``import scipy...`` now raises ImportError
+import repro, repro.cli
+from repro.codec import decode, encode
+from repro.metrics import ssim_video
+from repro.video.denoise import denoise_video
+from repro.video.synthesis import synthesize
+clip = synthesize("natural", 32, 32, 2, 24.0, seed=1)
+decoded = decode(encode(clip, "ultrafast", crf=28).bitstream)
+assert len(decoded) == 2 and 0.0 < ssim_video(clip, decoded) <= 1.0
+assert denoise_video(clip).resolution == clip.resolution
+print("ok")
+"""
+
+
+def test_package_runs_without_scipy():
+    """Synthesize -> encode -> decode -> SSIM -> denoise with scipy made
+    unimportable: what an install without scipy can do."""
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
 
 
 #: The only ``np.random`` names ``src/`` may call: seeded streams.

@@ -173,12 +173,12 @@ SMOKES = (
         ),
         stdout=(
             "RobustnessReport\n"
-            "  jobs:            4 total, 4 completed, 0 dead-lettered\n"
+            "  jobs:            6 total, 6 completed, 0 dead-lettered\n"
             "  attempts:        17 (6 retries, 0 retries skipped by deadline)\n"
             "  faults seen:     transient=3 outage=4 corrupt=0\n"
             "  deadline misses: 0\n"
             "  wasted compute:  0.002861 s\n"
-            "  makespan:        0.437485 s\n"
+            "  makespan:        0.388050 s\n"
             "  downgrades (2):\n"
             "    slides: x264:veryslow -> x264:medium [retries-exhausted]\n"
             "    lecture: x264:veryslow -> x264:medium [breaker-open]\n"
