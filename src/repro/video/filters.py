@@ -11,7 +11,7 @@ pins that against scipy itself.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Tuple
 
 import numpy as np
 
@@ -24,22 +24,6 @@ def _half_kernel(sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
     return (phi / phi.sum())[radius:]
-
-
-def _reflect_pad(a: np.ndarray, radius: int) -> np.ndarray:
-    """``a`` padded by ``radius`` on all four sides, half-sample symmetric
-    (scipy's ``reflect``: ``c b a | a b c | c b a``)."""
-    h, w = a.shape
-    if min(h, w) < radius:  # the reflection repeats: let numpy unfold it
-        return np.pad(a, radius, mode="symmetric")
-    r = radius
-    out = np.empty((h + 2 * r, w + 2 * r))
-    out[r : r + h, r : r + w] = a
-    out[r : r + h, :r] = np.flip(a[:, :r], 1)
-    out[r : r + h, r + w :] = np.flip(a[:, w - r :], 1)
-    out[:r] = np.flip(out[r : 2 * r], 0)
-    out[r + h :] = np.flip(out[h : h + r], 0)
-    return out
 
 
 def _correlate(
@@ -67,9 +51,10 @@ def gaussian_blur(plane: np.ndarray, sigma: float) -> np.ndarray:
 
     Equal to ``scipy.ndimage.gaussian_filter(plane, sigma, mode="reflect")``:
     truncation at 4 sigma, axis 0 filtered before axis 1.  The plane is
-    padded on both axes up front -- padding the columns commutes with
-    filtering along axis 0 -- so both passes run over one flat buffer,
-    the axis-0 pass at a stride of one padded row.
+    padded on both axes up front, with ``np.pad``'s ``symmetric`` (which is
+    scipy's ``reflect``: ``c b a | a b c | c b a``) -- padding the columns
+    commutes with filtering along axis 0 -- so both passes run over one
+    flat buffer, the axis-0 pass at a stride of one padded row.
     """
     plane = np.asarray(plane, dtype=np.float64)
     if not sigma > 1e-15:  # scipy leaves such an axis unfiltered
@@ -77,7 +62,7 @@ def gaussian_blur(plane: np.ndarray, sigma: float) -> np.ndarray:
     weights = _half_kernel(sigma)
     r = len(weights) - 1
     h, w = plane.shape
-    padded = _reflect_pad(plane, r).ravel()
+    padded = np.pad(plane, r, mode="symmetric").ravel()
     row = w + 2 * r
     columns = np.empty(h * row)
     _correlate(padded, r * row, row, weights, columns)
@@ -99,15 +84,15 @@ def _linear_taps(n_in: int, n_out: int):
     return i0, i1, w0, 1.0 - w0, coord <= n_in - 1
 
 
-def zoom_linear(coarse: np.ndarray, factors: Sequence[float]) -> np.ndarray:
-    """Bilinearly resample a 2-D array by ``factors`` (rows, columns).
+def zoom_linear(coarse: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
+    """Bilinearly resample a 2-D array to ``shape`` (rows, columns).
 
-    Equal to ``scipy.ndimage.zoom(coarse, factors, order=1)``: the output
-    shape is each side times its factor, rounded, and the corner samples
-    map onto the input's corners.
+    Equal to ``scipy.ndimage.zoom(coarse, factors, order=1)`` with the
+    factors that give ``shape``: the corner samples map onto the input's
+    corners.
     """
     a = np.asarray(coarse, dtype=np.float64)
-    n_rows, n_cols = (int(round(n * f)) for n, f in zip(a.shape, factors))
+    n_rows, n_cols = shape
     r0, r1, wr0, wr1, rows_in = _linear_taps(a.shape[0], n_rows)
     c0, c1, wc0, wc1, cols_in = _linear_taps(a.shape[1], n_cols)
     wr0, wr1 = wr0[:, None], wr1[:, None]

@@ -56,8 +56,7 @@ def _value_noise(
     grid_h = max(2, -(-height // cell) + 1)
     grid_w = max(2, -(-width // cell) + 1)
     coarse = rng.uniform(low, high, size=(grid_h, grid_w))
-    zoomed = zoom_linear(coarse, (height / grid_h, width / grid_w))
-    return zoomed[:height, :width]
+    return zoom_linear(coarse, (height, width))
 
 
 def _frac_window(

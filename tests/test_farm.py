@@ -258,12 +258,20 @@ class TestDeadLetters:
             ),
         )
         farm.upload_all(make_clips())
+        uploaded = list(farm._workers)
         promoted = farm.serve_views({"v0": 50})  # crosses the threshold
-        farm.finalize()
+        report = farm.finalize()
         assert promoted == []
         assert not farm.catalog["v0"].popular
-        letters = [l for l in farm.report.dead_letters if l.stage == "promote"]
+        letters = [l for l in report.dead_letters if l.stage == "promote"]
         assert letters and letters[0].job == "v0"
+        # The failed promotion is still a job, and the time its attempts
+        # took is charged to the worker it ran on.
+        assert report.jobs_total == len(CONTENTS) + 1
+        assert report.jobs_total == report.jobs_completed + report.jobs_dead_lettered
+        moved = [i for i, t in enumerate(uploaded) if farm._workers[i] != t]
+        assert moved == [min(range(2), key=uploaded.__getitem__)]
+        assert farm._workers[moved[0]] > uploaded[moved[0]]
         # Views were still served despite the failed promotion.
         assert farm.catalog["v0"].views == 50
         assert farm.costs.egress_gb > 0

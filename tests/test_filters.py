@@ -20,10 +20,9 @@ def _shapes(seed, count, low, high):
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.6, 1.5, 2.0])
 def test_gaussian_blur_matches_scipy(sigma):
-    # 2x2 up to 140x140.  Planes shorter than the radius (2 at sigma 0.6,
-    # 6 at 1.5, 8 at 2.0) reflect more than once, through ``np.pad``; the
-    # rest take the hand-built pad.  Sigma 0.1 has radius 0 (one tap), and
-    # scipy skips sigma 0 altogether.
+    # 2x2 up to 140x140, planes shorter than the radius (2 at sigma 0.6,
+    # 6 at 1.5, 8 at 2.0) included: their padding reflects more than once.
+    # Sigma 0.1 has radius 0 (one tap), and scipy skips sigma 0 altogether.
     rng = np.random.default_rng(int(sigma * 10))
     shapes = [(2, 2), (3, 17), (17, 3), (8, 8), (9, 5)] + _shapes(1, 60, 2, 141)
     for shape in shapes:
@@ -43,7 +42,8 @@ def test_zoom_linear_matches_scipy():
         coarse = rng.uniform(0.0, 255.0, size=(grid_h, grid_w))
         factors = (height / grid_h, width / grid_w)
         expected = ndimage.zoom(coarse, factors, order=1)
-        assert np.array_equal(zoom_linear(coarse, factors), expected), (
+        got = zoom_linear(coarse, (height, width))
+        assert np.array_equal(got, expected), (
             grid_h, grid_w, height, width,
         )
 
@@ -55,6 +55,6 @@ def test_zoom_linear_zeroes_an_overshooting_last_sample():
     coarse = np.random.default_rng(6).uniform(1.0, 255.0, size=(4, 6))
     factors = (188 / 4, 148 / 6)
     expected = ndimage.zoom(coarse, factors, order=1)
-    got = zoom_linear(coarse, factors)
+    got = zoom_linear(coarse, (188, 148))
     assert not expected[-1].any() and not expected[:, -1].any()
     assert np.array_equal(got, expected)
