@@ -1,13 +1,14 @@
 """Static analysis ("vlint"): the repo's invariants, enforced at parse time.
 
-PR 2 made byte-identical parallel/cached reports a hard contract and PR 1
-made chaos runs replayable; both rest on invariants -- fully seeded RNG
-streams, no wall-clock reads, clip-guarded pixel math, pure pool
-workers, mirrored bitstream writers/readers -- that nothing enforced.
-One unseeded ``default_rng()`` or one ``perf_counter()`` read in the
-encode path breaks reproducibility silently.  This package is an
+Byte-identical parallel/cached reports and replayable chaos runs rest
+on invariants -- pure pool workers, mirrored bitstream writers/readers,
+an explicit export surface, a closed decode error taxonomy -- that no
+test exercises directly.  This package is an
 AST-based lint framework (stdlib :mod:`ast`, no dependencies) that makes
-those invariants fail the build instead.
+those invariants fail the build instead.  No clock and no global or
+unseeded RNG in ``src/`` are ``tests/test_repo_hygiene.py``'s to
+enforce, not vlint's: its tree-wide scans are stricter than the retired
+rules were.  Pixel wraparound is the golden bitstream digests' to catch.
 
 Every run has two phases.  Phase 1 walks files independently (and in
 parallel) running the file rules and extracting a
@@ -26,7 +27,8 @@ so serial and ``--jobs N`` reports stay byte-identical.
 * :mod:`repro.analysis.findings` -- structured findings.
 * :mod:`repro.analysis.baseline` -- the ``.vlint.toml`` allowlist.
 * :mod:`repro.analysis.reporters` -- text and stable-JSON rendering.
-* :mod:`repro.analysis.checkers` -- the project rules (VL001-VL008).
+* :mod:`repro.analysis.checkers` -- the project rules (VL003-VL006,
+  VL008).
 
 Run it as ``python -m repro lint`` (the CI gate) or programmatically via
 :func:`lint_paths` / :func:`build_project_index`.  The repo self-hosts:
@@ -41,10 +43,7 @@ from repro.analysis.baseline import (
     render_baseline,
 )
 from repro.analysis.checkers import (
-    ClockDisciplineChecker,
     DeadApiChecker,
-    DeterminismChecker,
-    DtypeSafetyChecker,
     ExceptionHygieneChecker,
     ExportSyncChecker,
     ForkSafetyChecker,
@@ -78,10 +77,7 @@ __all__ = [
     "Baseline",
     "BaselineEntry",
     "Checker",
-    "ClockDisciplineChecker",
     "DeadApiChecker",
-    "DeterminismChecker",
-    "DtypeSafetyChecker",
     "ExceptionHygieneChecker",
     "ExportSyncChecker",
     "Finding",

@@ -24,25 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.summaries import FunctionSummary, ModuleSummary
 
-__all__ = ["CallGraph", "WALLCLOCK_TARGETS"]
-
-#: Absolute dotted call targets that read the host's wall clock.
-WALLCLOCK_TARGETS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
+__all__ = ["CallGraph"]
 
 #: How many re-export hops a target may traverse before resolution stops.
 _MAX_REEXPORT_HOPS = 8
@@ -184,53 +166,6 @@ class CallGraph:
             if fid not in index_of:
                 strongconnect(fid)
         return result
-
-    # -- chains (for finding messages) --------------------------------------
-
-    def chain_to(
-        self, start: str, goal_ids: frozenset, max_depth: int = 12
-    ) -> List[str]:
-        """Deterministic shortest call chain from ``start`` into a goal.
-
-        BFS over sorted adjacency; among equal-length chains the
-        lexicographically smallest wins, so messages are byte-stable.
-        ``goal_ids`` may contain unresolved targets (e.g. the literal
-        ``time.perf_counter``), which are matched against raw call-site
-        targets as well as resolved ids.
-        """
-        edges = self.edges()
-        if start in goal_ids:
-            return [start]
-        frontier: List[Tuple[str, ...]] = [(start,)]
-        visited = {start}
-        for _ in range(max_depth):
-            next_frontier: List[Tuple[str, ...]] = []
-            for path in frontier:
-                node = path[-1]
-                fn = self.functions.get(node)
-                raw_targets = (
-                    sorted(
-                        {
-                            site.target
-                            for site in fn.calls
-                            if site.target in goal_ids
-                        }
-                    )
-                    if fn is not None
-                    else []
-                )
-                if raw_targets:
-                    return list(path) + [raw_targets[0]]
-                for succ in edges.get(node, ()):
-                    if succ in goal_ids:
-                        return list(path) + [succ]
-                    if succ not in visited:
-                        visited.add(succ)
-                        next_frontier.append(path + (succ,))
-            frontier = sorted(next_frontier)
-            if not frontier:
-                break
-        return []
 
     # -- export (for --graph-out) -------------------------------------------
 

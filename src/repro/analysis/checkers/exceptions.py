@@ -77,8 +77,8 @@ class ExceptionHygieneChecker(Checker):
                     )
                 if not _is_public_qualname(fn.name):
                     continue
-                facts = index.facts[f"{module_name}.{fn.name}"]
-                for exc, origin in sorted(facts.raises_out.items()):
+                leaks = index.raises_out[f"{module_name}.{fn.name}"]
+                for exc, origin in sorted(leaks.items()):
                     findings.append(
                         self._finding(
                             summary.path,

@@ -1,17 +1,13 @@
 """Phase 2: the merged project index and its fixed-point solve.
 
 :class:`ProjectIndex` holds every module summary, the resolved
-:class:`~repro.analysis.callgraph.CallGraph`, and one
-:class:`FunctionFacts` per function -- the whole-program facts the
-project rules consume:
-
-* ``wallclock`` -- a wall-clock read is reachable from this function
-  (VL007);
-* ``raises_out`` -- exception types outside the decode-path taxonomy
-  that can escape this function, each with its deterministic origin site
-  (VL006).  A decode-path function's own raises are reported where they
-  stand, so only non-decode-path functions seed the closure; decode-path
-  helpers still pass their callees' leaks upward.
+:class:`~repro.analysis.callgraph.CallGraph`, and, per function, the
+whole-program fact VL006 consumes: ``raises_out``, the exception types
+outside the decode-path taxonomy that can escape that function, each
+with its deterministic origin site.  A decode-path function's own
+raises are reported where they stand, so only non-decode-path functions
+seed the closure; decode-path helpers still pass their callees' leaks
+upward.
 
 This module also owns the VL006 policy -- which modules carry the
 decode contract, which functions are decode paths, which exceptions
@@ -19,18 +15,17 @@ they may raise -- so the solve and the checker read one definition.
 
 The solve visits Tarjan SCCs in reverse topological order (callees
 first) and iterates each component to its own fixed point, evaluating
-functions in sorted-id order.  Both lattices are finite and every
-transfer function monotone, so the solve terminates; every iteration
-order is sorted, so the result -- and therefore the lint report -- is
+functions in sorted-id order.  The lattice is finite and the transfer
+function monotone, so the solve terminates; every iteration order is
+sorted, so the result -- and therefore the lint report -- is
 byte-identical across runs, processes, and ``--jobs`` settings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
-from repro.analysis.callgraph import WALLCLOCK_TARGETS, CallGraph
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.summaries import FunctionSummary, ModuleSummary
 
 __all__ = [
@@ -105,14 +100,6 @@ def handler_covers(handler: str, raised: str) -> bool:
     return handler in _EXC_ANCESTORS.get(raised, ())
 
 
-@dataclass
-class FunctionFacts:
-    """Solved whole-program facts for one function."""
-
-    wallclock: bool = False
-    raises_out: Dict[str, str] = field(default_factory=dict)
-
-
 class ProjectIndex:
     """The merged, solved whole-program view handed to project rules.
 
@@ -137,8 +124,9 @@ class ProjectIndex:
             s.module: s for s in ordered
         }
         self.graph = CallGraph(ordered)
-        self.facts: Dict[str, FunctionFacts] = {
-            fid: FunctionFacts() for fid in self.graph.functions
+        #: Per function id: escaping exception name -> origin site.
+        self.raises_out: Dict[str, Dict[str, str]] = {
+            fid: {} for fid in self.graph.functions
         }
         self._solved = False
 
@@ -153,30 +141,12 @@ class ProjectIndex:
             while changed:
                 changed = False
                 for fid in component:
-                    new = self._eval(fid)
-                    if new != self.facts[fid]:
-                        self.facts[fid] = new
+                    new = self._eval_raises(fid, self.graph.functions[fid])
+                    if new != self.raises_out[fid]:
+                        self.raises_out[fid] = new
                         changed = True
         self._solved = True
         return self
-
-    def _eval(self, fid: str) -> FunctionFacts:
-        fn = self.graph.functions[fid]
-        return FunctionFacts(
-            wallclock=self._eval_wallclock(fn),
-            raises_out=self._eval_raises(fid, fn),
-        )
-
-    # -- wall-clock reachability (VL007) ------------------------------------
-
-    def _eval_wallclock(self, fn: FunctionSummary) -> bool:
-        for site in fn.calls:
-            if site.target in WALLCLOCK_TARGETS:
-                return True
-            resolved = self.graph.resolve(site.target)
-            if resolved is not None and self.facts[resolved].wallclock:
-                return True
-        return False
 
     # -- exception closure (VL006) ------------------------------------------
 
@@ -210,7 +180,7 @@ class ProjectIndex:
                 continue
             if not in_codec(self.graph.function_module[resolved]):
                 continue
-            for name, origin in self.facts[resolved].raises_out.items():
+            for name, origin in self.raises_out[resolved].items():
                 if any(handler_covers(h, name) for h in site.handled):
                     continue
                 merge(name, origin)

@@ -12,7 +12,7 @@ runs in parallel with no cross-file barrier.  A *project rule* overrides
 ``check_project(index)``: it runs serially after the fixed-point solve
 over the merged :class:`~repro.analysis.project.ProjectIndex`, for
 invariants no single file can witness (transitive exception taxonomy,
-wall-clock reachability, dead exports).  Every lint run runs both kinds.
+dead exports).  Every lint run runs both kinds.
 """
 
 from __future__ import annotations

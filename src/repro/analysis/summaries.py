@@ -10,8 +10,7 @@ project rules read:
   ``repro.codec.decoder.helper``, ``self.read_qp`` ->
   ``repro.codec.decoder.Decoder.read_qp``, ``pc()`` imported via ``from
   time import perf_counter as pc`` -> ``time.perf_counter``) and the
-  handler names of every enclosing ``try`` -- the call graph (VL006,
-  VL007);
+  handler names of every enclosing ``try`` -- the call graph (VL006);
 * **raises** with the exception name and the same handler names (an
   exception caught in-function never escapes) -- VL006.
 

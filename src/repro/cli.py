@@ -15,7 +15,7 @@ script).  Commands:
 * ``traffic`` -- simulate a request stream against the farm; print SLOs.
 * ``sched``   -- compare EWMA vs predictor scheduling (BENCH_sched.json).
 * ``fuzz``    -- deterministic structured fuzzing of the decoder.
-* ``lint``    -- the vlint static-analysis pass (VL001-VL008).
+* ``lint``    -- the vlint static-analysis pass (VL003-VL006, VL008).
 
 Every command prints human-readable rows to stdout and exits non-zero on
 invalid input, so the tools compose in shell pipelines.  Diagnostics that

@@ -4,9 +4,10 @@ The paper's methodology (Table 1 ratios against fixed references) only
 works if every random draw is replayable, which in turn requires every
 *root* seed to be a named, documented constant rather than a literal
 scattered at a call site.  Derived per-task streams are computed from
-these roots (see :meth:`repro.robust.faults.FaultPlan.rng_for`); the VL001
-determinism lint rule enforces that no stream is ever constructed
-unseeded, and nothing reads or seeds the global RNGs.
+these roots (see :meth:`repro.robust.faults.FaultPlan.rng_for`);
+``tests/test_repo_hygiene.py::test_src_reads_no_global_rng`` enforces that
+no stream is ever constructed unseeded, and nothing reads or seeds the
+global RNGs.
 
 Changing any value here changes the synthetic corpus / selection and
 therefore every downstream report; treat these like file-format version

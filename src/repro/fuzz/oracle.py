@@ -14,7 +14,7 @@ a stream neither considers damaged.  Unbounded work is prevented
 structurally -- every decode loop is bounded by header geometry, and the
 ``max_pixels`` budget caps what a crafted header may demand -- so a
 campaign's runtime is bounded by construction rather than by timers
-(which the determinism rules ban anyway).
+(which ``src/`` may not read anyway).
 """
 
 from __future__ import annotations

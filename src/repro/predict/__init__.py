@@ -14,9 +14,9 @@ Streaming via Transcoding Time Prediction and Preset Selection"
 * :mod:`repro.predict.train` -- the pure ``(corpus, seed)`` -> model
   fit that regenerates ``coefficients.json`` reproducibly.
 
-The package is inside vlint's VL001 determinism scope and VL007
-simulated-time scope: no randomness, and no wall-clock value may flow
-into a feature, a label, or a prediction.
+No randomness and no wall-clock value may flow into a feature, a
+label, or a prediction; the hygiene tests ``test_src_reads_no_clock`` and
+``test_src_reads_no_global_rng`` hold all of ``src/`` to that.
 """
 
 from repro.predict.features import FEATURE_NAMES, JobFeatures, extract_features

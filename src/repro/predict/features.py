@@ -21,11 +21,11 @@ One probe encode yields every feature, and the probe is the cheapest
 preset in the ladder, so extraction costs a small fraction of any real
 transcode the prediction will be used to schedule.
 
-Determinism is load-bearing (VL001/VL007 cover this package): the codec
-is a pure function of ``(video, config)`` that reads no clock, and every
-feature below is arithmetic over its integer statistics and modelled
-seconds.  The same video therefore always
-maps to the same feature vector, byte for byte.  The feature vector also
+Determinism is load-bearing (the clock and RNG hygiene tests cover all
+of ``src/``): the codec is a pure function of ``(video, config)`` that
+reads no clock, and every feature below is arithmetic over its integer
+statistics and modelled seconds.  The same video therefore always maps
+to the same feature vector, byte for byte.  The feature vector also
 avoids transcendental functions (no ``log``/``exp``), so training and
 inference stay bit-identical across platforms and libm versions.
 """

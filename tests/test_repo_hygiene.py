@@ -70,40 +70,62 @@ def test_decoder_does_not_import_the_encoder():
 
 
 @functools.lru_cache(maxsize=None)
-def _calls_in_src():
-    """``(path, node, called name)`` of every call expression under ``src/``
-    (parsed once: several guards read it)."""
+def _src_nodes():
+    """``(path, node)`` of every AST node under ``src/`` (parsed once:
+    several guards read it)."""
     return tuple(
-        (path, node, getattr(node.func, "id", getattr(node.func, "attr", None)))
+        (path, node)
         for path in sorted((REPO_ROOT / "src").rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def _calls_in_src():
+    """``(path, node, called name)`` of every call expression under ``src/``."""
+    return tuple(
+        (path, node, getattr(node.func, "id", getattr(node.func, "attr", None)))
+        for path, node in _src_nodes()
         if isinstance(node, ast.Call)
     )
 
 
+def _imported(node):
+    """The modules an import statement names (none for any other node)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return []
+
+
 def _imports_in_src():
     """``(path:line, module)`` of every import statement under ``src/``."""
-    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            for module in modules:
-                yield f"{path.relative_to(REPO_ROOT)}:{node.lineno}", module
+    for path, node in _src_nodes():
+        for module in _imported(node):
+            yield f"{path.relative_to(REPO_ROOT)}:{node.lineno}", module
+
+
+def _offenders_in_src(predicate):
+    """``path:line`` of every node under ``src/`` that ``predicate`` flags."""
+    return [
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+        for path, node in _src_nodes()
+        if predicate(node)
+    ]
+
+
+def _reads_clock(node):
+    """Does ``node`` import ``time`` or ``datetime``?"""
+    return any(
+        module.split(".")[0] in ("time", "datetime") for module in _imported(node)
+    )
 
 
 def test_src_reads_no_clock():
     """Speed is the modelled ``seconds``; the code is timed from outside
     (``benchmarks/perf``).  A ``time`` or ``datetime`` import is how a host
     clock gets back in."""
-    offenders = [
-        f"{where} {module}"
-        for where, module in _imports_in_src()
-        if module.split(".")[0] in ("time", "datetime")
-    ]
+    offenders = _offenders_in_src(_reads_clock)
     assert not offenders, offenders
 
 
@@ -152,6 +174,8 @@ def test_package_runs_without_scipy():
 
 #: The only ``np.random`` names ``src/`` may call: seeded streams.
 _SEEDED_RNG = {"default_rng", "Generator", "SeedSequence"}
+#: The constructors that fall back to OS entropy when given no seed.
+_SEED_TAKERS = {"default_rng", "SeedSequence"}
 
 
 def _dotted(node):
@@ -165,30 +189,68 @@ def _dotted(node):
     return ".".join([node.id] + parts[::-1])
 
 
+def _unseeded(call):
+    """No seed argument, or a literal ``None``: both draw OS entropy."""
+    seeds = call.args[:1] + [
+        kw.value for kw in call.keywords if kw.arg in ("seed", "entropy")
+    ]
+    return all(isinstance(s, ast.Constant) and s.value is None for s in seeds)
+
+
+def _reads_global_rng(node):
+    """Does ``node`` touch a global stream or build an unseeded one?"""
+    if isinstance(node, ast.Call):
+        head, _, leaf = _dotted(node.func).rpartition(".")
+        if head == "random":
+            return True
+        if head in ("np.random", "numpy.random") and leaf not in _SEEDED_RNG:
+            return True
+        # ``np.random.default_rng()`` and ``from numpy.random import
+        # default_rng; default_rng()`` alike.
+        return head in ("", "np.random", "numpy.random") and (
+            leaf in _SEED_TAKERS and _unseeded(node)
+        )
+    if isinstance(node, ast.Import):
+        return any(alias.name == "random" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "random" or (
+            node.module == "numpy.random"
+            and any(alias.name not in _SEEDED_RNG for alias in node.names)
+        )
+    return False
+
+
 def test_src_reads_no_global_rng():
     """Every stream is an explicitly seeded ``default_rng``.  The global
     numpy and stdlib streams are hidden state left by whatever ran before,
-    so nothing under ``src/`` draws from them -- or seeds them."""
-    offenders = []
-    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                head, _, leaf = _dotted(node.func).rpartition(".")
-                bad = head == "random" or (
-                    head in ("np.random", "numpy.random") and leaf not in _SEEDED_RNG
-                )
-            elif isinstance(node, ast.Import):
-                bad = any(alias.name == "random" for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                bad = node.module == "random" or (
-                    node.module == "numpy.random"
-                    and any(alias.name not in _SEEDED_RNG for alias in node.names)
-                )
-            else:
-                continue
-            if bad:
-                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    so nothing under ``src/`` draws from them -- or seeds them -- and no
+    stream is built from OS entropy."""
+    offenders = _offenders_in_src(_reads_global_rng)
     assert not offenders, offenders
+
+
+@pytest.mark.parametrize(
+    "scan, snippet",
+    [
+        (_reads_global_rng, "np.random.default_rng()"),
+        (_reads_global_rng, "default_rng(None)"),
+        (_reads_global_rng, "np.random.SeedSequence()"),
+        (_reads_global_rng, "random.random()"),
+        (_reads_clock, "from time import perf_counter"),
+        (_reads_clock, "import datetime as dt"),
+    ],
+)
+def test_hygiene_scans_flag_planted_offenders(scan, snippet):
+    assert any(scan(node) for node in ast.walk(ast.parse(snippet)))
+
+
+def test_hygiene_scans_pass_a_seeded_stream():
+    tree = ast.parse("np.random.default_rng(seed)")
+    assert not any(
+        scan(node)
+        for scan in (_reads_global_rng, _reads_clock)
+        for node in ast.walk(tree)
+    )
 
 
 def test_reconstruction_kernels_have_one_caller():
