@@ -61,10 +61,17 @@ def select_categories(
 ) -> List[VideoCategory]:
     """Steps 1-3: weighted k-means and mode-of-cluster representatives.
 
-    Returns ``k`` categories ordered by resolution then entropy (the
-    Table 2 presentation order).  Duplicate representatives (two clusters
-    whose mode is the same category) are replaced by the next-heaviest
-    member so the suite always has ``k`` distinct videos.
+    Returns ``k`` distinct categories, one per cluster: the heaviest
+    member, the lowest-indexed one on a tie.  They come ordered by
+    resolution then entropy (the Table 2 presentation order), clusters
+    in index order on a tie.  The pick is exact under re-implementation:
+    ``tests/test_selection.py`` pins it bit for bit and checks it against
+    the former per-cluster loop.
+
+    Raises:
+        ValueError: ``k < 1``, fewer than ``k`` categories, or a k-means
+            result with an empty cluster (identical feature points leave
+            a centroid with no members), which would short the suite.
     """
     cats = list(categories)
     if k < 1:
@@ -75,18 +82,18 @@ def select_categories(
     weights = np.array([c.weight for c in cats])
     result = weighted_kmeans(points, weights, k=k, seed=seed)
 
-    chosen: List[VideoCategory] = []
-    taken = set()
-    for cluster in range(k):
-        members = [i for i in range(len(cats)) if result.assignments[i] == cluster]
-        if not members:
-            continue
-        members.sort(key=lambda i: -cats[i].weight)
-        for i in members:
-            if i not in taken:
-                taken.add(i)
-                chosen.append(cats[i])
-                break
+    filled = int(np.count_nonzero(np.bincount(result.assignments, minlength=k)))
+    if filled < k:
+        raise ValueError(
+            f"k={k} clusters but only {filled} are non-empty, so the "
+            f"suite would have {filled} videos, not {k}"
+        )
+    # Cluster-major, heaviest first; lexsort is stable, so the first
+    # member of each cluster run is its lowest-indexed heaviest category.
+    order = np.lexsort((-weights, result.assignments))
+    clusters = result.assignments[order]
+    heads = order[np.flatnonzero(np.diff(clusters, prepend=-1))]
+    chosen = [cats[i] for i in heads.tolist()]
     chosen.sort(key=lambda c: (c.kpixels, c.entropy))
     return chosen
 

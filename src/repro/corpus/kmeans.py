@@ -59,44 +59,67 @@ def _plusplus_seed(
     return centroids
 
 
+def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``(n, k)`` squared distances, summed one dimension at a time.
+
+    Adding the dimensions in order is the order ``np.sum(..., axis=-1)``
+    uses below 8 dimensions (the corpus features have 3), so the matrix
+    has the bits of the ``(n, k, d)`` reduction without building it.
+    """
+    dists = np.subtract.outer(points[:, 0], centroids[:, 0])
+    dists *= dists
+    for j in range(1, points.shape[1]):
+        diff = np.subtract.outer(points[:, j], centroids[:, j])
+        diff *= diff
+        dists += diff
+    return dists
+
+
 def _lloyd(
     points: np.ndarray,
     weights: np.ndarray,
     centroids: np.ndarray,
     max_iter: int,
     tol: float,
-    rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray, float, int]:
+    """Lloyd iterations: (centroids, assignments, inertia, iterations).
+
+    Each cluster's members are read as one contiguous slice of a stable
+    argsort of the assignments: the members in index order, exactly the
+    rows a boolean mask would copy out, so the weighted means are the
+    same bits at one sort per iteration instead of k masks over n.
+    """
     k = centroids.shape[0]
-    assignments = np.zeros(points.shape[0], dtype=np.int64)
+    rows = np.arange(points.shape[0])
     for iteration in range(1, max_iter + 1):
         # Assignment step.
-        dists = np.sum(
-            (points[:, None, :] - centroids[None, :, :]) ** 2, axis=2
-        )
+        dists = _sq_distances(points, centroids)
         assignments = np.argmin(dists, axis=1)
+        order = np.argsort(assignments, kind="stable")
+        members = points[order]
+        member_weights = weights[order]
+        ends = np.cumsum(np.bincount(assignments, minlength=k))
         # Update step (weighted means); empty clusters restart on the
         # heaviest poorly-served point.
         new_centroids = centroids.copy()
-        for c in range(k):
-            mask = assignments == c
-            mass = weights[mask].sum()
-            if mass > 0:
+        start = 0
+        for c, end in enumerate(ends.tolist()):
+            w = member_weights[start:end]
+            if w.sum() > 0:
                 new_centroids[c] = np.average(
-                    points[mask], axis=0, weights=weights[mask]
+                    members[start:end], axis=0, weights=w
                 )
             else:
-                worst = np.argmax(weights * dists[np.arange(len(points)), assignments])
+                worst = np.argmax(weights * dists[rows, assignments])
                 new_centroids[c] = points[worst]
+            start = end
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
         if shift < tol:
             break
-    dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    dists = _sq_distances(points, centroids)
     assignments = np.argmin(dists, axis=1)
-    inertia = float(
-        np.sum(weights * dists[np.arange(len(points)), assignments])
-    )
+    inertia = float(np.sum(weights * dists[rows, assignments]))
     return centroids, assignments, inertia, iteration
 
 
@@ -142,7 +165,7 @@ def weighted_kmeans(
     for _ in range(max(1, restarts)):
         centroids = _plusplus_seed(points, weights, k, rng)
         centroids, assignments, inertia, iters = _lloyd(
-            points, weights, centroids, max_iter, tol, rng
+            points, weights, centroids, max_iter, tol
         )
         if best is None or inertia < best.inertia:
             best = KMeansResult(centroids, assignments, inertia, iters)

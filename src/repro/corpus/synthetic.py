@@ -160,8 +160,49 @@ def _content_params(content: str, entropy: float) -> Dict[str, float]:
     return {}
 
 
+def _group_uploads(
+    resolutions: Sequence[Tuple[int, int]],
+    res_idx: np.ndarray,
+    fps: np.ndarray,
+    entropy: np.ndarray,
+    minutes: np.ndarray,
+) -> List[VideoCategory]:
+    """One category per distinct (width, height, fps, entropy@0.1) key.
+
+    A category's weight is the summed transcode time of its uploads, cost
+    ~ pixels x frames ~ pixel rate x duration.  Categories come out in key
+    order.  ``np.bincount`` adds each group's costs in upload order,
+    starting from 0.0, so every weight has the bits of a running per-key
+    sum over the uploads.
+    """
+    width, height = np.array(resolutions, dtype=np.int64)[res_idx].T
+    # Python's round: np.round scales by ten first and can land one ulp off.
+    entropy = np.maximum(0.1, [round(e, 1) for e in entropy.tolist()])
+    cost = width * height * fps * minutes
+    order = np.lexsort((entropy, fps, height, width))
+    keys = (width[order], height[order], fps[order], entropy[order])
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    for column in keys:
+        first[1:] |= column[1:] != column[:-1]
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    weights = np.bincount(group, weights=cost)
+    columns = (column[first].tolist() for column in keys)
+    return [
+        VideoCategory(w, h, f, e, weight=weight)
+        for w, h, f, e, weight in zip(*columns, weights)
+    ]
+
+
 class SyntheticCorpus:
     """A weighted category population standing in for the YouTube logs.
+
+    Each upload draws a resolution, a framerate, an entropy and a
+    duration; uploads sharing a (width, height, fps, entropy rounded to
+    0.1) key form one category, sorted by that key, whose weight is their
+    summed transcode time.  The grouping is array passes whose output is
+    pinned bit for bit, field types included, by ``tests/test_corpus.py``.
 
     Args:
         seed: Deterministic seed.
@@ -201,18 +242,9 @@ class SyntheticCorpus:
 
         # Duration of each upload (minutes), log-normal.
         minutes = np.exp(rng.normal(1.0, 0.9, size=n_uploads))
-        weights: Dict[Tuple[int, int, int, float], float] = {}
-        for i in range(n_uploads):
-            w, h = resolutions[res_idx[i]]
-            e = max(0.1, round(float(entropy[i]), 1))
-            key = (w, h, int(fps[i]), e)
-            # Transcode time ~ pixels x frames ~ pixel rate x duration.
-            cost = w * h * fps[i] * minutes[i]
-            weights[key] = weights.get(key, 0.0) + cost
-        self.categories: List[VideoCategory] = [
-            VideoCategory(w, h, f, e, weight=cost)
-            for (w, h, f, e), cost in sorted(weights.items())
-        ]
+        self.categories: List[VideoCategory] = _group_uploads(
+            resolutions, res_idx, fps, entropy, minutes
+        )
 
     def _resolution_pool(self, rng: np.random.Generator) -> List[Tuple[int, int]]:
         """The standard ladder plus vertical and odd variants (40+ total)."""

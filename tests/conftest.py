@@ -8,6 +8,9 @@ frame size.
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -70,3 +73,23 @@ def checker_frame() -> Frame:
     luma = np.where((yy // 4 + xx // 4) % 2 == 0, 200, 40).astype(np.uint8)
     chroma = np.full((16, 16), 128, dtype=np.uint8)
     return Frame(luma, chroma, chroma.copy())
+
+
+def _categories_digest(categories) -> str:
+    """SHA-256 over every category field, its type, and float bytes."""
+    h = hashlib.sha256()
+    for c in categories:
+        for value in (c.width, c.height, c.framerate, c.entropy, c.weight):
+            h.update(type(value).__name__.encode())
+            if isinstance(value, float):
+                h.update(struct.pack("<d", value))
+            else:
+                h.update(str(value).encode())
+            h.update(b";")
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="session")
+def categories_digest():
+    """Digest of a category list that moves if any field's bits or type do."""
+    return _categories_digest

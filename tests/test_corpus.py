@@ -9,9 +9,32 @@ from repro.corpus.synthetic import (
     PROFILES,
     RenderProfile,
     SyntheticCorpus,
+    _group_uploads,
     content_class_for_entropy,
     video_for_category,
 )
+
+#: (categories, digest of every field, field type and weight byte) of the
+#: default-size corpus, captured from the per-upload dict loop below.
+CORPUS_PINS = {
+    2017: (32378, "9d927bf49e251e3cc206172d0b229966190b65592a4a53335521d14490029778"),
+    7: (32254, "d5808ebd276b58dd3774321309de369ca5f5977a821a73b0646937555a17cbb5"),
+}
+
+
+def _dict_loop(resolutions, res_idx, fps, entropy, minutes):
+    """Oracle: the per-upload dict loop the corpus used to group with."""
+    weights = {}
+    for i in range(len(res_idx)):
+        w, h = resolutions[res_idx[i]]
+        e = max(0.1, round(float(entropy[i]), 1))
+        key = (w, h, int(fps[i]), e)
+        cost = w * h * fps[i] * minutes[i]
+        weights[key] = weights.get(key, 0.0) + cost
+    return [
+        VideoCategory(w, h, f, e, weight=cost)
+        for (w, h, f, e), cost in sorted(weights.items())
+    ]
 
 
 class TestCategory:
@@ -98,6 +121,40 @@ class TestSyntheticCorpus:
     def test_validation(self):
         with pytest.raises(ValueError):
             SyntheticCorpus(n_uploads=0)
+
+
+class TestCorpusGrouping:
+    @pytest.mark.parametrize("seed", sorted(CORPUS_PINS))
+    def test_pinned(self, seed, categories_digest):
+        corpus = SyntheticCorpus(seed=seed)
+        assert (len(corpus), categories_digest(corpus.categories)) == CORPUS_PINS[seed]
+
+    def test_field_types(self):
+        c = SyntheticCorpus(seed=3, n_uploads=50).categories[0]
+        types = [type(v) for v in (c.width, c.height, c.framerate, c.entropy, c.weight)]
+        assert types == [int, int, int, float, np.float64]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_dict_loop(self, seed, categories_digest):
+        """Random uploads, most keys shared: same categories, same bits."""
+        rng = np.random.default_rng(seed)
+        n = (1, 2, 17, 500, 3000)[seed % 5]
+        sizes = rng.integers(8, 1024, size=(int(rng.integers(1, 10)), 2)) * 2
+        resolutions = list(dict.fromkeys(map(tuple, sizes.tolist())))
+        res_idx = rng.integers(0, len(resolutions), size=n)
+        fps = rng.choice((6, 24, 25, 30, 60), size=n)
+        # Wide enough that many entropies round to 0.0 and clamp to 0.1;
+        # a third sit on decimal ties like 0.35, where np.round and
+        # Python's round disagree.
+        entropy = np.exp(rng.normal(0.0, 2.5, size=n))
+        ties = rng.random(n) < 0.3
+        entropy[ties] = rng.integers(0, 500, size=int(ties.sum())) / 10 + 0.05
+        minutes = np.exp(rng.normal(1.0, 0.9, size=n))
+        minutes[rng.random(n) < 0.1] = 0.0
+        args = (resolutions, res_idx, fps, entropy, minutes)
+        assert categories_digest(_group_uploads(*args)) == categories_digest(
+            _dict_loop(*args)
+        )
 
 
 class TestVideoForCategory:

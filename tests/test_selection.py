@@ -1,10 +1,37 @@
 """Video selection pipeline: representativeness and coverage mechanics."""
 
+import numpy as np
 import pytest
 
-from repro.corpus.category import VideoCategory
+from repro.corpus.category import VideoCategory, feature_matrix
+from repro.corpus.kmeans import weighted_kmeans
 from repro.corpus.synthetic import SyntheticCorpus
 from repro.core.selection import pick_chunk, select_categories, select_suite_videos
+
+#: (significant categories, digest of the k picks' fields, types and
+#: weight bytes) per (k, seed), captured from the per-cluster scan below.
+SELECTION_PINS = {
+    (4, 7): (15674, "0e24532aa6fc821a7d32c05be19e28ebbd34f3a3434955aadefefdbbfb4eb7a1"),
+    (15, 2017): (15828, "8b81c8d959cd648006d529dc72ee51ad2680f3690d35cb6dbd8fbcc10cc9a3ea"),
+}
+
+
+def _cluster_scan(cats, assignments, k):
+    """Oracle: the per-cluster scan for the mode that select_categories ran."""
+    chosen = []
+    taken = set()
+    for cluster in range(k):
+        members = [i for i in range(len(cats)) if assignments[i] == cluster]
+        if not members:
+            continue
+        members.sort(key=lambda i: -cats[i].weight)
+        for i in members:
+            if i not in taken:
+                taken.add(i)
+                chosen.append(cats[i])
+                break
+    chosen.sort(key=lambda c: (c.kpixels, c.entropy))
+    return chosen
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +71,58 @@ class TestSelectCategories:
             select_categories(small_corpus.categories, k=0)
         with pytest.raises(ValueError):
             select_categories(small_corpus.categories[:3], k=5)
+
+    def test_empty_cluster_raises_instead_of_a_short_suite(self):
+        # The first two share a feature point (922 kpixels, 30 fps, 5.0),
+        # so k=3 leaves one cluster empty.
+        cats = [
+            VideoCategory(1280, 720, 30, 5.0, weight=10),
+            VideoCategory(1440, 640, 30, 5.0, weight=10),
+            VideoCategory(640, 360, 30, 1.0, weight=1),
+        ]
+        with pytest.raises(ValueError, match="k=3 clusters but only 2"):
+            select_categories(cats, k=3)
+
+    @pytest.mark.parametrize("k, seed", sorted(SELECTION_PINS))
+    def test_pinned(self, k, seed, categories_digest):
+        significant = SyntheticCorpus(seed=seed).significant_categories()
+        chosen = select_categories(significant, k=k, seed=seed)
+        assert len(chosen) == k
+        assert (len(significant), categories_digest(chosen)) == SELECTION_PINS[(k, seed)]
+
+    def test_mode_pick_matches_cluster_scan(self):
+        """Random category sets with tied and zero weights and shared
+        feature points: the same picks, or an error where the scan
+        returned fewer than k."""
+        rng = np.random.default_rng(5)
+        full = short = 0
+        for case in range(60):
+            n = int(rng.integers(2, 40))
+            k = int(rng.integers(1, n + 1))
+            cats = [
+                VideoCategory(
+                    int(rng.choice((640, 1280, 1920))),
+                    int(rng.choice((360, 720))),
+                    int(rng.choice((24, 30))),
+                    float(rng.choice((0.5, 2.0, 8.0))),
+                    weight=float(rng.choice((0.0, 1.0, 2.0, 5.0))),
+                )
+                for _ in range(n)
+            ]
+            if sum(c.weight for c in cats) == 0:
+                continue
+            weights = np.array([c.weight for c in cats])
+            result = weighted_kmeans(feature_matrix(cats), weights, k=k, seed=case)
+            expected = _cluster_scan(cats, result.assignments, k)
+            if len(expected) < k:
+                short += 1
+                with pytest.raises(ValueError, match=f"only {len(expected)} are"):
+                    select_categories(cats, k=k, seed=case)
+            else:
+                full += 1
+                chosen = select_categories(cats, k=k, seed=case)
+                assert [id(c) for c in chosen] == [id(c) for c in expected], case
+        assert full >= 10 and short >= 10
 
 
 class TestPickChunk:

@@ -23,6 +23,10 @@ pins its report and costs the same way; ``traffic``, ``chaos`` and
 ``sched`` also pin ``BENCH_traffic.json``, ``BENCH_chaos.json`` and
 ``BENCH_sched.json``.
 
+Every selected smoke runs even when an earlier one fails: each failure
+is printed to stderr as ``<name>: FAILED: <why>``, and the exit status is
+1 when any smoke failed.
+
 Usage::
 
     python tools/ci_smoke.py            # run every smoke
@@ -52,6 +56,10 @@ _SUITE_RUN = _REPRO + (
     "run", "--profile", "tiny", "--k", "3", "--scenario", "vod",
     "--backend", "nvenc", "--bisect-iterations", "3",
 )
+
+
+class SmokeFailed(Exception):
+    """One smoke failed; the runner reports it and goes on to the next."""
 
 
 @dataclass(frozen=True)
@@ -277,7 +285,7 @@ def _run(argv: Tuple[str, ...]) -> bytes:
     )
     if proc.returncode != 0:
         sys.stderr.buffer.write(proc.stderr)
-        raise SystemExit(
+        raise SmokeFailed(
             f"smoke command failed ({proc.returncode}): {' '.join(argv)}"
         )
     return proc.stdout
@@ -297,13 +305,13 @@ def run_smoke(smoke: Smoke) -> None:
             outputs.append(_run(argv))
         for index, output in enumerate(outputs[1:], start=1):
             if output != outputs[0]:
-                raise SystemExit(
-                    f"{smoke.name}: variant {index} stdout differs from "
+                raise SmokeFailed(
+                    f"variant {index} stdout differs from "
                     "variant 0 -- the run is not deterministic"
                 )
         if smoke.stdout is not None and outputs[0] != smoke.stdout.encode("utf-8"):
-            raise SystemExit(
-                f"{smoke.name}: stdout drifted from the committed "
+            raise SmokeFailed(
+                "stdout drifted from the committed "
                 f"expectation; if the change is intentional, update the "
                 f"smoke's stdout and explain the drift in the PR.\n"
                 f"expected:\n{smoke.stdout}got:\n"
@@ -317,8 +325,8 @@ def run_smoke(smoke: Smoke) -> None:
             )
             if fresh != committed:
                 (REPO / f"{smoke.baseline}.fresh").write_bytes(fresh)
-                raise SystemExit(
-                    f"{smoke.name}: output drifted from the committed "
+                raise SmokeFailed(
+                    "output drifted from the committed "
                     f"{smoke.baseline} baseline; if the change is "
                     f"intentional, replace it with the emitted "
                     f"{smoke.baseline}.fresh and explain the drift in "
@@ -355,9 +363,22 @@ def main(argv=None) -> int:
     selected = (
         [by_name[name] for name in args.names] if args.names else list(SMOKES)
     )
+    failed = []
     for smoke in selected:
-        run_smoke(smoke)
-        print(f"{smoke.name}: ok")
+        try:
+            run_smoke(smoke)
+        except (SmokeFailed, AssertionError) as exc:
+            failed.append(smoke.name)
+            print(f"{smoke.name}: FAILED: {exc}", file=sys.stderr, flush=True)
+        else:
+            print(f"{smoke.name}: ok", flush=True)
+    if failed:
+        print(
+            f"{len(failed)} of {len(selected)} smokes failed: "
+            f"{', '.join(failed)}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
