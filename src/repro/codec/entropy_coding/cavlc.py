@@ -21,7 +21,7 @@ from repro.codec.entropy_coding.expgolomb import (
     se_codes,
     ue_codes,
 )
-from repro.codec.transform import zigzag_order
+from repro.codec.transform import ZIGZAG_SCANS, zigzag_order
 
 __all__ = ["encode_levels_cavlc", "decode_levels_cavlc"]
 
@@ -181,7 +181,7 @@ def decode_levels_cavlc(
         # value is stream damage, not a caller bug: it must flow through
         # the BitstreamError taxonomy into strict=False concealment.
         raise CorruptPayload(f"block count must be non-negative, got {n_blocks}")
-    scan = zigzag_order(size)
+    scan = ZIGZAG_SCANS[size]
     max_pos = size * size
     out = np.zeros((n_blocks, max_pos), dtype=np.int32)
     if n_blocks == 0:

@@ -16,7 +16,13 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["dct_matrix", "forward_dct", "inverse_dct", "zigzag_order"]
+__all__ = [
+    "ZIGZAG_SCANS",
+    "dct_matrix",
+    "forward_dct",
+    "inverse_dct",
+    "zigzag_order",
+]
 
 
 @lru_cache(maxsize=None)
@@ -73,3 +79,9 @@ def zigzag_order(size: int) -> np.ndarray:
     arr = np.array(order, dtype=np.int64)
     arr.setflags(write=False)
     return arr
+
+
+#: Scan order of each transform size the codec codes (``EncoderConfig``
+#: admits 8 and 16), built once at import: the decode paths index this
+#: table, so no size check of theirs can raise on stream data.
+ZIGZAG_SCANS = {size: zigzag_order(size) for size in (8, 16)}

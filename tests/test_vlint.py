@@ -101,11 +101,9 @@ class TestSelfHosting:
 
     def test_whole_program_self_hosts_clean(self, src_report):
         # Test usage keeps public API alive for VL008, and the shipped
-        # baseline sanctions the two documented VL006 exceptions -- and
-        # nothing else.
+        # baseline sanctions nothing.
         assert src_report.stale_entries == []
-        assert rules_in(src_report.suppressed) == {"VL006"}
-        assert len(src_report.suppressed) == 2
+        assert src_report.suppressed == []
 
     def test_all_eight_rules_registered(self):
         # Eight rule ids were issued.  VL001, VL002 and VL007 are retired
@@ -241,14 +239,15 @@ class TestExceptionHygieneRule:
         assert lint(path, ["VL006"]) == []
 
     def test_real_decode_paths_self_host_clean(self):
-        # Only the two documented transitive leaks, both baselined.
+        # The decode paths index prebuilt scan tables, so nothing leaks
+        # and nothing needs the baseline.
         report = lint_paths(
             [SRC / "codec"],
             rules=["VL006"],
             baseline=load_baseline(REPO / ".vlint.toml"),
         )
         assert report.findings == [], render_text(report)
-        assert len(report.suppressed) == 2
+        assert report.suppressed == []
 
     def test_direct_raise_and_transitive_leak_are_reported_once(
         self, tmp_path
@@ -394,13 +393,8 @@ class TestBaseline:
                 'excuse = "no"\n'
             )
 
-    def test_shipped_baseline_holds_only_documented_vl006_debt(self):
-        baseline = load_baseline(REPO / ".vlint.toml")
-        assert len(baseline.entries) == 2
-        assert {e.rule for e in baseline.entries} == {"VL006"}
-        for entry in baseline.entries:
-            assert "zigzag_order" in entry.reason
-            assert entry.line is not None
+    def test_shipped_baseline_is_empty(self):
+        assert load_baseline(REPO / ".vlint.toml").entries == ()
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +770,7 @@ class TestLintCli:
         # ./.vlint.toml the default baseline.
         monkeypatch.chdir(REPO)
         assert main(["lint", "src"]) == 0
-        assert "vlint: 0 findings (2 baselined)" in capsys.readouterr().out
+        assert "vlint: 0 findings (0 baselined)" in capsys.readouterr().out
 
     def test_nonzero_on_each_rule_fixture(self, capsys):
         fixture_files = sorted((FIXTURES / "src").rglob("*.py"))
