@@ -25,23 +25,17 @@ so serial and ``--jobs N`` reports stay byte-identical.
 * :mod:`repro.analysis.callgraph` -- cross-module call-graph resolution.
 * :mod:`repro.analysis.project` -- the merged index + fixed-point solve.
 * :mod:`repro.analysis.findings` -- structured findings.
-* :mod:`repro.analysis.baseline` -- the ``.vlint.toml`` allowlist.
 * :mod:`repro.analysis.reporters` -- text and stable-JSON rendering.
 * :mod:`repro.analysis.checkers` -- the project rules (VL003-VL006,
   VL008).
 
 Run it as ``python -m repro lint`` (the CI gate) or programmatically via
-:func:`lint_paths` / :func:`build_project_index`.  The repo self-hosts:
-``tests/test_vlint.py`` asserts the source tree lints clean.
+:func:`lint_paths` / :func:`build_project_index`.  Nothing mutes a rule:
+there is no allowlist file and no inline suppression, so any finding
+fails the run.  The repo self-hosts: ``tests/test_vlint.py`` asserts the
+source tree lints clean.
 """
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    load_baseline,
-    parse_baseline,
-    render_baseline,
-)
 from repro.analysis.checkers import (
     DeadApiChecker,
     ExceptionHygieneChecker,
@@ -64,7 +58,6 @@ from repro.analysis.registry import (
     ModuleInfo,
     all_checkers,
     checker_for,
-    known_rules,
     register,
 )
 from repro.analysis.reporters import (
@@ -74,8 +67,6 @@ from repro.analysis.reporters import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Checker",
     "DeadApiChecker",
     "ExceptionHygieneChecker",
@@ -94,12 +85,8 @@ __all__ = [
     "checker_for",
     "collect_summaries",
     "discover_pairs",
-    "known_rules",
     "lint_paths",
-    "load_baseline",
     "module_name_for",
-    "parse_baseline",
-    "render_baseline",
     "render_json",
     "render_text",
     "register",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
@@ -40,8 +40,7 @@ from typing import (
     Union,
 )
 
-from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectIndex
 from repro.analysis.registry import ModuleInfo, all_checkers
 from repro.analysis.summaries import ModuleSummary, extract_summary
@@ -56,25 +55,18 @@ __all__ = [
 #: Directories never descended into during file discovery.
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
-#: Pseudo-rule for engine-level hygiene findings (stale baseline entries).
-STALE_BASELINE_RULE = "VL000"
-
 
 @dataclass
 class LintReport:
     """The outcome of one lint run."""
 
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
-    files_checked: int = 0
-    stale_entries: List[BaselineEntry] = field(default_factory=list)
-    call_graph: Dict[str, Any] = field(default_factory=dict)
+    findings: List[Finding]
+    files_checked: int
+    call_graph: Dict[str, Any]
 
     @property
     def ok(self) -> bool:
-        return not any(
-            f.severity is Severity.ERROR for f in self.findings
-        )
+        return not self.findings
 
 
 def module_name_for(path: Union[str, Path]) -> str:
@@ -192,7 +184,6 @@ def collect_summaries(
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
     jobs: int = 1,
     reference_paths: Sequence[Union[str, Path]] = (),
 ) -> LintReport:
@@ -214,62 +205,8 @@ def lint_paths(
     ).solve()
     for checker in all_checkers(rule_tuple):
         merged.extend(checker.check_project(index))
-    report = LintReport(
-        files_checked=len(files), call_graph=index.graph.to_dict()
+    return LintReport(
+        findings=sorted(merged, key=Finding.sort_key),
+        files_checked=len(files),
+        call_graph=index.graph.to_dict(),
     )
-
-    if baseline is None:
-        report.findings = merged
-        return _finish_report(report)
-
-    matched: set = set()
-    for finding in merged:
-        entry_index = next(
-            (
-                i
-                for i, entry in enumerate(baseline.entries)
-                if entry.matches(finding)
-            ),
-            None,
-        )
-        if entry_index is None:
-            report.findings.append(finding)
-        else:
-            matched.add(entry_index)
-            report.suppressed.append(finding)
-    # Staleness is only decidable when the complete rule surface ran: a
-    # rule-filtered run never produces the other rules' findings, so
-    # their baseline entries would read as false stales.
-    if rules is not None:
-        return _finish_report(report)
-    report.stale_entries = [
-        entry
-        for i, entry in enumerate(baseline.entries)
-        if i not in matched
-    ]
-    baseline_path = baseline.source or ".vlint.toml"
-    for entry in report.stale_entries:
-        where = f"{entry.rule} at {entry.path}"
-        if entry.line is not None:
-            where += f":{entry.line}"
-        report.findings.append(
-            Finding(
-                rule=STALE_BASELINE_RULE,
-                path=baseline_path,
-                line=entry.lineno or 0,
-                column=1,
-                message=(
-                    f"stale baseline entry ({where}) matched no finding; "
-                    f"the sanctioned site is gone -- remove the entry or "
-                    f"run `repro lint --prune-baseline`"
-                ),
-                severity=Severity.WARNING,
-            )
-        )
-    return _finish_report(report)
-
-
-def _finish_report(report: LintReport) -> LintReport:
-    report.findings.sort(key=Finding.sort_key)
-    report.suppressed.sort(key=Finding.sort_key)
-    return report

@@ -1,8 +1,8 @@
 """Structured lint findings.
 
 Every checker reports :class:`Finding` objects -- never raw strings -- so
-the engine can sort, deduplicate, baseline-filter, and render them through
-any reporter without re-parsing messages.  Findings order deterministically
+the engine can sort, deduplicate, and render them through any reporter
+without re-parsing messages.  Findings order deterministically
 (path, line, column, rule) so text and JSON reports are byte-stable across
 runs, process pools, and machines: the same property the rest of the repo
 demands of transcode reports.
@@ -20,12 +20,11 @@ __all__ = ["Severity", "Finding"]
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings break the reproducibility/symmetry contracts and fail
-    the lint gate; ``WARNING`` findings are reported but advisory.
+    Every finding is an ``ERROR``: it breaks a reproducibility/symmetry
+    contract and fails the lint gate.
     """
 
     ERROR = "error"
-    WARNING = "warning"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -30,7 +30,6 @@ __all__ = [
     "register",
     "all_checkers",
     "checker_for",
-    "known_rules",
 ]
 
 
@@ -101,12 +100,6 @@ def register(cls: Type[Checker]) -> Type[Checker]:
 def _ensure_loaded() -> None:
     # Importing the checkers package runs every @register decorator.
     import repro.analysis.checkers  # noqa: F401
-
-
-def known_rules() -> List[str]:
-    """All registered rule ids, sorted."""
-    _ensure_loaded()
-    return sorted(_REGISTRY)
 
 
 def checker_for(rule: str) -> Checker:

@@ -13,7 +13,7 @@ from repro.analysis.engine import LintReport
 
 __all__ = ["render_text", "render_json", "JSON_REPORT_VERSION"]
 
-JSON_REPORT_VERSION = 1
+JSON_REPORT_VERSION = 2
 
 
 def render_text(report: LintReport) -> str:
@@ -22,7 +22,6 @@ def render_text(report: LintReport) -> str:
     summary = (
         f"vlint: {len(report.findings)} finding"
         f"{'' if len(report.findings) == 1 else 's'}"
-        f" ({len(report.suppressed)} baselined)"
         f" in {report.files_checked} file"
         f"{'' if report.files_checked == 1 else 's'}"
     )
@@ -37,6 +36,5 @@ def render_json(report: LintReport) -> str:
         "files_checked": report.files_checked,
         "ok": report.ok,
         "findings": [f.to_dict() for f in report.findings],
-        "suppressed": [f.to_dict() for f in report.suppressed],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -227,17 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit a machine-stable JSON report"
     )
     lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="allowlist of sanctioned findings "
-        "(default: ./.vlint.toml when present)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    lint.add_argument(
         "--rules",
         metavar="IDS",
         help="comma-separated rule ids to run (default: all)",
@@ -261,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph-out",
         metavar="FILE",
         help="write the resolved call graph as JSON",
-    )
-    lint.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="rewrite the baseline file with stale entries removed",
     )
     return parser
 
@@ -742,25 +726,11 @@ def _cmd_lint(args) -> int:
     from pathlib import Path
 
     import repro
-    from repro.analysis.baseline import load_baseline, render_baseline
-    from repro.analysis.engine import STALE_BASELINE_RULE, lint_paths
+    from repro.analysis.engine import lint_paths
     from repro.analysis.reporters import render_json, render_text
     from repro.record import write_record
 
     paths = args.paths or [str(Path(repro.__file__).parent)]
-    if args.prune_baseline and args.rules:
-        raise ValueError(
-            "--prune-baseline cannot be combined with --rules "
-            "(staleness is only decidable on a complete run)"
-        )
-    baseline = None
-    baseline_path = args.baseline or ".vlint.toml"
-    if not args.no_baseline and (
-        args.baseline or Path(baseline_path).exists()
-    ):
-        baseline = load_baseline(baseline_path)
-    if args.prune_baseline and baseline is None:
-        raise ValueError("--prune-baseline: no baseline file to prune")
     rules = (
         [r.strip() for r in args.rules.split(",") if r.strip()]
         if args.rules
@@ -772,29 +742,11 @@ def _cmd_lint(args) -> int:
     report = lint_paths(
         paths,
         rules=rules,
-        baseline=baseline,
         jobs=args.jobs,
         reference_paths=reference,
     )
     if args.graph_out:
         write_record(args.graph_out, report.call_graph)
-    if args.prune_baseline and report.stale_entries:
-        stale = set(report.stale_entries)
-        kept = [e for e in baseline.entries if e not in stale]
-        Path(baseline_path).write_text(
-            render_baseline(kept), encoding="utf-8"
-        )
-        print(
-            f"pruned {len(stale)} stale entr"
-            f"{'y' if len(stale) == 1 else 'ies'} from {baseline_path} "
-            f"({len(kept)} kept)",
-            file=sys.stderr,
-        )
-        # The entries those warnings point at are gone now.
-        report.findings = [
-            f for f in report.findings if f.rule != STALE_BASELINE_RULE
-        ]
-        report.stale_entries = []
     if args.json:
         print(render_json(report))
     else:

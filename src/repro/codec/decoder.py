@@ -65,13 +65,6 @@ class DecodeResult:
         """Number of frames replaced by error concealment."""
         return int(sum(self.concealed))
 
-    @property
-    def decodable_fraction(self) -> float:
-        """Fraction of frames decoded from actual payload data."""
-        if not self.concealed:
-            return 1.0
-        return 1.0 - self.frames_concealed / len(self.concealed)
-
 
 class Decoder:
     """Stateless decoder object (state lives per-call)."""

@@ -35,6 +35,8 @@ def encode_levels_cavlc(writer: BitWriter, levels: np.ndarray) -> int:
     levels = np.asarray(levels)
     if levels.ndim != 3 or levels.shape[1] != levels.shape[2]:
         raise ValueError(f"expected (n, S, S) levels, got shape {levels.shape}")
+    if levels.dtype.kind not in "iu":
+        raise ValueError(f"levels must be integers, got dtype {levels.dtype}")
     n, size, _ = levels.shape
     if n == 0:
         return 0

@@ -232,8 +232,3 @@ class RateControl:
             return self._qp_state
         wanted_qstep = self._model_scale / target
         return 4.0 + 6.0 * math.log2(max(wanted_qstep, 1e-9))
-
-    @property
-    def bits_spent(self) -> float:
-        """Total bits reported through :meth:`feedback`."""
-        return self._bits_spent

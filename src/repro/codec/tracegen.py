@@ -42,18 +42,9 @@ __all__ = [
     "record_i_frame",
 ]
 
-#: Names (and ids) of the modelled branch contexts.
-BRANCH_CONTEXTS = (
-    "skip_decision",
-    "intra_decision",
-    "mv_nonzero",
-    "coded_block",
-    "coeff_significant",
-    "mv_sign_y",
-    "mv_sign_x",
-    "coeff_sign",
-    "subpel_bit",
-)
+# Branch context ids: 0 skip_decision, 1 intra_decision, 2 mv_nonzero,
+# 3 coded_block, 4 coeff_significant, 5 mv_sign_y, 6 mv_sign_x,
+# 7 coeff_sign, 8 subpel_bit.
 
 # Fixed buffer base addresses (bytes): encoders reuse their frame buffers,
 # which is what gives the LLC its temporal locality across frames.

@@ -3,18 +3,17 @@
 Each transcode reports three values -- speed, bitrate, quality -- per
 video.  Scores are computed only when the scenario constraint holds, and
 results are *never* aggregated into averages: "significant information
-would be lost"; providers weight videos by their own corpus.  The helpers
-here format per-video tables (ASCII and CSV) and refuse to average.
+would be lost"; providers weight videos by their own corpus.  The one
+helper here formats a per-video table and refuses to average.
 """
 
 from __future__ import annotations
 
-import io
 from typing import List, Sequence
 
 from repro.core.scenarios import ScenarioScore
 
-__all__ = ["format_scores", "scores_to_csv", "format_metric_rows"]
+__all__ = ["format_scores"]
 
 
 def format_scores(scores: Sequence[ScenarioScore], title: str = "") -> str:
@@ -29,43 +28,4 @@ def format_scores(scores: Sequence[ScenarioScore], title: str = "") -> str:
             f"{s.video_name:<16} {s.ratios.speed:8.2f} {s.ratios.bitrate:8.2f} "
             f"{s.ratios.quality:8.3f} {cell}"
         )
-    return "\n".join(lines)
-
-
-def scores_to_csv(scores: Sequence[ScenarioScore]) -> str:
-    """CSV with one row per video (empty score cell = constraint failed)."""
-    buffer = io.StringIO()
-    buffer.write("scenario,video,S,B,Q,constraint_met,score\n")
-    for s in scores:
-        score = f"{s.score:.6g}" if s.score is not None else ""
-        buffer.write(
-            f"{s.scenario.value},{s.video_name},{s.ratios.speed:.6g},"
-            f"{s.ratios.bitrate:.6g},{s.ratios.quality:.6g},"
-            f"{int(s.constraint_met)},{score}\n"
-        )
-    return buffer.getvalue()
-
-
-def format_metric_rows(
-    names: Sequence[str],
-    columns: Sequence[Sequence[float]],
-    headers: Sequence[str],
-    title: str = "",
-    precision: int = 2,
-) -> str:
-    """Generic per-video metric table (used by the figure benchmarks)."""
-    if any(len(col) != len(names) for col in columns):
-        raise ValueError("all columns must match the number of videos")
-    if len(headers) != len(columns):
-        raise ValueError("one header per column required")
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    header = f"{'video':<16} " + " ".join(f"{h:>10}" for h in headers)
-    lines.append(header)
-    for i, name in enumerate(names):
-        row = f"{name:<16} " + " ".join(
-            f"{col[i]:>10.{precision}f}" for col in columns
-        )
-        lines.append(row)
     return "\n".join(lines)

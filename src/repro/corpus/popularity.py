@@ -66,13 +66,6 @@ class PopularityModel:
         mass = self.raw_mass(np.arange(1, n_videos + 1))
         return self.total_views * mass / mass.sum()
 
-    def watch_share(self, n_videos: int, top: int) -> float:
-        """Fraction of total views captured by the ``top`` most popular."""
-        if not 0 < top <= n_videos:
-            raise ValueError(f"top must be in (0, {n_videos}], got {top}")
-        views = self.views(n_videos)
-        return float(views[:top].sum() / views.sum())
-
     def sample_ranks(
         self, n_samples: int, n_videos: int, rng: np.random.Generator
     ) -> np.ndarray:

@@ -303,12 +303,6 @@ class SyntheticCorpus:
         """Total transcoding time over all categories."""
         return float(sum(c.weight for c in self.categories))
 
-    def top_categories(self, n: int) -> List[VideoCategory]:
-        """The ``n`` heaviest categories."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        return sorted(self.categories, key=lambda c: -c.weight)[:n]
-
     def significant_categories(self, min_share: float = 1e-5) -> List[VideoCategory]:
         """Categories above a minimum share of total transcode time."""
         floor = self.total_weight * min_share

@@ -448,10 +448,6 @@ class TranscodeCache:
             return transcoder
         return CachingTranscoder(transcoder, self)
 
-    def entry_count(self) -> int:
-        """Number of entries currently on disk."""
-        return sum(1 for _ in self.root.glob("*/*.vbt"))
-
     def __repr__(self) -> str:
         return f"TranscodeCache(root={str(self.root)!r})"
 

@@ -9,25 +9,17 @@ durations can be compared:
 """
 
 from repro.metrics.bitrate import bits_per_pixel_second, bitrate_bps
-from repro.metrics.perceptual import multiscale_ssim, perceptual_score
-from repro.metrics.psnr import mse, plane_psnr, psnr, psnr_frames
+from repro.metrics.psnr import mse, psnr
 from repro.metrics.speed import megapixels_per_second, pixels_per_second
 from repro.metrics.ssim import ssim, ssim_video
-from repro.metrics.bdrate import bd_rate, bd_psnr
 
 __all__ = [
-    "bd_psnr",
-    "bd_rate",
     "bitrate_bps",
     "bits_per_pixel_second",
     "megapixels_per_second",
     "mse",
-    "multiscale_ssim",
-    "perceptual_score",
     "pixels_per_second",
-    "plane_psnr",
     "psnr",
-    "psnr_frames",
     "ssim",
     "ssim_video",
 ]

@@ -17,10 +17,9 @@ import math
 
 import numpy as np
 
-from repro.video.frame import Frame
 from repro.video.video import Video
 
-__all__ = ["mse", "plane_psnr", "psnr_frames", "psnr", "PSNR_CAP_DB"]
+__all__ = ["mse", "psnr", "PSNR_CAP_DB"]
 
 #: PSNR reported for a mathematically infinite (identical-planes) comparison.
 #: 100 dB is the conventional cap (ffmpeg reports "inf"; we stay numeric).
@@ -36,24 +35,6 @@ def mse(reference: np.ndarray, test: np.ndarray) -> float:
     if ref.shape != out.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {out.shape}")
     return float(np.mean((ref - out) ** 2))
-
-
-def plane_psnr(reference: np.ndarray, test: np.ndarray) -> float:
-    """PSNR in dB between two planes, capped at :data:`PSNR_CAP_DB`."""
-    error = mse(reference, test)
-    if error <= 0.0:
-        return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, 10.0 * math.log10(_PEAK * _PEAK / error))
-
-
-def psnr_frames(reference: Frame, test: Frame) -> float:
-    """Average YCbCr PSNR between two frames."""
-    if reference.resolution != test.resolution:
-        raise ValueError(
-            f"frame size mismatch: {reference.resolution} vs {test.resolution}"
-        )
-    planes = zip(reference.planes(), test.planes())
-    return float(np.mean([plane_psnr(r, t) for r, t in planes]))
 
 
 def psnr(reference: Video, test: Video) -> float:

@@ -22,7 +22,6 @@ from repro.pipeline.farm import (
     RobustnessReport,
     TranscodeFarm,
 )
-from repro.pipeline.ladder import LadderRung, build_ladder
 from repro.pipeline.service import ServiceConfig, VideoRecord
 
 __all__ = [
@@ -31,10 +30,8 @@ __all__ = [
     "DeadLetter",
     "FarmConfig",
     "FarmJobError",
-    "LadderRung",
     "RobustnessReport",
     "ServiceConfig",
     "TranscodeFarm",
     "VideoRecord",
-    "build_ladder",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from repro.encoders.base import (
 from repro.encoders.registry import HARDWARE_BACKENDS, get_transcoder
 from repro.pipeline.costs import CostModel, CostReport
 from repro.pipeline.service import ServiceConfig, VideoRecord
-from repro.robust.breaker import BreakerState, CircuitBreaker
+from repro.robust.breaker import CircuitBreaker
 from repro.robust.clock import SimClock
 from repro.robust.degrade import (
     DEFAULT_PRESET_FALLBACKS,
@@ -588,13 +588,6 @@ class TranscodeFarm:
         self.report.jobs_completed += 1
         return record
 
-    def upload_all(
-        self, videos: Sequence[Video], live: bool = False
-    ) -> List[VideoRecord]:
-        """Upload a batch; returns the records that completed."""
-        records = [self.upload(video, live=live) for video in videos]
-        return [record for record in records if record is not None]
-
     # -- externally-driven job streams ----------------------------------------
 
     #: Bitrate operating point for rate-controlled traffic jobs, in bits
@@ -811,7 +804,3 @@ class TranscodeFarm:
                 self._cache_stats_before
             )
         return report
-
-    def breaker_state(self, spec: str) -> BreakerState:
-        """Current breaker state for one backend spec."""
-        return self.breakers[spec].state

@@ -32,7 +32,6 @@ from repro.record import sha256_hex, stable_json
 __all__ = [
     "LinearModel",
     "MODEL_VERSION",
-    "RATE_MODES",
     "TranscodeTimePredictor",
     "coefficients_path",
     "default_predictor",
@@ -41,10 +40,6 @@ __all__ = [
 
 #: Bump when the feature vector or the JSON schema changes shape.
 MODEL_VERSION = 1
-
-#: Rate-control modes a model can be trained for: constant quality,
-#: single-pass bitrate, two-pass bitrate.
-RATE_MODES = ("crf", "abr1", "abr2")
 
 #: Predictions are clamped to this floor: a linear model extrapolated to
 #: unseen content can go slightly negative, but a transcode never does.

@@ -117,12 +117,6 @@ class EventQueue:
         when, _, event = heapq.heappop(self._heap)
         return when, event
 
-    def peek_when(self) -> float:
-        """Timestamp of the earliest scheduled event."""
-        if not self._heap:
-            raise IndexError("peek into an empty EventQueue")
-        return self._heap[0][0]
-
     def __len__(self) -> int:
         return len(self._heap)
 

@@ -65,10 +65,6 @@ class BimodalPredictor:
             self.predict_and_update(pc, bool(taken))
         return self.mispredictions - before
 
-    @property
-    def misprediction_rate(self) -> float:
-        return self.mispredictions / self.predictions if self.predictions else 0.0
-
 
 class GsharePredictor(BimodalPredictor):
     """2-bit counters indexed by PC XOR global branch history."""

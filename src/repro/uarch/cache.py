@@ -62,12 +62,6 @@ class SetAssociativeCache:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        """Misses / accesses (0 if never accessed)."""
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
     def reset_stats(self) -> None:
         """Zero the hit/miss counters (cache contents stay warm)."""
         self.hits = 0

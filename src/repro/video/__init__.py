@@ -1,4 +1,4 @@
-"""Raw video substrate: frames, color conversion, synthesis, I/O, entropy.
+"""Raw video substrate: frames, synthesis, I/O, entropy.
 
 Everything in :mod:`repro` operates on planar YUV 4:2:0 video, the format
 used throughout commercial video sharing infrastructures (Section 2.1 of the
@@ -7,9 +7,8 @@ planes; :class:`~repro.video.video.Video` is an immutable sequence of frames
 plus timing metadata.
 """
 
-from repro.video.color import rgb_to_yuv420, yuv420_to_rgb
 from repro.video.denoise import denoise_video
 from repro.video.frame import Frame
 from repro.video.video import Video
 
-__all__ = ["Frame", "Video", "denoise_video", "rgb_to_yuv420", "yuv420_to_rgb"]
+__all__ = ["Frame", "Video", "denoise_video"]

@@ -161,21 +161,6 @@ class Frame:
             np.pad(self.v, pad_c, mode="edge"),
         )
 
-    def mean_abs_diff(self, other: "Frame") -> float:
-        """Mean absolute luma difference against another frame.
-
-        Used for scene-cut detection in the encoder: a large jump in luma
-        content signals that inter prediction will fail and an intra frame
-        is warranted.
-        """
-        if other.resolution != self.resolution:
-            raise ValueError(
-                f"frame size mismatch: {self.resolution} vs {other.resolution}"
-            )
-        return float(
-            np.mean(np.abs(self.y.astype(np.int16) - other.y.astype(np.int16)))
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Frame):
             return NotImplemented

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.video.frame import Frame
 
 __all__ = ["Video"]
@@ -170,23 +168,3 @@ class Video:
             frames = self._frames[start : start + per_chunk]
             chunks.append(Video(frames, self._fps, self.name, self._nominal))
         return chunks
-
-    def mean_luma(self) -> float:
-        """Average luma value across all frames (a cheap content statistic)."""
-        return float(np.mean([frame.y.mean() for frame in self._frames]))
-
-    def motion_profile(self) -> np.ndarray:
-        """Per-transition mean absolute luma difference.
-
-        A length ``len(self) - 1`` array; high values indicate motion or
-        scene cuts.  Useful for content characterization and for tests that
-        assert the synthesizers produce the advertised motion classes.
-        """
-        if len(self._frames) < 2:
-            return np.zeros(0)
-        return np.array(
-            [
-                self._frames[i].mean_abs_diff(self._frames[i + 1])
-                for i in range(len(self._frames) - 1)
-            ]
-        )

@@ -76,6 +76,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             encode_levels_cavlc(BitWriter(), np.zeros((8, 8), dtype=np.int32))
 
+    def test_encode_rejects_float_levels(self):
+        # Float levels would be truncated (0.5 to a zero level) into a
+        # stream the decoder rejects as corrupt.
+        levels = np.zeros((2, 8, 8))
+        levels[0, 0, :2] = [0.5, 3.0]
+        levels[1, 0, 0] = -2.7
+        with pytest.raises(ValueError, match="integers"):
+            encode_levels_cavlc(BitWriter(), levels)
+
     def test_decode_rejects_negative_count_as_corruption(self):
         # The count derives from stream-read headers: a corrupt stream must
         # flow through the BitstreamError taxonomy (strict=False conceals),

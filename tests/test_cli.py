@@ -326,14 +326,6 @@ class TestLintUsageErrors:
         "flags, message",
         [
             (["--jobs", "0"], "need at least one job"),
-            (
-                ["--rules", "VL006", "--prune-baseline"],
-                "--prune-baseline cannot be combined with --rules",
-            ),
-            (
-                ["--no-baseline", "--prune-baseline"],
-                "--prune-baseline: no baseline file to prune",
-            ),
         ],
     )
     def test_usage_errors_leave_stdout_empty(

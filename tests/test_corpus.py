@@ -109,11 +109,6 @@ class TestSyntheticCorpus:
         assert corpus.total_weight > 0
         assert all(c.weight > 0 for c in corpus.categories)
 
-    def test_top_categories_sorted(self, corpus):
-        top = corpus.top_categories(10)
-        weights = [c.weight for c in top]
-        assert weights == sorted(weights, reverse=True)
-
     def test_significant_filter(self, corpus):
         sig = corpus.significant_categories(min_share=1e-4)
         assert 0 < len(sig) < len(corpus)

@@ -8,7 +8,7 @@ from repro.core.coverage import (
     coverage_metrics,
     scatter_points,
 )
-from repro.core.reporting import format_metric_rows, format_scores, scores_to_csv
+from repro.core.reporting import format_scores
 from repro.core.scenarios import Ratios, Scenario, ScenarioScore
 from repro.corpus.category import VideoCategory
 from repro.corpus.datasets import coverage_set, dataset_categories
@@ -78,24 +78,6 @@ class TestReporting:
         table = format_scores([_score("a"), _score("b", met=False)], title="t")
         assert "a" in table and "b" in table
         assert "-" in table  # failed constraint renders as dash
-
-    def test_csv_empty_cell_for_failure(self):
-        csv = scores_to_csv([_score("a"), _score("b", met=False)])
-        lines = csv.strip().splitlines()
-        assert lines[0].startswith("scenario,")
-        assert lines[2].endswith(",0,")
-
-    def test_metric_rows(self):
-        table = format_metric_rows(
-            ["a", "b"], [[1.0, 2.0], [3.0, 4.0]], ["S", "B"], title="x"
-        )
-        assert "a" in table and "S" in table
-
-    def test_metric_rows_validation(self):
-        with pytest.raises(ValueError):
-            format_metric_rows(["a"], [[1.0, 2.0]], ["S"])
-        with pytest.raises(ValueError):
-            format_metric_rows(["a"], [[1.0]], ["S", "B"])
 
 
 class TestMotivation:

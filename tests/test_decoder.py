@@ -111,7 +111,6 @@ class TestConcealment:
         result = Decoder().decode(tiny_encode.bitstream, strict=False)
         assert result.concealed == [False, False, False]
         assert result.frames_concealed == 0
-        assert result.decodable_fraction == 1.0
         assert result.video == tiny_encode.recon
 
     def test_damaged_packet_concealed_and_localized(self, tiny_encode):
@@ -121,7 +120,7 @@ class TestConcealment:
         data[payload_offset] ^= 0xFF  # CRC now mismatches: packet rejected
         result = Decoder().decode(bytes(data), strict=False)
         assert result.concealed == [False, True, False]
-        assert result.decodable_fraction == pytest.approx(2 / 3)
+        assert result.frames_concealed == 1
         # Frame 0 is untouched by frame 1's damage -- that is the whole
         # point of per-frame packets.
         assert np.array_equal(result.video[0].y, tiny_encode.recon[0].y)

@@ -1,13 +1,8 @@
-"""Denoising prefilter and the perceptual quality metric."""
+"""Denoising prefilter."""
 
 import numpy as np
 import pytest
 
-from repro.metrics.perceptual import (
-    multiscale_ssim,
-    perceptual_score,
-    temporal_consistency,
-)
 from repro.video.denoise import denoise_video
 from repro.video.frame import Frame
 from repro.video.synthesis import synthesize
@@ -66,49 +61,3 @@ class TestDenoise:
             denoise_video(natural_video, temporal_strength=1.0)
         with pytest.raises(ValueError):
             denoise_video(natural_video, motion_threshold=0)
-
-
-class TestPerceptual:
-    def test_identity_scores_100(self, natural_video):
-        assert perceptual_score(natural_video, natural_video) == pytest.approx(
-            100.0, abs=0.5
-        )
-
-    def test_ms_ssim_identity(self, natural_video):
-        plane = natural_video[0].y
-        assert multiscale_ssim(plane, plane) == pytest.approx(1.0)
-
-    def test_ms_ssim_too_small(self):
-        with pytest.raises(ValueError):
-            multiscale_ssim(np.zeros((4, 4)), np.zeros((4, 4)))
-
-    def test_ranks_encodes_by_quality(self, natural_video):
-        from repro.codec.encoder import encode
-
-        good = encode(natural_video, crf=18).recon
-        bad = encode(natural_video, crf=45).recon
-        assert perceptual_score(natural_video, good) > perceptual_score(
-            natural_video, bad
-        )
-
-    def test_temporal_consistency_catches_flicker(self, natural_video):
-        frames = natural_video.frames
-        flickered = []
-        for i, frame in enumerate(frames):
-            if i % 2:
-                shifted = np.clip(frame.y.astype(int) + 12, 0, 255)
-                flickered.append(
-                    Frame.from_planes(shifted, frame.u, frame.v)
-                )
-            else:
-                flickered.append(frame)
-        wobble = Video(flickered, natural_video.fps)
-        assert temporal_consistency(natural_video, wobble) < 1.0
-
-    def test_temporal_consistency_single_frame(self):
-        video = Video([Frame.blank(16, 16)], fps=10)
-        assert temporal_consistency(video, video) == 1.0
-
-    def test_mismatch_rejected(self, natural_video):
-        with pytest.raises(ValueError):
-            perceptual_score(natural_video, natural_video[:-1])

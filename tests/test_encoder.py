@@ -13,7 +13,6 @@ from repro.codec.encoder import EncodeResult, encode
 from repro.codec.presets import PRESETS, preset
 from repro.codec.types import FrameType
 from repro.metrics.psnr import psnr
-from repro.video.frame import Frame
 from repro.video.synthesis import synthesize
 from repro.video.video import Video
 

@@ -272,10 +272,6 @@ class TestTranscodeCache:
         assert cache.stats.evictions == 1
         assert not path.exists()
 
-    def test_entry_count(self, tmp_path, natural_video):
-        cache, _, _ = self._stored_entry(tmp_path, natural_video)
-        assert cache.entry_count() == 1
-
 
 class TestCachingTranscoder:
     def test_warm_run_performs_zero_encodes(self, tmp_path, natural_video):

@@ -34,7 +34,8 @@ def run_farm(fault_plan=None, views=500, config=None, **farm_kwargs):
         fault_plan=fault_plan,
         **farm_kwargs,
     )
-    farm.upload_all(make_clips())
+    for clip in make_clips():
+        farm.upload(clip)
     if views:
         farm.simulate_views(views, seed=3)
     farm.finalize()
@@ -99,7 +100,8 @@ class TestFaultFreeFarm:
             config=FarmConfig(workers=4),
             service_config=ServiceConfig(popular_threshold_views=10),
         )
-        farm.upload_all(make_clips()[:3])
+        for clip in make_clips()[:3]:
+            farm.upload(clip)
         uploaded = list(farm._workers)
         assert farm.serve_views({"v0": 10, "v1": 10}) == ["v0", "v1"]
         report = farm.finalize()
@@ -126,7 +128,7 @@ class TestChaosSurvival:
 
     def test_dead_backend_breaker_ends_open(self, chaotic):
         assert chaotic.report.breaker_states["x264:veryslow"] == "open"
-        assert chaotic.breaker_state("x264:veryslow") is BreakerState.OPEN
+        assert chaotic.breakers["x264:veryslow"].state is BreakerState.OPEN
 
     def test_faults_were_actually_injected_and_handled(self, chaotic):
         report = chaotic.report
@@ -257,7 +259,8 @@ class TestDeadLetters:
                 ),
             ),
         )
-        farm.upload_all(make_clips())
+        for clip in make_clips():
+            farm.upload(clip)
         uploaded = list(farm._workers)
         promoted = farm.serve_views({"v0": 50})  # crosses the threshold
         report = farm.finalize()

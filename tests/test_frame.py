@@ -126,14 +126,5 @@ class TestOperations:
         with pytest.raises(ValueError):
             Frame.blank(16, 16).pad_to_multiple(15)
 
-    def test_mean_abs_diff(self):
-        a = Frame.blank(16, 16, luma=100)
-        b = Frame.blank(16, 16, luma=110)
-        assert a.mean_abs_diff(b) == pytest.approx(10.0)
-
-    def test_mean_abs_diff_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            Frame.blank(16, 16).mean_abs_diff(Frame.blank(32, 16))
-
     def test_repr(self):
         assert "16x16" in repr(Frame.blank(16, 16))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.metrics.psnr import PSNR_CAP_DB, mse, plane_psnr, psnr, psnr_frames
+from repro.metrics.psnr import PSNR_CAP_DB, mse, psnr
 from repro.video.frame import Frame
 from repro.video.video import Video
 
@@ -25,27 +25,24 @@ class TestMse:
             mse(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+def _flat(value):
+    """One 16x16 frame with every plane at ``value``."""
+    return Video([Frame.blank(16, 16, luma=value, chroma=value)], fps=10)
+
+
 class TestPlanePsnr:
     def test_identical_hits_cap(self):
-        a = np.full((4, 4), 100, dtype=np.uint8)
-        assert plane_psnr(a, a) == PSNR_CAP_DB
+        assert psnr(_flat(100), _flat(100)) == PSNR_CAP_DB
 
     def test_formula(self):
-        a = np.zeros((4, 4), dtype=np.uint8)
-        b = np.full((4, 4), 10, dtype=np.uint8)
         expected = 10 * math.log10(255**2 / 100.0)
-        assert plane_psnr(a, b) == pytest.approx(expected)
+        assert psnr(_flat(0), _flat(10)) == pytest.approx(expected)
 
     def test_monotone_in_error(self):
-        a = np.zeros((4, 4), dtype=np.uint8)
-        small = np.full((4, 4), 2, dtype=np.uint8)
-        large = np.full((4, 4), 20, dtype=np.uint8)
-        assert plane_psnr(a, small) > plane_psnr(a, large)
+        assert psnr(_flat(0), _flat(2)) > psnr(_flat(0), _flat(20))
 
     def test_worst_case_positive(self):
-        a = np.zeros((4, 4), dtype=np.uint8)
-        b = np.full((4, 4), 255, dtype=np.uint8)
-        assert plane_psnr(a, b) == pytest.approx(0.0, abs=1e-9)
+        assert psnr(_flat(0), _flat(255)) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestFrameAndVideo:
@@ -57,11 +54,9 @@ class TestFrameAndVideo:
         )
         luma_only = 10 * math.log10(255**2 / 100.0)
         expected = (luma_only + 2 * PSNR_CAP_DB) / 3.0
-        assert psnr_frames(ref, test) == pytest.approx(expected)
-
-    def test_frame_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            psnr_frames(Frame.blank(16, 16), Frame.blank(32, 16))
+        assert psnr(Video([ref], fps=10), Video([test], fps=10)) == pytest.approx(
+            expected
+        )
 
     def test_video_psnr_identical(self, natural_video):
         assert psnr(natural_video, natural_video) == PSNR_CAP_DB

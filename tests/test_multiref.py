@@ -6,7 +6,6 @@ import pytest
 from repro.codec.decoder import decode
 from repro.codec.encoder import encode
 from repro.codec.presets import EncoderConfig, preset
-from repro.metrics.psnr import psnr
 from repro.video.frame import Frame
 from repro.video.synthesis import synthesize
 from repro.video.video import Video

@@ -18,8 +18,8 @@ class TestShape:
     def test_head_concentration(self):
         """Most watch time concentrates in a few popular videos."""
         model = PopularityModel(alpha=1.0, cutoff_rank=1e4)
-        share = model.watch_share(100_000, top=1000)  # top 1%
-        assert share > 0.5
+        views = model.views(100_000)
+        assert views[:1000].sum() / views.sum() > 0.5  # top 1%
 
     def test_cutoff_kills_deep_tail(self):
         with_cutoff = PopularityModel(alpha=0.8, cutoff_rank=100)
@@ -78,9 +78,3 @@ class TestValidation:
     def test_views_needs_positive_corpus(self):
         with pytest.raises(ValueError):
             PopularityModel().views(0)
-
-    def test_watch_share_bounds(self):
-        with pytest.raises(ValueError):
-            PopularityModel().watch_share(10, top=0)
-        with pytest.raises(ValueError):
-            PopularityModel().watch_share(10, top=11)

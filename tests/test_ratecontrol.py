@@ -114,8 +114,3 @@ class TestTwoPass:
             rc.feedback(FrameType.P, qp, bits)
             total += bits
         assert total == pytest.approx(40_000, rel=0.2)
-
-    def test_bits_spent_property(self):
-        rc = RateControl.crf(20)
-        rc.feedback(FrameType.P, 20, 123)
-        assert rc.bits_spent == 123

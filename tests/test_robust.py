@@ -75,7 +75,6 @@ class TestEventQueue:
         queue.schedule(3.0, "c")
         queue.schedule(1.0, "a")
         queue.schedule(2.0, "b")
-        assert queue.peek_when() == 1.0
         assert [queue.pop() for _ in range(3)] == [
             (1.0, "a"), (2.0, "b"), (3.0, "c")
         ]
@@ -98,8 +97,6 @@ class TestEventQueue:
     def test_empty_pops_raise(self):
         with pytest.raises(IndexError):
             EventQueue().pop()
-        with pytest.raises(IndexError):
-            EventQueue().peek_when()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_bad_timestamps_rejected(self, bad):

@@ -6,6 +6,12 @@ import pytest
 from repro.video.synthesis import CONTENT_CLASSES, synthesize
 
 
+def motion_profile(video):
+    """Mean absolute luma difference across each frame transition."""
+    luma = np.stack([frame.y.astype(np.int16) for frame in video])
+    return np.abs(np.diff(luma, axis=0)).mean(axis=(1, 2))
+
+
 class TestDispatch:
     def test_all_classes_registered(self):
         assert set(CONTENT_CLASSES) == {
@@ -64,21 +70,21 @@ class TestClassCharacteristics:
 
     def test_slideshow_is_static_within_slides(self):
         video = synthesize("slideshow", 64, 48, 8, 4.0, seed=1, slide_seconds=10.0)
-        assert np.allclose(video.motion_profile(), 0.0)
+        assert np.allclose(motion_profile(video), 0.0)
 
     def test_slideshow_cuts_between_slides(self):
         video = synthesize("slideshow", 64, 48, 8, 4.0, seed=1, slide_seconds=1.0)
-        assert video.motion_profile().max() > 5.0
+        assert motion_profile(video).max() > 5.0
 
     def test_screencast_mostly_static(self):
         video = synthesize("screencast", 64, 48, 8, 12.0, seed=1)
-        profile = video.motion_profile()
+        profile = motion_profile(video)
         assert profile.mean() < 3.0
 
     def test_sports_has_most_motion(self):
         calm = synthesize("natural", 64, 48, 8, 12.0, seed=1)
         wild = synthesize("sports", 64, 48, 8, 12.0, seed=1)
-        assert wild.motion_profile().mean() > calm.motion_profile().mean()
+        assert motion_profile(wild).mean() > motion_profile(calm).mean()
 
     def test_gaming_hud_is_static(self):
         video = synthesize("gaming", 64, 48, 6, 12.0, seed=1)
@@ -89,9 +95,9 @@ class TestClassCharacteristics:
 
     def test_natural_motion_is_smooth(self):
         video = synthesize("natural", 64, 48, 8, 12.0, seed=1)
-        profile = video.motion_profile()
+        profile = motion_profile(video)
         assert profile.std() < profile.mean() + 1.0
 
     def test_animation_shapes_move(self):
         video = synthesize("animation", 64, 48, 8, 12.0, seed=1, speed=2.0)
-        assert video.motion_profile().mean() > 0.1
+        assert motion_profile(video).mean() > 0.1

@@ -1,6 +1,5 @@
 """Video container: validation, sequence protocol, derived clips."""
 
-import numpy as np
 import pytest
 
 from repro.video.frame import Frame
@@ -100,22 +99,3 @@ class TestDerived:
     def test_chunk_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             _video().chunk(0)
-
-    def test_motion_profile_static(self):
-        frames = [Frame.blank(16, 16, luma=50)] * 4
-        video = Video(frames, fps=10)
-        assert np.allclose(video.motion_profile(), 0.0)
-
-    def test_motion_profile_single_frame(self):
-        video = Video([Frame.blank(16, 16)], fps=10)
-        assert video.motion_profile().size == 0
-
-    def test_motion_profile_detects_change(self):
-        video = _video()
-        profile = video.motion_profile()
-        assert profile.shape == (3,)
-        assert np.all(profile == 1.0)
-
-    def test_mean_luma(self):
-        video = Video([Frame.blank(16, 16, luma=100)] * 2, fps=10)
-        assert video.mean_luma() == pytest.approx(100.0)

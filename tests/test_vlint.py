@@ -1,4 +1,4 @@
-"""vlint static analysis: self-hosting, fixtures, baseline, reporters, CLI.
+"""vlint static analysis: self-hosting, fixtures, reporters, CLI.
 
 The big contracts under test:
 
@@ -28,30 +28,23 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineEntry,
     DeadApiChecker,
     ExceptionHygieneChecker,
     ExportSyncChecker,
-    Finding,
     ForkSafetyChecker,
     JSON_REPORT_VERSION,
     Severity,
     SymmetricPair,
     SymmetryChecker,
+    all_checkers,
     build_project_index,
     checker_for,
     discover_pairs,
-    known_rules,
     lint_paths,
-    load_baseline,
     module_name_for,
-    parse_baseline,
-    render_baseline,
     render_json,
     render_text,
 )
-from repro.analysis.engine import STALE_BASELINE_RULE
 from repro.cli import build_parser, main
 from repro.codec.entropy_coding.bitio import BitReader, BitWriter
 
@@ -75,17 +68,14 @@ def _overrides(rule, hook):
 
 #: The rules with a file-local implementation (``check``); the rest are
 #: project rules (``check_project``).
-FILE_RULES = [rule for rule in known_rules() if _overrides(rule, "check")]
+RULES = [checker.rule for checker in all_checkers()]
+FILE_RULES = [rule for rule in RULES if _overrides(rule, "check")]
 
 
 @pytest.fixture(scope="module")
 def src_report():
     """The CI gate, run once: src/ with tests/ as the reference tree."""
-    return lint_paths(
-        [SRC],
-        reference_paths=[REPO / "tests"],
-        baseline=load_baseline(REPO / ".vlint.toml"),
-    )
+    return lint_paths([SRC], reference_paths=[REPO / "tests"])
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +90,17 @@ class TestSelfHosting:
         assert src_report.files_checked > 80
 
     def test_whole_program_self_hosts_clean(self, src_report):
-        # Test usage keeps public API alive for VL008, and the shipped
-        # baseline sanctions nothing.
-        assert src_report.stale_entries == []
-        assert src_report.suppressed == []
+        # Test usage keeps public API alive for VL008, and the project
+        # rules find nothing across the resolved call graph.
+        assert src_report.call_graph["functions"]
+        assert src_report.findings == []
 
     def test_all_eight_rules_registered(self):
         # Eight rule ids were issued.  VL001, VL002 and VL007 are retired
         # (DESIGN.md, "Which rules earn their code"); ids are never reused.
         issued = [f"VL00{n}" for n in range(1, 9)]
         retired = {"VL001", "VL002", "VL007"}
-        assert known_rules() == [rule for rule in issued if rule not in retired]
+        assert RULES == [rule for rule in issued if rule not in retired]
 
     def test_registry_maps_rules_to_checkers(self):
         expected = {
@@ -124,7 +114,7 @@ class TestSelfHosting:
             assert isinstance(checker_for(rule), cls)
 
     def test_each_rule_has_exactly_one_implementation(self):
-        for rule in known_rules():
+        for rule in RULES:
             file_rule = _overrides(rule, "check")
             project_rule = _overrides(rule, "check_project")
             assert file_rule != project_rule, rule
@@ -239,15 +229,9 @@ class TestExceptionHygieneRule:
         assert lint(path, ["VL006"]) == []
 
     def test_real_decode_paths_self_host_clean(self):
-        # The decode paths index prebuilt scan tables, so nothing leaks
-        # and nothing needs the baseline.
-        report = lint_paths(
-            [SRC / "codec"],
-            rules=["VL006"],
-            baseline=load_baseline(REPO / ".vlint.toml"),
-        )
+        # The decode paths index prebuilt scan tables, so nothing leaks.
+        report = lint_paths([SRC / "codec"], rules=["VL006"])
         assert report.findings == [], render_text(report)
-        assert report.suppressed == []
 
     def test_direct_raise_and_transitive_leak_are_reported_once(
         self, tmp_path
@@ -326,75 +310,6 @@ class TestEngine:
         report = lint_paths([FIXTURES])
         keys = [f.sort_key() for f in report.findings]
         assert keys == sorted(keys)
-
-
-# ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_baseline_suppresses_matching_findings(self):
-        baseline = Baseline(
-            entries=(
-                BaselineEntry(
-                    rule="VL005",
-                    path="src/repro/badpkg/__init__.py",
-                    reason="fixture",
-                ),
-            )
-        )
-        report = lint_paths([FIXTURES], baseline=baseline)
-        # The entry silences its own file's VL005 findings and nothing
-        # else: the planted VL005 packages still report.
-        badpkg = "badpkg/__init__.py"
-        assert rules_in(report.suppressed) == {"VL005"}
-        assert all(f.path.endswith(badpkg) for f in report.suppressed)
-        vl005 = [f for f in report.findings if f.rule == "VL005"]
-        assert vl005 and not any(f.path.endswith(badpkg) for f in vl005)
-
-    def test_line_scoped_entry(self):
-        finding = Finding(
-            rule="VL005", path="src/a.py", line=10, column=1, message="m"
-        )
-        hit = BaselineEntry(rule="VL005", path="src/a.py", reason="r", line=10)
-        miss = BaselineEntry(rule="VL005", path="src/a.py", reason="r", line=9)
-        assert hit.matches(finding)
-        assert not miss.matches(finding)
-
-    def test_parse_roundtrip(self):
-        text = (
-            "# comment\n"
-            "[[allow]]\n"
-            'rule = "VL003"\n'
-            'path = "src/x.py"\n'
-            "line = 12\n"
-            'reason = "intentional wrap # really"\n'
-        )
-        baseline = parse_baseline(text)
-        assert baseline.entries == (
-            BaselineEntry(
-                rule="VL003",
-                path="src/x.py",
-                reason="intentional wrap # really",
-                line=12,
-                lineno=2,  # the [[allow]] header's own line
-            ),
-        )
-
-    def test_reason_is_mandatory(self):
-        with pytest.raises(ValueError, match="reason"):
-            parse_baseline('[[allow]]\nrule = "VL005"\npath = "x.py"\n')
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_baseline(
-                '[[allow]]\nrule = "VL005"\npath = "x"\nreason = "r"\n'
-                'excuse = "no"\n'
-            )
-
-    def test_shipped_baseline_is_empty(self):
-        assert load_baseline(REPO / ".vlint.toml").entries == ()
 
 
 # ---------------------------------------------------------------------------
@@ -581,142 +496,6 @@ class TestWholeProgram:
 
 
 # ---------------------------------------------------------------------------
-# Baseline hygiene: stale entries surface, --prune-baseline removes them
-# ---------------------------------------------------------------------------
-
-#: An entry for a retired rule on a deleted file: stale by construction.
-STALE_TEXT = (
-    "[[allow]]\n"
-    'rule = "VL001"\n'
-    'path = "src/repro/gone.py"\n'
-    "line = 3\n"
-    'reason = "the sanctioned site was deleted long ago"\n'
-)
-
-LIVE_TEXT = (
-    "[[allow]]\n"
-    'rule = "VL008"\n'
-    'path = "src/repro/deadpkg/__init__.py"\n'
-    'reason = "kept for a downstream consumer"\n'
-)
-
-
-class TestBaselineHygiene:
-    def test_stale_entry_becomes_a_warning_on_full_runs(self, tmp_path):
-        baseline_file = tmp_path / "allow.toml"
-        baseline_file.write_text(STALE_TEXT)
-        baseline = load_baseline(baseline_file)
-        report = lint_paths([WHOLE_PROGRAM], baseline=baseline)
-        assert report.stale_entries == list(baseline.entries)
-        [warning] = [
-            f for f in report.findings if f.rule == STALE_BASELINE_RULE
-        ]
-        assert warning.severity is Severity.WARNING
-        assert warning.path == str(baseline_file)
-        assert "VL001 at src/repro/gone.py:3" in warning.message
-        assert "--prune-baseline" in warning.message
-
-    def test_warnings_do_not_fail_the_run(self, tmp_path):
-        clean = tmp_path / "src" / "repro" / "quiet.py"
-        clean.parent.mkdir(parents=True)
-        clean.write_text('"""Nothing to see."""\n\nVALUE = 1\n')
-        baseline_file = tmp_path / "allow.toml"
-        baseline_file.write_text(STALE_TEXT)
-        report = lint_paths([clean], baseline=load_baseline(baseline_file))
-        assert rules_in(report.findings) == {STALE_BASELINE_RULE}
-        assert report.ok  # a stale entry warns; it never gates CI.
-
-    def test_staleness_undecidable_on_partial_runs(self, tmp_path):
-        baseline_file = tmp_path / "allow.toml"
-        baseline_file.write_text(STALE_TEXT)
-        filtered = lint_paths(
-            [WHOLE_PROGRAM],
-            rules=["VL005"],
-            baseline=load_baseline(baseline_file),
-        )
-        assert filtered.stale_entries == []
-        assert filtered.findings == []
-
-    def test_render_baseline_roundtrips(self):
-        entries = (
-            BaselineEntry(
-                rule="VL003", path="src/x.py", reason="sanctioned", line=9
-            ),
-            BaselineEntry(rule="VL005", path="src/y.py", reason="legacy"),
-        )
-        parsed = parse_baseline(render_baseline(entries))
-        assert [
-            (e.rule, e.path, e.line, e.reason) for e in parsed.entries
-        ] == [(e.rule, e.path, e.line, e.reason) for e in entries]
-
-    def test_prune_baseline_cli_drops_only_stale_entries(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        baseline_file = tmp_path / "allow.toml"
-        baseline_file.write_text(LIVE_TEXT + "\n" + STALE_TEXT)
-        code = main(
-            [
-                "lint",
-                "--baseline",
-                str(baseline_file),
-                "--prune-baseline",
-                str(WHOLE_PROGRAM),
-            ]
-        )
-        # The fixture still has an unbaselined error (VL006); pruning
-        # reports it and fails like any other run.
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "pruned 1 stale entry" in captured.err
-        assert "VL006" in captured.out
-        assert STALE_BASELINE_RULE not in captured.out
-        kept = load_baseline(baseline_file)
-        assert len(kept.entries) == 1
-        assert kept.entries[0].rule == "VL008"
-        assert kept.entries[0].reason == "kept for a downstream consumer"
-
-    def test_prune_baseline_without_stale_entries_leaves_file_untouched(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        baseline_file = tmp_path / "allow.toml"
-        text = "# A hand-written header that must survive.\n\n" + LIVE_TEXT
-        baseline_file.write_text(text)
-        code = main(
-            [
-                "lint",
-                "--baseline",
-                str(baseline_file),
-                "--prune-baseline",
-                str(WHOLE_PROGRAM),
-            ]
-        )
-        assert code == 1
-        assert baseline_file.read_text() == text
-        captured = capsys.readouterr()
-        assert "pruned" not in captured.err
-        assert "1 finding (1 baselined)" in captured.out
-
-    def test_prune_baseline_rejects_a_rules_filter(self, tmp_path, capsys):
-        baseline_file = tmp_path / "allow.toml"
-        baseline_file.write_text(STALE_TEXT)
-        assert main(
-            [
-                "lint",
-                "--baseline",
-                str(baseline_file),
-                "--rules",
-                "VL005",
-                "--prune-baseline",
-                str(WHOLE_PROGRAM),
-            ]
-        ) == 2
-        assert "cannot be combined with --rules" in capsys.readouterr().err
-        assert baseline_file.read_text() == STALE_TEXT
-
-
-# ---------------------------------------------------------------------------
 # Reporters
 # ---------------------------------------------------------------------------
 
@@ -727,7 +506,8 @@ class TestReporters:
         twice = render_json(lint_paths([FIXTURES], jobs=2))
         assert once == twice
         payload = json.loads(once)
-        assert payload["version"] == JSON_REPORT_VERSION == 1
+        assert payload["version"] == JSON_REPORT_VERSION == 2
+        assert set(payload) == {"findings", "files_checked", "ok", "version"}
         assert payload["ok"] is False
         assert payload["files_checked"] == 13
         finding = payload["findings"][0]
@@ -761,16 +541,14 @@ FIXTURE_GRAPH_SHA256 = (
 class TestLintCli:
     @pytest.fixture(autouse=True)
     def _outside_the_repo(self, tmp_path, monkeypatch):
-        # No ./tests reference tree and no ./.vlint.toml unless a test
-        # asks for the repo root.
+        # No ./tests reference tree unless a test asks for the repo root.
         monkeypatch.chdir(tmp_path)
 
     def test_repo_lints_clean(self, capsys, monkeypatch):
-        # The CI gate, flagless: ./tests is the default reference tree and
-        # ./.vlint.toml the default baseline.
+        # The CI gate, flagless: ./tests is the default reference tree.
         monkeypatch.chdir(REPO)
         assert main(["lint", "src"]) == 0
-        assert "vlint: 0 findings (0 baselined)" in capsys.readouterr().out
+        assert "vlint: 0 findings in " in capsys.readouterr().out
 
     def test_nonzero_on_each_rule_fixture(self, capsys):
         fixture_files = sorted((FIXTURES / "src").rglob("*.py"))
@@ -791,22 +569,26 @@ class TestLintCli:
         assert "VL005" in out
         assert "VL004" not in out
 
-    def test_baseline_flag(self, tmp_path, capsys):
-        baseline = tmp_path / "allow.toml"
-        baseline.write_text(
-            "[[allow]]\n"
-            'rule = "VL005"\n'
-            'path = "src/repro/badpkg/__init__.py"\n'
-            'reason = "fixture is intentionally broken"\n'
+    def test_no_file_mutes_a_finding(self, tmp_path, capsys):
+        # An allowlist in the working directory is just a file: the dead
+        # export it names is still reported and still fails the run.
+        package = tmp_path / "src" / "repro" / "mutepkg" / "__init__.py"
+        package.parent.mkdir(parents=True)
+        package.write_text(
+            '"""A package exporting a name nothing reads."""\n\n'
+            '__all__ = ["dead"]\n\n\n'
+            "def dead():\n    return 1\n"
         )
-        fixture = FIXTURES / "src" / "repro" / "badpkg" / "__init__.py"
-        assert main(
-            [
-                "lint", "--rules", "VL005", "--baseline", str(baseline),
-                str(fixture),
-            ]
-        ) == 0
-        assert "2 baselined" in capsys.readouterr().out
+        (tmp_path / ".vlint.toml").write_text(
+            "[[allow]]\n"
+            'rule = "VL008"\n'
+            'path = "src/repro/mutepkg/__init__.py"\n'
+            'reason = "kept for a downstream consumer"\n'
+        )
+        assert main(["lint", "src"]) == 1
+        out = capsys.readouterr().out
+        assert "src/repro/mutepkg/__init__.py:3:12: VL008 [error]" in out
+        assert out.endswith("vlint: 1 finding in 1 file\n")
 
     def test_jobs_flag_output_identical(self, capsys):
         main(["lint", "--json", str(FIXTURES)])
@@ -849,7 +631,9 @@ class TestLintCli:
             for action in lint_parser._actions
             if action.option_strings and action.dest != "help"
         ]
-        assert len(flags) == 8, flags
+        assert sorted(flags) == [
+            "--graph-out", "--jobs", "--json", "--reference", "--rules",
+        ]
 
     def test_whole_program_cli_fires_and_is_parallel_stable(
         self, capsys
