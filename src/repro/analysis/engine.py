@@ -117,7 +117,7 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
 
 
 def _process_one(
-    task: Tuple[str, Optional[Tuple[str, ...]]]
+    task: Tuple[str, Optional[Tuple[str, ...]], bool]
 ) -> Tuple[List[Finding], ModuleSummary]:
     """Pool worker: phase 1 for one file.
 
@@ -125,12 +125,12 @@ def _process_one(
     Pure function of its arguments -- no module globals are read or
     written, so it is fork- and spawn-safe.
     """
-    path, rules = task
+    path, rules, reference = task
     info = ModuleInfo.from_path(path, module_name_for(path))
     findings: List[Finding] = []
     for checker in all_checkers(rules):
         findings.extend(checker.check(info))
-    return sorted(findings, key=Finding.sort_key), extract_summary(info)
+    return sorted(findings, key=Finding.sort_key), extract_summary(info, reference)
 
 
 def _pool(jobs: int):
@@ -149,9 +149,10 @@ def _run_phase1(
     files: Sequence[Path],
     rules: Optional[Tuple[str, ...]],
     jobs: int,
+    reference: bool = False,
 ) -> Tuple[List[Finding], List[ModuleSummary]]:
     """Walk ``files`` (in parallel for ``jobs > 1``), in sorted order."""
-    tasks = [(str(path), rules) for path in files]
+    tasks = [(str(path), rules, reference) for path in files]
     per_file: Iterable[Tuple[List[Finding], ModuleSummary]]
     findings: List[Finding] = []
     summaries: List[ModuleSummary] = []
@@ -169,15 +170,16 @@ def _run_phase1(
 def collect_summaries(
     paths: Sequence[Union[str, Path]],
     jobs: int = 1,
+    reference: bool = False,
 ) -> List[ModuleSummary]:
     """Extract :class:`ModuleSummary` objects for every file under
     ``paths`` without running any checker (``rules=()``), in sorted-path
-    order.  This is the summaries-only path used for *reference* trees
-    (tests, examples): their names count as usage for the project
-    rules, but they are never linted themselves.
+    order.  With ``reference`` this is the path for *reference* trees
+    (tests, examples): the names they read count as usage for the
+    project rules, but they are never linted themselves.
     """
     files = iter_python_files(paths)
-    _, summaries = _run_phase1(files, (), jobs)
+    _, summaries = _run_phase1(files, (), jobs, reference)
     return summaries
 
 
@@ -201,7 +203,7 @@ def lint_paths(
     rule_tuple = tuple(rules) if rules is not None else None
     merged, summaries = _run_phase1(files, rule_tuple, jobs)
     index = ProjectIndex(
-        summaries, collect_summaries(reference_paths, jobs=jobs)
+        summaries, collect_summaries(reference_paths, jobs=jobs, reference=True)
     ).solve()
     for checker in all_checkers(rule_tuple):
         merged.extend(checker.check_project(index))

@@ -202,5 +202,5 @@ def build_project_index(
 
     return ProjectIndex(
         collect_summaries(paths, jobs=jobs),
-        collect_summaries(reference_paths, jobs=jobs),
+        collect_summaries(reference_paths, jobs=jobs, reference=True),
     ).solve()

@@ -366,8 +366,18 @@ def _collect_refs(
     is_init: bool,
     imports: _Imports,
     export_names: set,
+    reference: bool,
 ) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, str], ...]]:
-    """External dotted references and (for package inits) re-export edges."""
+    """External dotted references and (for package inits) re-export edges.
+
+    In a ``reference`` file (tests, examples) ``from X import name`` is a
+    use only if the file reads ``name``; in linted modules every import
+    counts (``TYPE_CHECKING`` and string-annotation imports are uses there).
+    """
+    read = reference and {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     refs: List[str] = []
     reexports: List[Tuple[str, str]] = []
     seen = set()
@@ -390,7 +400,7 @@ def _collect_refs(
                 dotted = f"{base}.{alias.name}"
                 if is_init and local in export_names:
                     reexports.append((local, dotted))
-                else:
+                elif not reference or local in read:
                     add_ref(dotted)
         elif isinstance(node, ast.Import):
             for alias in node.names:
@@ -425,7 +435,7 @@ def _collect_refs(
     return tuple(refs), tuple(reexports)
 
 
-def extract_summary(info: ModuleInfo) -> ModuleSummary:
+def extract_summary(info: ModuleInfo, reference: bool = False) -> ModuleSummary:
     """Phase 1: distill one parsed module into its summary."""
     tree = info.tree
     is_init = info.is_package_init
@@ -482,7 +492,7 @@ def extract_summary(info: ModuleInfo) -> ModuleSummary:
 
     exports = _find_exports(tree)
     refs, reexports = _collect_refs(
-        tree, info.module, is_init, imports, {e.name for e in exports}
+        tree, info.module, is_init, imports, {e.name for e in exports}, reference
     )
     return ModuleSummary(
         module=info.module,

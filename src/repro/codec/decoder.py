@@ -296,9 +296,9 @@ class Decoder:
         flat = header.flat_quant
         luma = merge_blocks(residual_pixels(luma_levels, qp, flat, counters), MB_SIZE)
         chroma = residual_pixels(chroma_levels, qp_c, flat, counters)
-        residuals = (luma, chroma[:n_mb], chroma[n_mb:])
+        chroma = chroma.reshape(2, n_mb, MB_SIZE // 2, MB_SIZE // 2)
         return recon.reconstruct_intra(
-            lambda plane, idx, dcs: residuals[plane][idx], counters
+            lambda plane, sl, dcs: chroma[:, sl] if plane else luma[sl], counters
         )
 
     # -- P frames -----------------------------------------------------------------

@@ -478,28 +478,25 @@ class _CodingState(FrameReconstructor):
 
         The levels of a block depend on its DC predictor, hence on the
         reconstruction of its neighbours, so the forward DCT/quant/RDOQ
-        runs inside the shared wavefront walk, one anti-diagonal per batch
-        (same predictors, levels and reconstruction as a per-macroblock
-        loop; guarded by the golden-digest tests).  Intra pictures always
-        use the 8x8 transform: DC-predicted residuals have block-local
-        structure, and real codecs use small intra transforms for the same
-        reason.
+        runs inside the shared wavefront walk, a luma then a U/V batch per
+        anti-diagonal (same predictors, levels and reconstruction as a
+        per-macroblock loop; guarded by the golden-digest tests).  Intra
+        pictures always use the 8x8 transform: DC-predicted residuals have
+        block-local structure, and real codecs use small intra transforms
+        for the same reason.
 
         Returns the (luma, chroma) level arrays in stream order and leaves
         the unfiltered reconstruction in ``recon``.
         """
-        luma = np.zeros((4 * self.n_mb, 8, 8), np.int32)
-        chroma = np.zeros((2 * self.n_mb, 8, 8), np.int32)
-        cur_blocks = (
-            to_blocks(self.cur_y, MB_SIZE),
-            to_blocks(self.cur_u, MB_SIZE // 2),
-            to_blocks(self.cur_v, MB_SIZE // 2),
-        )
+        half = MB_SIZE // 2
+        luma = np.zeros((self.n_mb, 4, 8, 8), np.int32)
+        chroma = np.zeros((2, self.n_mb, half, half), np.int32)
+        cur_y = to_blocks(self.cur_y, MB_SIZE)
+        cur_uv = np.stack((to_blocks(self.cur_u, half), to_blocks(self.cur_v, half)))
 
-        def code(plane: int, idx: np.ndarray, dcs: np.ndarray) -> np.ndarray:
-            residual = cur_blocks[plane][idx] - dcs[:, None, None]
+        def code(plane: int, sl: slice, dcs: np.ndarray) -> np.ndarray:
             if plane == 0:
-                sub = split_blocks(residual, 8)
+                sub = split_blocks(cur_y[sl] - dcs[:, None, None], 8)
                 coeffs = forward_dct(sub)
                 levels = quantize(coeffs, qp, flat=cfg.flat_quant)
                 if cfg.rdoq:
@@ -507,19 +504,22 @@ class _CodingState(FrameReconstructor):
                     counters.add("rdoq", sub.shape[0])
                 counters.add("dct", sub.shape[0])
                 counters.add("quant", sub.shape[0])
-                luma[(idx[:, None] * 4 + np.arange(4)).ravel()] = levels
+                luma[sl] = levels.reshape(-1, 4, 8, 8)
                 return merge_blocks(
                     residual_pixels(levels, qp, cfg.flat_quant, counters), MB_SIZE
                 )
-            # Chroma (8x8 per plane per MB); stream order is all-U then all-V.
-            levels = quantize(forward_dct(residual), qp_c, flat=cfg.flat_quant)
-            counters.add("dct", idx.size)
-            counters.add("quant", idx.size)
-            chroma[(plane - 1) * self.n_mb + idx] = levels
-            return residual_pixels(levels, qp_c, cfg.flat_quant, counters)
+            # Both chroma planes in one batch (8x8 per plane per MB); stream
+            # order is all-U then all-V.
+            sub = (cur_uv[:, sl] - dcs[..., None, None]).reshape(-1, half, half)
+            levels = quantize(forward_dct(sub), qp_c, flat=cfg.flat_quant)
+            counters.add("dct", sub.shape[0])
+            counters.add("quant", sub.shape[0])
+            chroma[:, sl] = levels.reshape(2, -1, half, half)
+            rec = residual_pixels(levels, qp_c, cfg.flat_quant, counters)
+            return rec.reshape(2, -1, half, half)
 
         self.recon = self.reconstruct_intra(code, counters)
-        return luma, chroma
+        return luma.reshape(-1, 8, 8), chroma.reshape(-1, half, half)
 
     # -- P-frame coding ---------------------------------------------------------
 

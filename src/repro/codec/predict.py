@@ -3,14 +3,18 @@
 I-frame macroblocks are predicted from the reconstructed pixels above and
 to the left (DC mode: the mean of the neighbouring border samples), which
 exploits spatial redundancy the same way motion compensation exploits
-temporal redundancy.  P-frame blocks that fall back to intra (occlusions,
-scene content with no temporal match) use a flat mid-grey predictor so the
-P-frame pipeline stays free of raster-order data dependences.
+temporal redundancy.  :func:`dc_predict` is the per-block definition;
+:func:`edge_dc` is the batched form the intra walk
+(:meth:`repro.codec.reconstruct.FrameReconstructor.reconstruct_intra`)
+takes over the kept edges of finished neighbours.  P-frame blocks that fall
+back to intra (occlusions, scene content with no temporal match) use a flat
+mid-grey predictor so the P-frame pipeline stays free of raster-order data
+dependences.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,8 +22,7 @@ from repro.codec.instrumentation import Counters
 
 __all__ = [
     "dc_predict",
-    "dc_predict_batch",
-    "wavefronts",
+    "edge_dc",
     "FLAT_PREDICTOR",
     "intra_cost",
 ]
@@ -54,63 +57,19 @@ def dc_predict(
     return float(np.mean(np.concatenate(samples)))
 
 
-def dc_predict_batch(
-    recon: np.ndarray,
-    ys: np.ndarray,
-    xs: np.ndarray,
-    size: int,
-    counters: Optional[Counters] = None,
-) -> np.ndarray:
-    """DC prediction values for a batch of mutually independent blocks.
+def edge_dc(above: Optional[np.ndarray], left: Optional[np.ndarray]) -> np.ndarray:
+    """DC predictors of blocks from the ``(..., size)`` samples above and to
+    the left of each (``None``: no block has that neighbour).
 
-    Bit-identical to calling :func:`dc_predict` per block: each block's
-    samples are laid out in the same ``[above row | left column]`` order
-    and reduced with the same contiguous-axis mean, so the predictor --
-    and therefore the bitstream -- does not change.  The caller must
-    guarantee independence: no block's neighbour samples may lie inside
-    another block of the same batch.  One anti-diagonal wavefront of a
-    frame (see :func:`wavefronts`) satisfies this, because block ``(r, c)``
-    reads only from rows finished by blocks ``(r-1, c)`` and ``(r, c-1)``.
+    Each mean is ``np.mean``'s own sum-then-divide over one contiguous
+    ``[above | left]`` row, the order :func:`dc_predict` concatenates, so
+    the predictor -- and therefore the bitstream -- is bit-identical to it.
     """
-    ys = np.asarray(ys, dtype=np.int64)
-    xs = np.asarray(xs, dtype=np.int64)
-    n = ys.size
-    out = np.full(n, FLAT_PREDICTOR, dtype=np.float64)
-    if counters is not None:
-        counters.add("intra_pred", n)
-    offs = np.arange(size)
-    have_above = ys > 0
-    have_left = xs > 0
-    both = np.nonzero(have_above & have_left)[0]
-    if both.size:
-        above = recon[ys[both, None] - 1, xs[both, None] + offs]
-        left = recon[ys[both, None] + offs, xs[both, None] - 1]
-        out[both] = np.concatenate([above, left], axis=1).mean(axis=1)
-    above_only = np.nonzero(have_above & ~have_left)[0]
-    if above_only.size:
-        out[above_only] = recon[
-            ys[above_only, None] - 1, xs[above_only, None] + offs
-        ].mean(axis=1)
-    left_only = np.nonzero(~have_above & have_left)[0]
-    if left_only.size:
-        out[left_only] = recon[
-            ys[left_only, None] + offs, xs[left_only, None] - 1
-        ].mean(axis=1)
-    return out
-
-
-def wavefronts(rows: int, cols: int) -> List[np.ndarray]:
-    """Anti-diagonal groups of raster-order block indices.
-
-    Within one group every block is independent of the others under DC
-    prediction, so a whole group can be predicted, transformed and
-    reconstructed as a single batch; groups must be processed in order.
-    """
-    out = []
-    for k in range(rows + cols - 1):
-        r = np.arange(max(0, k - cols + 1), min(k, rows - 1) + 1)
-        out.append(r * cols + (k - r))
-    return out
+    if above is None or left is None:
+        samples = left if above is None else above
+    else:
+        samples = np.concatenate((above, left), axis=-1)
+    return np.add.reduce(samples, axis=-1) / samples.shape[-1]
 
 
 def intra_cost(blocks: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from repro.codec.motion import (
     motion_compensate_chroma,
     pad_reference,
 )
-from repro.codec.predict import FLAT_PREDICTOR, dc_predict_batch, wavefronts
+from repro.codec.predict import FLAT_PREDICTOR, edge_dc
 from repro.codec.presets import EncoderConfig
 from repro.codec.quant import dequantize
 from repro.codec.transform import inverse_dct
@@ -165,35 +165,63 @@ class FrameReconstructor:
 
     def reconstruct_intra(
         self,
-        residual: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+        residual: Callable[[int, slice, np.ndarray], np.ndarray],
         counters: Counters,
     ) -> Planes:
         """Unfiltered planes of a DC-predicted intra frame.
 
-        DC prediction makes block ``(r, c)`` depend on its reconstructed
-        above/left neighbours, so the frame cannot be rebuilt as one batch
-        -- but every block on an anti-diagonal is independent of the
-        others, so the walk goes wavefront by wavefront.
+        Block ``(r, c)``'s DC reads the bottom row of ``(r - 1, c)`` and the
+        right column of ``(r, c - 1)``, so the walk goes anti-diagonal by
+        anti-diagonal (raster indices ``cols - 1`` apart: a strided slice),
+        keeping only the clipped edges of finished blocks; each plane is
+        built once at the end, as ``clip(residual + dc)`` over all blocks.
 
-        ``residual(plane, idx, dcs)`` supplies the pixel-domain residual of
-        macroblocks ``idx`` of plane 0/1/2 (Y/U/V), given their DC
-        predictors.  The encoder codes the blocks right there (its levels
-        depend on the predictors); the decoder's residual does not, so it
-        hands out slices of one whole-frame dequant + IDCT batch.
+        ``residual(0, sl, dcs)`` supplies the ``(m, 16, 16)`` pixel-domain
+        luma residual of macroblocks ``sl`` given their ``(m,)`` DC
+        predictors; ``residual(1, sl, dcs)`` the ``(2, m, 8, 8)`` U/V pair
+        given ``(2, m)`` predictors.  The encoder codes the blocks right
+        there (its levels depend on the predictors); the decoder's residual
+        does not, so it hands out slices of one whole-frame dequant + IDCT.
         """
-        origins = ((self.ys, self.xs), (self.cys, self.cxs), (self.cys, self.cxs))
-        recon = tuple(np.empty(shape) for shape in self._plane_shapes)
-        offsets = [np.arange(size) for size in _SIZES]
-        for idx in wavefronts(self.coded_h // MB_SIZE, self.coded_w // MB_SIZE):
-            for plane, (out, (ys, xs), off) in enumerate(zip(recon, origins, offsets)):
-                ys_k, xs_k = ys[idx], xs[idx]
-                dcs = dc_predict_batch(out, ys_k, xs_k, off.size, counters)
-                out[
-                    ys_k[:, None, None] + off[None, :, None],
-                    xs_k[:, None, None] + off[None, None, :],
-                ] = np.clip(residual(plane, idx, dcs) + dcs[:, None, None], 0, 255)
-        counters.add("recon", self.n_mb)
-        return recon
+        n, rows, cols = self.n_mb, self.coded_h // MB_SIZE, self.coded_w // MB_SIZE
+        step = max(cols - 1, 1)  # one column: every wavefront is one block
+        # Per walk (luma; the U/V pair): residual, DC, bottom row, right column.
+        walks = []
+        for lead, size in (((), MB_SIZE), ((2,), MB_SIZE // 2)):
+            shapes = ((n, size, size), (n,), (n, size), (n, size))
+            walks.append(tuple(np.empty(lead + shape) for shape in shapes))
+        for k in range(rows + cols - 1):
+            r0, r1 = max(0, k - cols + 1), min(k, rows - 1)
+            m, first = r1 - r0 + 1, r0 * cols + k - r0
+            sl = slice(first, first + (m - 1) * step + 1, step)
+            # lo..hi-1 have both neighbours; (0, k) lacks up, (k, 0) left.
+            lo, hi = int(r0 == 0), m - int(r1 == k)
+            both = slice(first + lo * step, first + (hi - 1) * step + 1, step)
+            up = slice(both.start - cols, both.stop - cols, step)
+            left = slice(both.start - 1, both.stop - 1, step)
+            for plane, (res, dc, bottom, right) in enumerate(walks):
+                dc_k = np.full(dc.shape[:-1] + (m,), FLAT_PREDICTOR)
+                if lo < hi:
+                    dc_k[..., lo:hi] = edge_dc(bottom[..., up, :], right[..., left, :])
+                if k and lo:
+                    dc_k[..., 0] = edge_dc(None, right[..., k - 1, :])
+                if k and hi < m:
+                    dc_k[..., -1] = edge_dc(bottom[..., (k - 1) * cols, :], None)
+                res_k = residual(plane, sl, dc_k)
+                res[..., sl, :, :], dc[..., sl] = res_k, dc_k
+                edge = dc_k[..., None]
+                bottom[..., sl, :] = np.clip(res_k[..., -1, :] + edge, 0, 255)
+                right[..., sl, :] = np.clip(res_k[..., -1] + edge, 0, 255)
+        counters.add("intra_pred", 3 * n)
+        counters.add("recon", n)
+        (res_y, dc_y, _, _), (res_c, dc_c, _, _) = walks
+        luma_shape, chroma_shape = self._plane_shapes[:2]
+        u, v = np.clip(res_c + dc_c[..., None, None], 0, 255)
+        return (
+            from_blocks(np.clip(res_y + dc_y[..., None, None], 0, 255), *luma_shape),
+            from_blocks(u, *chroma_shape),
+            from_blocks(v, *chroma_shape),
+        )
 
     def predict_p(
         self,

@@ -54,7 +54,7 @@ _RECONSTRUCTION_KERNELS = {
     "motion_compensate": "motion.py",
     "motion_compensate_chroma": "motion.py",
     "deblock_plane": "deblock.py",
-    "dc_predict_batch": "predict.py",
+    "edge_dc": "predict.py",
 }
 
 

@@ -474,6 +474,22 @@ class TestWholeProgram:
         findings = wp_findings(reference_paths=[ref])
         assert [f.rule for f in findings if f.rule == "VL008"] == []
 
+    def test_unused_reference_import_keeps_nothing_alive(self, tmp_path, capsys):
+        # A test file that imports dead_fn but never reads it is not a use:
+        # the export is still dead, in the library and on the command line.
+        ref = tmp_path / "test_deadpkg.py"
+        ref.write_text(
+            "from repro.deadpkg import dead_fn, used_fn\n\n\n"
+            "def test_used_fn():\n    assert used_fn() == 1\n"
+        )
+        [f] = [f for f in wp_findings(reference_paths=[ref]) if f.rule == "VL008"]
+        assert "'dead_fn'" in f.message
+        args = ["lint", "--reference", str(ref), str(WHOLE_PROGRAM)]
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert "deadpkg/__init__.py:11:12: VL008 [error]" in out
+        assert "'dead_fn'" in out
+
     def test_serial_and_parallel_whole_program_byte_identical(self):
         serial = lint_paths([WHOLE_PROGRAM])
         parallel = lint_paths([WHOLE_PROGRAM], jobs=4)
