@@ -9,7 +9,10 @@ methods span the effort ladder:
 * ``"log"``   -- logarithmic (step-halving) search seeded by the temporal
   predictor; the workhorse of the software presets.
 * ``"full"``  -- exhaustive search of the whole +/- range window; the
-  highest effort level.
+  highest effort level.  It bounds every candidate from below with 8x8
+  sub-block sums and computes exact SADs only where the bound cannot rule
+  the candidate out (successive elimination): the exhaustive scan's
+  result at a few percent of its SADs.
 
 Everything operates on all blocks of a frame simultaneously: candidate
 windows are gathered per block from a sliding-window view of the reference
@@ -47,8 +50,12 @@ __all__ = [
     "motion_compensate_chroma",
 ]
 
-#: Largest block whose full-search row sums (``255 * size``) fit ``int16``.
+#: Largest block size :func:`estimate_motion` accepts.
 _MAX_BLOCK = np.iinfo(np.int16).max // 255
+#: Side of the sub-blocks whose sums bound a full-search SAD from below.
+_SUB_BLOCK = 8
+#: Most (block, vector) candidates one full-search batch computes exactly.
+_SAD_BATCH = 1024
 
 
 @dataclass
@@ -267,34 +274,63 @@ def estimate_motion(
 
 
 def _full_search(current, padded, pad, bs, srange, active, best_mvs, best_sads, counters):
-    """Exhaustive integer search over the full +/- srange window.
+    """Exhaustive integer search over the full +/- srange window, by
+    successive elimination (Li & Salari, IEEE TIP 4(1), 1995).
 
-    Builds every block's SAD surface one row of displacements at a time:
-    the ``2*srange + 1`` horizontal shifts of the reference rows at one
-    ``dy`` are a sliding-window view against the current plane, reduced
-    over the rows, then the columns, of each macroblock -- ``2*srange + 1``
-    numpy passes per frame, not one per ``(dy, dx)``.  The first minimum of
-    the raster-ordered surface, under one strict ``<`` against the incoming
-    best, is the vector a sequential raster scan keeps.
+    A block's SAD at a vector is at least its bound ``LB``, the sum over
+    its sub-blocks of ``|sum(cur) - sum(ref)|``.  Sub-blocks are
+    ``_SUB_BLOCK`` pixels square, or the largest power of two that divides
+    ``bs`` when that is smaller.  Doubling adds (three per axis for 8x8)
+    give the sub-block sums at every position of the search area, so all
+    (block, vector) pairs are bounded in a few whole-array passes.  ``U``,
+    the exact SAD at a block's lowest bound, caps its minimum.  Exact SADs
+    are computed only where ``LB <= U`` and ``LB`` is below the incoming
+    best (a raster scan's strict ``<``), at most ``_SAD_BATCH`` at a time.
+    Every minimiser survives, so the first raster-order minimum over the
+    survivors is the vector the exhaustive scan keeps: the result is exact.
+    ``"sad"`` still counts that scan, ``k**2 - 1`` per block (see
+    :class:`~repro.codec.instrumentation.Counters`).
 
     ``current`` and ``padded`` are ``int16`` planes on the 8-bit grid, so
-    ``|a - b| <= 255``, a block row sums to ``<= 255 * bs`` (``int16`` for
-    ``bs <= 128``) and a block to ``<= 255 * bs**2`` (``int32``).
+    a sub-block sums to ``<= 255 * 64`` (``int16``), ``|a - b| <= 255`` and
+    a block sums to ``<= 255 * bs**2`` (``int32``).
     """
     height, width = current.shape
     rows, cols = height // bs, width // bs
     k = 2 * srange + 1
-    surface = np.empty((rows, cols, k, k), dtype=np.int32)  # [mb row, mb col, dy, dx]
-    x0 = pad - srange
-    for i in range(k):
-        band = padded[x0 + i : x0 + i + height, x0 : x0 + width + 2 * srange]
-        diff = sliding_window_view(band, width, axis=1) - current[:, None, :]  # [y, dx, x]
-        np.abs(diff, out=diff)
-        row_sums = diff.reshape(rows, bs, k, width).sum(axis=1, dtype=np.int16)
-        block_sads = row_sums.reshape(rows, k, cols, bs).sum(axis=3, dtype=np.int32)
-        surface[:, :, i] = block_sads.swapaxes(1, 2)
-    sads = surface.reshape(rows * cols, k * k)[active]
-    sads[:, k * k // 2] = best_sads  # the zero vector is the incumbent's, never a candidate
+    sub = math.gcd(bs, _SUB_BLOCK)
+    sums = padded[pad - srange : pad + srange + height, pad - srange : pad + srange + width]
+    size = 1
+    while size < sub:  # sums of every size x size window, doubling the size
+        sums = sums[:-size] + sums[size:]
+        sums = sums[:, :-size] + sums[:, size:]
+        size *= 2
+    windows = sliding_window_view(sums, (k, k))  # [y, x, dy, dx]
+    cur_sums = current.reshape(height // sub, sub, width // sub, sub).sum(axis=(1, 3), dtype=np.int16)
+    bound = np.zeros((rows, cols, k, k), dtype=np.int32)
+    for i in range(0, bs, sub):
+        for j in range(0, bs, sub):
+            diff = cur_sums[i // sub :: bs // sub, j // sub :: bs // sub, None, None] - windows[i::bs, j::bs]
+            bound += np.abs(diff, out=diff)
+    bound = bound.reshape(rows * cols, k * k)[active]
+    never = np.iinfo(np.int32).max
+    bound[:, k * k // 2] = never  # the zero vector is the incumbent's, never a candidate
+
+    cur_blocks = current.reshape(rows, bs, cols, bs).swapaxes(1, 2).reshape(-1, bs, bs)[active]
+    ys, xs = (origin[active] for origin in block_positions(height, width, bs))
+    view = sliding_window_view(padded[pad - srange :, pad - srange :], (bs, bs))
+
+    def sads_at(blocks, cands):
+        dy, dx = np.divmod(cands, k)
+        return _sad(cur_blocks[blocks], view[ys[blocks] + dy, xs[blocks] + dx])
+
+    upper = sads_at(np.arange(active.size), bound.argmin(axis=1))
+    cutoff = np.minimum(upper, best_sads - 1)
+    blocks, cands = np.nonzero(bound <= cutoff[:, None])  # raster order per block
+    sads = np.full((active.size, k * k), never, dtype=np.int32)
+    for at in range(0, blocks.size, _SAD_BATCH):
+        b, c = blocks[at : at + _SAD_BATCH], cands[at : at + _SAD_BATCH]
+        sads[b, c] = sads_at(b, c)
     counters.add("sad", active.size * (k * k - 1))
     lowest = sads.min(axis=1)
     better = lowest < best_sads

@@ -11,6 +11,7 @@ pins that against scipy itself.
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -18,12 +19,19 @@ import numpy as np
 __all__ = ["gaussian_blur", "zoom_linear"]
 
 
+@functools.lru_cache(maxsize=None)
 def _half_kernel(sigma: float) -> np.ndarray:
-    """Taps ``w[0..r]`` of scipy's normalised Gaussian (it is symmetric)."""
+    """Taps ``w[0..r]`` of scipy's normalised Gaussian (it is symmetric).
+
+    Built once per sigma (SSIM blurs every plane at the same one) and
+    returned read-only, since every caller shares the array.
+    """
     radius = int(4.0 * float(sigma) + 0.5)
     x = np.arange(-radius, radius + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
-    return (phi / phi.sum())[radius:]
+    taps = (phi / phi.sum())[radius:]
+    taps.flags.writeable = False
+    return taps
 
 
 def _correlate(

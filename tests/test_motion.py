@@ -1,5 +1,7 @@
 """Motion estimation/compensation: known displacements, sub-pel, skip gate."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -191,8 +193,40 @@ def _both_searches(monkeypatch, cur, ref, srange, **kwargs):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _placebo_p_frame_search(content):
+    """``(args, kwargs)`` of the first ``estimate_motion`` call when
+    ``placebo`` encodes two 192x128 frames of ``content`` at seed 7, the
+    size and seed ``benchmarks/perf`` encodes (counters left out)."""
+    from repro.codec import encoder
+    from repro.codec.presets import preset
+    from repro.video.synthesis import synthesize
+
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, {k: v for k, v in kwargs.items() if k != "counters"}))
+        return estimate_motion(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoder, "estimate_motion", record)
+        encoder.encode(synthesize(content, 192, 128, 2, 24.0, seed=7), preset("placebo"), crf=28)
+    assert calls[0][1]["search_method"] == "full"
+    return calls[0]
+
+
 class TestFullSearchAgainstScan:
-    """The SAD surface must reproduce the per-offset scan, not approximate it."""
+    """Successive elimination must reproduce the per-offset scan, not
+    approximate it: the same vectors, SADs and ordered counters."""
+
+    @staticmethod
+    def _assert_equal(pair):
+        (new, new_counts), (old, old_counts) = pair
+        np.testing.assert_array_equal(new.mvs, old.mvs)
+        np.testing.assert_array_equal(new.sads, old.sads)
+        np.testing.assert_array_equal(new.zero_sads, old.zero_sads)
+        assert list(new_counts.items()) == list(old_counts.items())
+        return new
 
     @pytest.mark.parametrize("srange", [1, 4, 16])
     @pytest.mark.parametrize("subpel_depth", [0, 2])
@@ -225,6 +259,102 @@ class TestFullSearchAgainstScan:
         (new, _), (old, _) = _both_searches(monkeypatch, cur, ref, 4, subpel_depth=0)
         assert tuple(new.mvs[4] // 4) == tuple(old.mvs[4] // 4) == (-4, -4)
         assert not np.any(np.delete(new.mvs, 4, axis=0))  # flat blocks stay put
+
+    @pytest.mark.parametrize("srange", [1, 4, 16])
+    @pytest.mark.parametrize("levels", [(100, 100), (90, 140)])
+    def test_constant_planes_tie_everywhere(self, monkeypatch, srange, levels):
+        """Every candidate's SAD and bound equal the zero vector's: nobody
+        moves, since no candidate beats the incumbent strictly."""
+        ref = np.full((48, 64), float(levels[0]))
+        cur = np.full((48, 64), float(levels[1]))
+        new = self._assert_equal(_both_searches(monkeypatch, cur, ref, srange, subpel_depth=0))
+        assert not np.any(new.mvs)
+
+    @pytest.mark.parametrize("srange", [1, 4, 16])
+    def test_stripes_tie_at_the_minimum(self, monkeypatch, srange):
+        """Two-level stripes two rows wide, the current plane one row down:
+        every vector with ``dy % 4 == 3`` scores 0 at every ``dx``, so the
+        bound equals ``U`` at up to 264 minimisers per block and the first
+        one in raster order wins."""
+        ref = np.tile(np.repeat([90.0, 110.0], 2), 12)[:, None] * np.ones((1, 64))
+        cur = np.roll(ref, 1, axis=0)
+        new = self._assert_equal(_both_searches(monkeypatch, cur, ref, srange, subpel_depth=0))
+        first_dy = next(dy for dy in range(-srange, srange + 1) if dy % 4 == 3)
+        assert tuple(new.mvs[5] // 4) == (first_dy, -srange)
+        assert new.sads[5] == 0 < new.zero_sads[5]
+
+    def test_seed_tied_with_the_window_minimum_is_kept(self, monkeypatch):
+        """A bump under the middle block: only vectors with ``|dy|`` or
+        ``|dx|`` of 16 clear it, all scoring 0.  The seed (16, 16), last in
+        raster order, already scores 0 and must stay: the first raster
+        minimiser (-16, -16) ties it and does not beat it."""
+        ref = np.full((48, 48), 100.0)
+        ref[16:32, 16:32] = 160.0
+        cur = np.full((48, 48), 100.0)
+        seeds = np.zeros((9, 2), dtype=np.int64)
+        seeds[4] = (16, 16)
+        new = self._assert_equal(
+            _both_searches(monkeypatch, cur, ref, 16, subpel_depth=0, init_mvs=seeds)
+        )
+        assert tuple(new.mvs[4] // 4) == (16, 16) and new.sads[4] == 0
+
+    @pytest.mark.parametrize("srange", [1, 4, 16])
+    @pytest.mark.parametrize("subpel_depth", [0, 2])
+    def test_skip_gated_subsets_and_border_vectors(self, monkeypatch, rng, srange, subpel_depth):
+        """Textured content moved by ``(srange, -srange)``, a corner of the
+        window, whose pad is only two pixels wider; half the blocks are
+        static and skipped, and the seeds sit on the window's edges."""
+        ref = _textured(rng, 64, 96)
+        cur = np.roll(ref, (-srange, srange), axis=(0, 1))
+        cur[32:] = ref[32:]  # the bottom half is static: below the skip threshold
+        seeds = rng.integers(-srange, srange + 1, size=(24, 2))
+        seeds[::3] = (srange, srange)
+        seeds[1::3, 0] = -srange
+        new = self._assert_equal(_both_searches(
+            monkeypatch, cur, ref, srange, subpel_depth=subpel_depth,
+            init_mvs=seeds, skip_threshold=16.0,
+        ))
+        moved = np.any(new.mvs, axis=1)
+        assert moved[:12].any() and not moved[12:].any()
+        assert (srange, -srange) in {tuple(mv) for mv in new.mvs[:12] // 4}
+
+    @pytest.mark.parametrize("content", ["screencast", "sports"])
+    def test_benchmark_content(self, monkeypatch, content):
+        """The encoder's own full search of a 192x128 P frame of the content
+        ``benchmarks/perf`` encodes: reconstructed reference, seeds and all."""
+        args, kwargs = _placebo_p_frame_search(content)
+        out = []
+        for scan in (False, True):
+            with monkeypatch.context() as patch:
+                if scan:
+                    patch.setattr(motion, "_full_search", _scan_full_search)
+                counters = Counters()
+                out.append((estimate_motion(*args, **kwargs, counters=counters), counters.as_dict()))
+        new = self._assert_equal(out)
+        assert np.any(new.mvs)
+
+    @pytest.mark.parametrize("content", ["screencast", "sports"])
+    def test_memory_stays_bounded(self, monkeypatch, content):
+        """Exact SADs are gathered ``_SAD_BATCH`` candidates at a time: that
+        full search peaks at 2.8 (screencast) and 2.7 (sports) MiB, under
+        the 3.6 MiB of the per-row SAD surface it replaced.  Gathering all
+        survivors at once peaked at 12.6 and 7.4 MiB."""
+        import tracemalloc
+
+        args, kwargs = _placebo_p_frame_search(content)
+        search, peaks = motion._full_search, []
+
+        def measured(*inner):
+            tracemalloc.start()
+            try:
+                return search(*inner)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(motion, "_full_search", measured)
+        estimate_motion(*args, **kwargs)
+        assert len(peaks) == 1 and peaks[0] <= 3.7 * 2**20, peaks
 
     def test_codec_planes_are_on_the_8bit_grid(self, rng, natural_video):
         """Where the integer path's precondition is produced."""

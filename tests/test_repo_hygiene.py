@@ -254,7 +254,20 @@ def test_hygiene_scans_pass_a_seeded_stream():
 
 
 def test_reconstruction_kernels_have_one_caller():
-    """Encoder and decoder rebuild pixels through codec/reconstruct.py only."""
+    """Encoder and decoder rebuild pixels through codec/reconstruct.py only.
+
+    Every listed kernel must still be a top-level ``def`` of its home
+    module: an entry left behind by a rename would guard nothing."""
+    missing = [
+        f"{home}:{name}"
+        for name, home in _RECONSTRUCTION_KERNELS.items()
+        if name not in {
+            node.name
+            for node in ast.parse((CODEC / home).read_text()).body
+            if isinstance(node, ast.FunctionDef)
+        }
+    ]
+    assert not missing, missing
     offenders = []
     for path, node, name in _calls_in_src():
         home = _RECONSTRUCTION_KERNELS.get(name)
