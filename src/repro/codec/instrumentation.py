@@ -75,10 +75,9 @@ class Counters:
     algorithmic improvement that avoids work shows up as fewer counted
     units, exactly as it would in a profiled native encoder.
 
-    One exception: the full search counts the exhaustive scan the cycle
-    model prices, ``k**2 - 1`` SADs per searched block for a window of
-    side ``k``, while the host prunes it by successive elimination and
-    computes only a few percent of those SADs exactly.
+    One exception: full search counts the exhaustive scan the cycle model
+    prices, ``k**2 - 1`` per searched block, while the host prunes it by
+    successive elimination and computes only a few percent of those SADs.
     """
 
     def __init__(self) -> None:

@@ -9,10 +9,8 @@ methods span the effort ladder:
 * ``"log"``   -- logarithmic (step-halving) search seeded by the temporal
   predictor; the workhorse of the software presets.
 * ``"full"``  -- exhaustive search of the whole +/- range window; the
-  highest effort level.  It bounds every candidate from below with 8x8
-  sub-block sums and computes exact SADs only where the bound cannot rule
-  the candidate out (successive elimination): the exhaustive scan's
-  result at a few percent of its SADs.
+  highest effort level, computed exactly by successive elimination: an
+  8x8 sub-block bound leaves a few percent of the SADs to compute.
 
 Everything operates on all blocks of a frame simultaneously: candidate
 windows are gathered per block from a sliding-window view of the reference
@@ -277,19 +275,15 @@ def _full_search(current, padded, pad, bs, srange, active, best_mvs, best_sads, 
     """Exhaustive integer search over the full +/- srange window, by
     successive elimination (Li & Salari, IEEE TIP 4(1), 1995).
 
-    A block's SAD at a vector is at least its bound ``LB``, the sum over
-    its sub-blocks of ``|sum(cur) - sum(ref)|``.  Sub-blocks are
-    ``_SUB_BLOCK`` pixels square, or the largest power of two that divides
-    ``bs`` when that is smaller.  Doubling adds (three per axis for 8x8)
-    give the sub-block sums at every position of the search area, so all
-    (block, vector) pairs are bounded in a few whole-array passes.  ``U``,
-    the exact SAD at a block's lowest bound, caps its minimum.  Exact SADs
-    are computed only where ``LB <= U`` and ``LB`` is below the incoming
-    best (a raster scan's strict ``<``), at most ``_SAD_BATCH`` at a time.
-    Every minimiser survives, so the first raster-order minimum over the
-    survivors is the vector the exhaustive scan keeps: the result is exact.
-    ``"sad"`` still counts that scan, ``k**2 - 1`` per block (see
-    :class:`~repro.codec.instrumentation.Counters`).
+    A block's SAD at a vector is at least ``LB``, the sum over its
+    sub-blocks (``_SUB_BLOCK`` square, or the largest power of two dividing
+    ``bs``) of ``|sum(cur) - sum(ref)|``; doubling adds give every window
+    sum of the search area.  ``U``, the exact SAD at a block's lowest
+    bound, caps its minimum, so exact SADs are computed only where
+    ``LB <= U`` and ``LB`` is below the incoming best (a raster scan's
+    strict ``<``), ``_SAD_BATCH`` at a time.  Every minimiser survives, so
+    the first raster-order minimum over the survivors is the exhaustive
+    scan's vector.  ``"sad"`` still counts that scan (see ``Counters``).
 
     ``current`` and ``padded`` are ``int16`` planes on the 8-bit grid, so
     a sub-block sums to ``<= 255 * 64`` (``int16``), ``|a - b| <= 255`` and

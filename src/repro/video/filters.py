@@ -21,11 +21,8 @@ __all__ = ["gaussian_blur", "zoom_linear"]
 
 @functools.lru_cache(maxsize=None)
 def _half_kernel(sigma: float) -> np.ndarray:
-    """Taps ``w[0..r]`` of scipy's normalised Gaussian (it is symmetric).
-
-    Built once per sigma (SSIM blurs every plane at the same one) and
-    returned read-only, since every caller shares the array.
-    """
+    """Taps ``w[0..r]`` of scipy's normalised Gaussian (it is symmetric),
+    built once per sigma and read-only: every caller shares them."""
     radius = int(4.0 * float(sigma) + 0.5)
     x = np.arange(-radius, radius + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
